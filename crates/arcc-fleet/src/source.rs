@@ -27,9 +27,15 @@
 use std::fmt;
 
 use arcc_core::splitmix64;
-use arcc_faults::{DimSel, FaultEvent, FaultMode};
+use arcc_faults::{DimSel, FaultEvent};
 
 use crate::spec::FleetSpec;
+
+/// Domain constant of the rolling arrival fingerprint, version 2. Any
+/// change to how an arrival set is folded ([`fold_channel`]) must change
+/// this constant and the compat pin in `tests/compat.rs`, so checkpoints
+/// stamped under the old fold are refused rather than silently matched.
+const FINGERPRINT_V2: u64 = 0xA2CC_F1A6_0000_0002;
 
 /// Errors constructing or applying a replay arrival set.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,6 +142,10 @@ impl std::error::Error for ReplayError {}
 ///
 /// Shards index this read-only structure by global channel range, so one
 /// `ReplayArrivals` is shared by every worker of a replay run.
+///
+/// The set also carries its fingerprint as a rolling state, folded once
+/// per channel as channels are added, so fingerprinting any prefix and
+/// validating against a spec cost O(1) however long the history grows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayArrivals {
     /// Per-channel population index (the inventory's assignment; replay
@@ -145,6 +155,40 @@ pub struct ReplayArrivals {
     offsets: Vec<u32>,
     /// Arrival events grouped by channel, time-ordered within a channel.
     events: Vec<FaultEvent>,
+    /// Rolling fingerprint state at every channel boundary, length
+    /// `channels + 1`: `rolling[k]` has folded channels `0..k`.
+    rolling: Vec<u64>,
+    /// The largest population index (`None` for an empty set).
+    max_population: Option<u32>,
+}
+
+/// Folds one channel into a rolling fingerprint state: its population
+/// index, its event count, then each event's time, mode and shape.
+fn fold_channel(h: u64, population: u32, stream: &[FaultEvent]) -> u64 {
+    let mix = |h: u64, x: u64| splitmix64(h ^ x);
+    let sel = |s: &DimSel| match s {
+        DimSel::All => 1u64 << 62,
+        DimSel::Half(k) => (1u64 << 61) | k,
+        DimSel::One(k) => *k,
+    };
+    let mut h = mix(mix(h, u64::from(population)), stream.len() as u64);
+    for ev in stream {
+        h = mix(h, ev.time_h.to_bits());
+        // `FaultMode` declares its variants in `FaultMode::ALL` order.
+        let mode = ev.mode as u64;
+        h = mix(
+            h,
+            mode | (u64::from(ev.transient) << 8) | (u64::from(ev.device_pos) << 16),
+        );
+        h = mix(h, ev.rank.map_or(0, |r| u64::from(r) + 1));
+        h = mix(
+            h,
+            sel(&ev.set.banks)
+                ^ sel(&ev.set.rows).rotate_left(21)
+                ^ sel(&ev.set.cols).rotate_left(42),
+        );
+    }
+    h
 }
 
 impl ReplayArrivals {
@@ -162,6 +206,16 @@ impl ReplayArrivals {
         populations: Vec<u32>,
         per_channel: Vec<Vec<FaultEvent>>,
     ) -> Result<Self, ReplayError> {
+        Self::build(splitmix64(FINGERPRINT_V2), populations, per_channel)
+    }
+
+    /// [`Self::new`] with the rolling fingerprint starting from `start`,
+    /// the final state of the set being extended.
+    fn build(
+        start: u64,
+        populations: Vec<u32>,
+        per_channel: Vec<Vec<FaultEvent>>,
+    ) -> Result<Self, ReplayError> {
         if populations.len() != per_channel.len() {
             return Err(ReplayError::LengthMismatch {
                 populations: populations.len(),
@@ -176,8 +230,10 @@ impl ReplayArrivals {
         }
         let mut offsets = Vec::with_capacity(per_channel.len() + 1);
         let mut events = Vec::with_capacity(total);
+        let mut rolling = Vec::with_capacity(per_channel.len() + 1);
         offsets.push(0u32);
-        for (c, stream) in per_channel.into_iter().enumerate() {
+        rolling.push(start);
+        for (c, (stream, &population)) in per_channel.into_iter().zip(&populations).enumerate() {
             let mut last = 0.0f64;
             for ev in &stream {
                 if !ev.time_h.is_finite() || ev.time_h < 0.0 {
@@ -191,13 +247,17 @@ impl ReplayArrivals {
                 }
                 last = ev.time_h;
             }
+            rolling.push(fold_channel(rolling[c], population, &stream));
             events.extend(stream);
             offsets.push(events.len() as u32);
         }
+        let max_population = populations.iter().copied().max();
         Ok(Self {
             populations,
             offsets,
             events,
+            rolling,
+            max_population,
         })
     }
 
@@ -220,7 +280,7 @@ impl ReplayArrivals {
         populations: Vec<u32>,
         per_channel: Vec<Vec<FaultEvent>>,
     ) -> Result<(), ReplayError> {
-        let segment = Self::new(populations, per_channel)?;
+        let segment = Self::build(self.rolling_state(), populations, per_channel)?;
         let base = self.events.len();
         let combined = base as u64 + segment.events.len() as u64;
         if u32::try_from(combined).is_err() {
@@ -230,7 +290,14 @@ impl ReplayArrivals {
         self.offsets
             .extend(segment.offsets.iter().skip(1).map(|&o| o + base as u32));
         self.events.extend(segment.events);
+        self.rolling.extend(&segment.rolling[1..]);
+        self.max_population = self.max_population.max(segment.max_population);
         Ok(())
+    }
+
+    /// The rolling fingerprint state after the last channel.
+    fn rolling_state(&self) -> u64 {
+        self.rolling[self.populations.len()]
     }
 
     /// Channels the arrival set covers.
@@ -273,7 +340,8 @@ impl ReplayArrivals {
     /// under: channel counts must match and every population index must
     /// name a spec population. (Arrivals at or past the spec horizon are
     /// legal — they simply never fire, so a long log truncates cleanly
-    /// under a shorter-horizon spec.)
+    /// under a shorter-horizon spec.) O(1) when the set is valid; only
+    /// the error path scans for the first offending channel.
     pub fn validate_for(&self, spec: &FleetSpec) -> Result<(), ReplayError> {
         if self.channels() != spec.channels {
             return Err(ReplayError::ChannelCountMismatch {
@@ -282,8 +350,12 @@ impl ReplayArrivals {
             });
         }
         let populations = spec.populations.len();
-        for (c, &p) in self.populations.iter().enumerate() {
-            if p as usize >= populations {
+        if self
+            .max_population
+            .is_some_and(|p| p as usize >= populations)
+        {
+            let mut channels = self.populations.iter().enumerate();
+            if let Some((c, &p)) = channels.find(|(_, &p)| p as usize >= populations) {
                 return Err(ReplayError::PopulationOutOfRange {
                     channel: c as u64,
                     population: p,
@@ -303,7 +375,8 @@ impl ReplayArrivals {
     }
 
     /// [`Self::fingerprint`] restricted to the first `channels` channels
-    /// and their events. Because [`Self::extend`] only appends, the
+    /// and their events, in O(1): it finishes the rolling state stored at
+    /// that channel boundary. Because [`Self::extend`] only appends, the
     /// prefix fingerprint of the channels an older, smaller set covered
     /// is unchanged after extension — so a checkpoint stamped with a
     /// prefix fingerprint can recognise its own prefix inside a grown
@@ -314,33 +387,7 @@ impl ReplayArrivals {
     ///
     /// When `channels` exceeds [`Self::channels`].
     pub fn fingerprint_prefix(&self, channels: u64) -> u64 {
-        let k = channels as usize;
-        let mut h = splitmix64(0xA2CC_5EED ^ channels);
-        let mut mix = |x: u64| h = splitmix64(h ^ x);
-        for &p in &self.populations[..k] {
-            mix(p as u64);
-        }
-        let sel = |s: &DimSel| match s {
-            DimSel::All => 1u64 << 62,
-            DimSel::Half(k) => (1u64 << 61) | k,
-            DimSel::One(k) => *k,
-        };
-        for (c, &off) in self.offsets[..=k].iter().enumerate().skip(1) {
-            mix(c as u64 ^ (off as u64) << 32);
-        }
-        for ev in &self.events[..self.offsets[k] as usize] {
-            mix(ev.time_h.to_bits());
-            let mode = FaultMode::ALL
-                .iter()
-                .position(|m| *m == ev.mode)
-                .expect("every mode is in ALL") as u64;
-            mix(mode | (u64::from(ev.transient) << 8) | ((ev.device_pos as u64) << 16));
-            mix(ev.rank.map(|r| r as u64 + 1).unwrap_or(0));
-            mix(sel(&ev.set.banks)
-                ^ sel(&ev.set.rows).rotate_left(21)
-                ^ sel(&ev.set.cols).rotate_left(42));
-        }
-        h
+        splitmix64(self.rolling[channels as usize] ^ channels)
     }
 
     /// The fingerprint a replay run's checkpoints carry: the spec
@@ -449,6 +496,26 @@ mod tests {
         );
         let ok = ReplayArrivals::new(vec![0, 0], vec![vec![], vec![]]).unwrap();
         assert_eq!(ok.validate_for(&spec), Ok(()));
+        // The largest population index survives extension, and the error
+        // names the first offending channel of the grown set.
+        let mut grown = ok.clone();
+        grown
+            .extend(vec![0, 3, 2], vec![vec![], vec![], vec![]])
+            .unwrap();
+        let spec2 = FleetSpec::baseline(5).populations(vec![
+            crate::spec::DimmPopulation::paper("a"),
+            crate::spec::DimmPopulation::paper("b"),
+        ]);
+        assert_eq!(
+            grown.validate_for(&spec2),
+            Err(ReplayError::PopulationOutOfRange {
+                channel: 3,
+                population: 3,
+                populations: 2
+            })
+        );
+        let empty = ReplayArrivals::new(vec![], vec![]).unwrap();
+        assert_eq!(empty.validate_for(&FleetSpec::baseline(0)), Ok(()));
     }
 
     #[test]
@@ -517,6 +584,31 @@ mod tests {
         assert_ne!(fp, repop.fingerprint());
         let retimed = ReplayArrivals::new(vec![0, 0], vec![vec![ev(1.25)], vec![]]).unwrap();
         assert_ne!(fp, retimed.fingerprint());
+        // Moving one event across a channel boundary keeps the flat event
+        // order but changes the per-channel counts, in either direction.
+        let three = |streams: Vec<Vec<FaultEvent>>| {
+            ReplayArrivals::new(vec![0, 1, 0], streams)
+                .unwrap()
+                .fingerprint()
+        };
+        let (a, b, c) = (ev(1.0), ev(2.0), ev(3.0));
+        let mid = three(vec![vec![a], vec![b], vec![c]]);
+        assert_ne!(mid, three(vec![vec![a, b], vec![], vec![c]]));
+        assert_ne!(mid, three(vec![vec![a], vec![], vec![b, c]]));
+        // Changing any one population index changes it too.
+        for channel in 0..3 {
+            let mut populations = vec![0, 1, 0];
+            populations[channel] = 2;
+            let repop = ReplayArrivals::new(populations, vec![vec![a], vec![b], vec![c]])
+                .unwrap()
+                .fingerprint();
+            assert_ne!(mid, repop, "population of channel {channel}");
+        }
+        // The fold reads a mode's index in `FaultMode::ALL` from its
+        // discriminant.
+        for (i, mode) in arcc_faults::FaultMode::ALL.iter().enumerate() {
+            assert_eq!(*mode as usize, i);
+        }
         // The run fingerprint also pins the spec.
         let spec = FleetSpec::baseline(2);
         assert_ne!(

@@ -1,14 +1,22 @@
-//! Pre-zoo checkpoint compatibility.
+//! Checkpoint compatibility pins.
 //!
 //! The scheme-zoo refactor added `scheme` and `large_fault_multiplier`
 //! to [`DimmPopulation`]. Checkpoints identify their spec by
 //! [`FleetSpec::fingerprint`], so these tests pin the fingerprints of
 //! three specs that shipped *before* the zoo existed — if any pin moves,
 //! every checkpoint written by an earlier release refuses to resume.
+//!
+//! Replay checkpoints also carry the arrival-set fingerprint. Version 2
+//! folds each channel once into a rolling state; the v2 value of a fixed
+//! arrival set is pinned here, and checkpoints stamped with its version 1
+//! value must be refused with typed errors, never resumed.
 
+use arcc_core::splitmix64;
+use arcc_faults::{AddressSet, DimSel, FaultEvent, FaultMode};
 use arcc_fleet::{
-    resume_fleet, run_fleet, run_fleet_until, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy,
+    extend_replay, resume_fleet, resume_replay, run_fleet, run_fleet_until, run_replay,
+    run_replay_checkpointed, run_replay_until, DimmPopulation, FleetCheckpoint, FleetSpec,
+    OperatorPolicy, PersistError, ReplayArrivals, ReplayError,
 };
 
 /// The mixed-population spec used by the `arcc-serve` golden session.
@@ -71,4 +79,170 @@ fn zoo_specs_refuse_pre_zoo_checkpoints() {
     ]);
     assert!(!ckpt.matches(&new));
     assert!(run_fleet_until(2, &new, ckpt, 1).is_err());
+}
+
+/// The version 1 `fingerprint()` of [`pinned_arrivals`], captured on the
+/// last commit that folded arrival sets that way.
+const V1_ARRIVALS_FINGERPRINT: u64 = 0x86df_2b14_84f2_070f;
+
+/// The version 2 `fingerprint()` of [`pinned_arrivals`].
+const V2_ARRIVALS_FINGERPRINT: u64 = 0x1543_12b0_0a9c_cbca;
+
+fn event(
+    time_h: f64,
+    mode: FaultMode,
+    rank: Option<u32>,
+    device_pos: u32,
+    set: AddressSet,
+) -> FaultEvent {
+    FaultEvent {
+        time_h,
+        mode,
+        transient: false,
+        rank,
+        device_pos,
+        set,
+    }
+}
+
+/// A small arrival set built by hand, so the pins depend on no RNG.
+fn pinned_arrivals() -> ReplayArrivals {
+    let one = |banks: u64, rows: u64, cols: u64| AddressSet {
+        banks: DimSel::One(banks),
+        rows: DimSel::One(rows),
+        cols: DimSel::One(cols),
+    };
+    ReplayArrivals::new(
+        vec![0, 1, 1, 0],
+        vec![
+            vec![
+                FaultEvent {
+                    transient: true,
+                    ..event(12.5, FaultMode::SingleBit, Some(0), 3, one(2, 1007, 55))
+                },
+                event(
+                    4_000.25,
+                    FaultMode::SingleColumn,
+                    Some(1),
+                    17,
+                    AddressSet {
+                        banks: DimSel::One(5),
+                        rows: DimSel::All,
+                        cols: DimSel::Half(1),
+                    },
+                ),
+            ],
+            vec![],
+            vec![event(
+                61_000.0,
+                FaultMode::MultiRank,
+                None,
+                35,
+                AddressSet::all(),
+            )],
+            vec![event(
+                300.0,
+                FaultMode::SingleRow,
+                Some(0),
+                0,
+                AddressSet {
+                    cols: DimSel::All,
+                    ..one(7, 31_000, 0)
+                },
+            )],
+        ],
+    )
+    .expect("valid arrivals")
+}
+
+/// Two populations over `channels` channels in 2-channel shards.
+fn pinned_spec(channels: u64) -> FleetSpec {
+    FleetSpec::baseline(channels)
+        .populations(vec![DimmPopulation::paper("a"), DimmPopulation::paper("b")])
+        .shard_channels(2)
+        .seed(0x5EED)
+}
+
+/// What a version 1 build stamped into a replay checkpoint of
+/// [`pinned_arrivals`] under `spec`: the spec and arrival fingerprints
+/// mixed, exactly as `run_fingerprint` mixes them.
+fn v1_run_fingerprint(spec: &FleetSpec) -> u64 {
+    splitmix64(spec.fingerprint() ^ V1_ARRIVALS_FINGERPRINT)
+}
+
+#[test]
+fn arrival_fingerprint_v2_is_pinned() {
+    let arrivals = pinned_arrivals();
+    assert_eq!(arrivals.fingerprint(), V2_ARRIVALS_FINGERPRINT);
+    assert_ne!(arrivals.fingerprint(), V1_ARRIVALS_FINGERPRINT);
+    // The spec half of the mix did not move.
+    assert_eq!(pinned_spec(4).fingerprint(), 0x5d19_8f41_c77f_d695);
+}
+
+#[test]
+fn v1_stamped_replay_checkpoints_are_refused_not_resumed() {
+    let arrivals = pinned_arrivals();
+    let spec = pinned_spec(4);
+    let v1 = v1_run_fingerprint(&spec);
+    assert_ne!(v1, arrivals.run_fingerprint(&spec));
+
+    // A half-done replay checkpoint written by a version 1 build.
+    let mut partial = run_replay_until(
+        1,
+        &spec,
+        &arrivals,
+        FleetCheckpoint::start_replay(&spec, &arrivals),
+        1,
+    )
+    .expect("partial run");
+    partial.fingerprint = v1;
+    assert_eq!(
+        resume_replay(1, &spec, &arrivals, partial.clone()),
+        Err(ReplayError::CheckpointMismatch {
+            expected: v1,
+            actual: arrivals.run_fingerprint(&spec),
+        })
+    );
+
+    // A twin checkpoint covering the whole set, stamped by a version 1
+    // build, refuses to extend once the set grows by one channel.
+    let mut twin = extend_replay(
+        1,
+        &spec,
+        &arrivals,
+        FleetCheckpoint::start_twin(&spec, &arrivals),
+    )
+    .expect("twin");
+    assert_eq!(twin.shards_done, 2);
+    twin.fingerprint = v1;
+    let mut grown = arrivals.clone();
+    grown.extend(vec![1], vec![vec![]]).expect("grow");
+    let grown_spec = pinned_spec(5);
+    assert_eq!(
+        extend_replay(1, &grown_spec, &grown, twin),
+        Err(ReplayError::CheckpointMismatch {
+            expected: v1,
+            actual: grown.run_fingerprint_prefix(&grown_spec, 4),
+        })
+    );
+
+    // On disk, the durable runner refuses the file and leaves it alone.
+    let path = std::env::temp_dir().join(format!("arcc-compat-{}-v1.ckpt", std::process::id()));
+    partial.write_atomic(&path).expect("write");
+    let before = std::fs::read(&path).expect("read");
+    match run_replay_checkpointed(1, &spec, &arrivals, &path, 1) {
+        Err(PersistError::Mismatch { expected, actual }) => {
+            assert_eq!(expected, v1);
+            assert_eq!(actual, arrivals.run_fingerprint(&spec));
+        }
+        other => panic!("a v1 checkpoint must be refused, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).expect("read"), before);
+    std::fs::remove_file(&path).expect("cleanup");
+
+    // The v2 stamp of the same prefix resumes to the one-shot result.
+    let mut current = partial;
+    current.fingerprint = arrivals.run_fingerprint(&spec);
+    let resumed = resume_replay(1, &spec, &arrivals, current).expect("resume");
+    assert!(resumed.bitwise_eq(&run_replay(1, &spec, &arrivals).expect("one-shot")));
 }

@@ -61,7 +61,9 @@ pub struct LogDimm {
 }
 
 /// A parsed (and therefore validated) fleet fault log.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the four public fields only.
+#[derive(Debug, Clone)]
 pub struct FaultLog {
     /// Observation horizon in years.
     pub years: f64,
@@ -73,6 +75,21 @@ pub struct FaultLog {
     /// Observed faults as `(dimm index, event)` in file order; per-DIMM
     /// times are non-decreasing (the validator enforces it).
     pub faults: Vec<(u32, FaultEvent)>,
+    /// Indices into `dimms`, sorted by id: what
+    /// [`FaultLog::append_segment`] checks a segment's ids against. That
+    /// method rebuilds it whenever its length disagrees with `dimms`, so
+    /// a log built or grown through the public fields needs no upkeep;
+    /// an id edited in place, though, leaves it stale.
+    pub(crate) id_index: Vec<u32>,
+}
+
+impl PartialEq for FaultLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.years == other.years
+            && self.classes == other.classes
+            && self.dimms == other.dimms
+            && self.faults == other.faults
+    }
 }
 
 /// Typed errors of the strict log parser/validator.
@@ -338,6 +355,7 @@ impl FaultLog {
             classes: Vec::new(),
             dimms: Vec::new(),
             faults: Vec::new(),
+            id_index: Vec::new(),
         };
         let mut class_index: HashMap<String, u32> = HashMap::new();
         let mut dimm_index: HashMap<String, u32> = HashMap::new();
@@ -673,6 +691,7 @@ mod tests {
                     },
                 ),
             ],
+            id_index: Vec::new(),
         }
     }
 

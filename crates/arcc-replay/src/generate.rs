@@ -60,6 +60,7 @@ pub fn generate_log(spec: &FleetSpec) -> FaultLog {
         classes,
         dimms: Vec::with_capacity(spec.channels as usize),
         faults: Vec::new(),
+        id_index: Vec::new(),
     };
     for shard in 0..spec.shard_count() {
         let shard_seed = cell_seed(spec.seed, shard);

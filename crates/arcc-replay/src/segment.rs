@@ -13,12 +13,11 @@
 //! ingests instead of rerunning
 //! ([`extend_replay`](arcc_fleet::extend_replay)).
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use arcc_faults::FaultEvent;
 
-use crate::format::{FaultLog, LogError};
+use crate::format::{FaultLog, LogDimm, LogError};
 
 /// Typed errors merging a segment into an accumulated log.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +39,7 @@ pub enum SegmentError {
         what: String,
     },
     /// The segment re-declares a DIMM id the accumulated log already
-    /// holds.
+    /// holds, or declares one id twice.
     DuplicateDimm {
         /// The repeated id.
         id: String,
@@ -104,6 +103,7 @@ impl FaultLog {
                 classes: self.classes.clone(),
                 dimms: dimms.to_vec(),
                 faults,
+                id_index: Vec::new(),
             });
         }
         segments
@@ -160,9 +160,15 @@ impl FaultLog {
     /// layout — one population index and one time-ordered event list per
     /// new channel. On error the log is unchanged.
     ///
+    /// The id check costs O(s·log n) comparisons for an s-DIMM segment
+    /// and an n-DIMM log: the segment's ids are sorted, then looked up
+    /// in the log's persistent id index and merged into it.
+    ///
     /// # Errors
     ///
-    /// A [`SegmentError`] naming the violated contract clause.
+    /// A [`SegmentError`] naming the violated contract clause. Of several
+    /// repeated ids, the one named is the first in segment order that
+    /// the log, or an earlier DIMM of the segment, already declares.
     #[allow(clippy::type_complexity)]
     pub fn append_segment(
         &mut self,
@@ -198,11 +204,34 @@ impl FaultLog {
                 });
             }
         }
-        let known: BTreeSet<&str> = self.dimms.iter().map(|d| d.id.as_str()).collect();
-        for d in &segment.dimms {
-            if known.contains(d.id.as_str()) {
-                return Err(SegmentError::DuplicateDimm { id: d.id.clone() });
+        if self.id_index.len() != self.dimms.len() {
+            self.id_index = sorted_by_id(&self.dimms);
+        }
+        // The segment's ids in sorted order, each with the index slot it
+        // would take. Slots only grow along the sorted ids, so each search
+        // starts at the previous slot. A repeat within the segment sorts
+        // right after its first declaration.
+        let mut order = sorted_by_id(&segment.dimms);
+        let mut slots = Vec::with_capacity(order.len());
+        let mut repeated: Option<u32> = None;
+        let mut slot = 0;
+        for (k, &d) in order.iter().enumerate() {
+            let id = segment.dimms[d as usize].id.as_str();
+            slot +=
+                self.id_index[slot..].partition_point(|&i| self.dimms[i as usize].id.as_str() < id);
+            let known = self
+                .id_index
+                .get(slot)
+                .is_some_and(|&i| self.dimms[i as usize].id == id);
+            let again = k > 0 && segment.dimms[order[k - 1] as usize].id == id;
+            if known || again {
+                repeated = Some(repeated.map_or(d, |r| r.min(d)));
             }
+            slots.push(slot);
+        }
+        if let Some(d) = repeated {
+            let id = segment.dimms[d as usize].id.clone();
+            return Err(SegmentError::DuplicateDimm { id });
         }
         let populations: Vec<u32> = segment.dimms.iter().map(|d| d.class).collect();
         let mut per_channel: Vec<Vec<FaultEvent>> = vec![Vec::new(); segment.dimms.len()];
@@ -210,10 +239,36 @@ impl FaultLog {
             per_channel[*dimm as usize].push(*ev);
         }
         let base = self.dimms.len() as u32;
+        for d in &mut order {
+            *d += base;
+        }
+        insert_sorted(&mut self.id_index, &slots, &order);
         self.dimms.extend(segment.dimms.iter().cloned());
         self.faults
             .extend(segment.faults.iter().map(|(d, ev)| (d + base, *ev)));
         Ok((populations, per_channel))
+    }
+}
+
+/// Indices into `dimms`, sorted by id (ties by index).
+fn sorted_by_id(dimms: &[LogDimm]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..dimms.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        (dimms[a as usize].id.as_str(), a).cmp(&(dimms[b as usize].id.as_str(), b))
+    });
+    order
+}
+
+/// Inserts `entries[k]` into the sorted `index` before the old entry at
+/// `slots[k]` (`slots` non-decreasing). Works from the back in place, so
+/// the old entries move by plain block copies.
+fn insert_sorted(index: &mut Vec<u32>, slots: &[usize], entries: &[u32]) {
+    let mut end = index.len();
+    index.resize(end + entries.len(), 0);
+    for (k, (&slot, &entry)) in slots.iter().zip(entries).enumerate().rev() {
+        index.copy_within(slot..end, slot + k + 1);
+        index[slot + k] = entry;
+        end = slot;
     }
 }
 
@@ -337,5 +392,41 @@ mod tests {
             Err(SegmentError::DuplicateDimm { .. })
         ));
         assert_eq!(acc, snapshot, "failed appends must not mutate the log");
+
+        // Segments whose ids sort before, between and after the ids the
+        // log already holds.
+        let mut renamed = log.clone();
+        for (i, d) in renamed.dimms.iter_mut().enumerate() {
+            d.id = match i / 10 {
+                0 => format!("m{i:02}"),
+                1 => format!("a{i:02}"),
+                2 => format!("m{:02}x", i - 20),
+                _ => format!("z{i:02}"),
+            };
+        }
+        let parts = renamed.split_channels(10);
+        let mut acc = parts[0].clone();
+        for part in &parts[1..3] {
+            acc.append_segment(part).expect("fresh ids");
+        }
+        let snapshot = acc.clone();
+        let dup = |id: &str| Err(SegmentError::DuplicateDimm { id: id.to_string() });
+        // The last id of a segment repeats the last id of a later one.
+        let mut last = parts[3].clone();
+        last.dimms[9].id = parts[2].dimms[9].id.clone();
+        assert_eq!(acc.append_segment(&last), dup("m09x"));
+        // Every ingested segment is refused at its first id...
+        for part in &parts[..3] {
+            assert_eq!(acc.append_segment(part), dup(&part.dimms[0].id));
+        }
+        // ...and a segment repeating one of its own ids at the repeat.
+        let mut twice = parts[3].clone();
+        twice.dimms[6].id = twice.dimms[2].id.clone();
+        assert_eq!(acc.append_segment(&twice), dup("z32"));
+        assert_eq!(acc, snapshot, "failed appends must not mutate the log");
+        acc.append_segment(&parts[3])
+            .expect("a valid append after refusals");
+        assert_eq!(acc, renamed);
+        assert_eq!(acc.to_text(), renamed.to_text());
     }
 }

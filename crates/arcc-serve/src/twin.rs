@@ -37,6 +37,13 @@ use arcc_replay::{FaultLog, SegmentError};
 /// The reserved name of the branch every fleet starts with.
 pub const BASELINE_BRANCH: &str = "baseline";
 
+/// First line of a state directory's `twin.meta`. Version 2 directories
+/// hold branch checkpoints stamped with version 2 arrival fingerprints.
+const STATE_HEADER: &str = "arcc-serve-state v2";
+
+/// The version 1 header: [`TwinEngine::open`] migrates such directories.
+const STATE_HEADER_V1: &str = "arcc-serve-state v1";
+
 /// Typed service errors; each maps to one `error.kind` in the protocol.
 #[derive(Debug)]
 pub enum ServeError {
@@ -309,11 +316,18 @@ impl TwinEngine {
     /// state, or a file from a different fleet — is refused with
     /// [`ServeError::CheckpointMismatch`].
     ///
+    /// A version 1 directory (`arcc-serve-state v1`) is migrated: its
+    /// checkpoints carry version 1 arrival fingerprints, so they are
+    /// treated as missing and every branch is rebuilt from its first
+    /// shard, then the directory is persisted as version 2. Segment
+    /// files are kept as they are.
+    ///
     /// # Errors
     ///
-    /// [`ServeError::State`] for unreadable/corrupt state files,
-    /// [`ServeError::CheckpointMismatch`] for foreign checkpoints, plus
-    /// any ingest-path error while replaying persisted segments.
+    /// [`ServeError::State`] for unreadable/corrupt state files or an
+    /// unknown `twin.meta` header, [`ServeError::CheckpointMismatch`] for
+    /// foreign checkpoints, plus any ingest-path error while replaying
+    /// persisted segments.
     pub fn open(
         threads: usize,
         seed: u64,
@@ -325,7 +339,7 @@ impl TwinEngine {
         })?;
         let mut engine = Self::new(threads, seed).shard_channels(shard_channels);
         engine.state_dir = Some(dir.to_path_buf());
-        engine.load_meta(dir)?;
+        let migrate_v1 = engine.load_meta(dir)?;
 
         // Replay the persisted segments into the accumulated log.
         for index in 0.. {
@@ -372,10 +386,16 @@ impl TwinEngine {
         // extend over the accumulated arrivals. `extend_replay` is both
         // the validator (foreign checkpoints are a typed mismatch) and
         // the recovery path (a crash between segment write and
-        // checkpoint write just re-runs the missing shards).
+        // checkpoint write just re-runs the missing shards). A version 1
+        // directory takes the recovery path for every branch.
         for (name, policy) in wanted {
             let spec = engine.spec_for(policy)?;
-            let ckpt = match FleetCheckpoint::load(&dir.join(branch_file(&name))) {
+            let loaded = if migrate_v1 {
+                Ok(None)
+            } else {
+                FleetCheckpoint::load(&dir.join(branch_file(&name)))
+            };
+            let ckpt = match loaded {
                 Ok(Some(ckpt)) => ckpt,
                 Ok(None) => FleetCheckpoint::start_twin(&spec, &engine.arrivals),
                 Err(e) => {
@@ -645,36 +665,42 @@ impl TwinEngine {
         Ok(spec)
     }
 
-    /// Extends every branch over the current arrivals.
+    /// Extends every branch over the current arrivals. A branch keeps its
+    /// spec across ingests: the segment contract fixes the class table,
+    /// so only the channel count moves.
     fn extend_branches(&mut self) -> Result<(), ServeError> {
-        let names: Vec<String> = self.branches.keys().cloned().collect();
-        for name in names {
-            let policy = self.branches[&name].policy;
-            let spec = self.spec_for(policy)?;
-            let ckpt = self.branches[&name].ckpt.clone();
-            let before = ckpt.shards_done;
-            let ckpt = extend_replay(self.threads, &spec, &self.arrivals, ckpt)?;
+        let channels = self.channels();
+        for b in self.branches.values_mut() {
+            let mut spec = b.spec.clone();
+            spec.channels = channels;
+            let before = b.ckpt.shards_done;
+            let ckpt = extend_replay(self.threads, &spec, &self.arrivals, b.ckpt.clone())?;
             self.counters.shards_run += ckpt.shards_done - before;
             self.obs
                 .counter_add("serve.shards_run", ckpt.shards_done - before);
-            if let Some(b) = self.branches.get_mut(&name) {
-                b.spec = spec;
-                b.ckpt = ckpt;
-            }
+            b.spec = spec;
+            b.ckpt = ckpt;
         }
         Ok(())
     }
 
-    fn load_meta(&mut self, dir: &Path) -> Result<(), ServeError> {
+    /// Checks `twin.meta` against this engine's seed and shard size.
+    /// Returns `true` for a version 1 directory, whose branch checkpoints
+    /// carry version 1 arrival fingerprints and must be rebuilt.
+    fn load_meta(&mut self, dir: &Path) -> Result<bool, ServeError> {
         let path = dir.join("twin.meta");
         match std::fs::read_to_string(&path) {
             Ok(text) => {
                 let mut lines = text.lines();
-                if lines.next() != Some("arcc-serve-state v1") {
-                    return Err(ServeError::State {
-                        detail: format!("{} has an unknown header", path.display()),
-                    });
-                }
+                let v1 = match lines.next() {
+                    Some(STATE_HEADER) => false,
+                    Some(STATE_HEADER_V1) => true,
+                    _ => {
+                        return Err(ServeError::State {
+                            detail: format!("{} has an unknown header", path.display()),
+                        });
+                    }
+                };
                 for line in lines {
                     if let Some(seed) = line.strip_prefix("seed=") {
                         let seed: u64 = seed.parse().map_err(|_| ServeError::State {
@@ -703,9 +729,9 @@ impl TwinEngine {
                         }
                     }
                 }
-                Ok(())
+                Ok(v1)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(ServeError::State {
                 detail: format!("cannot read {}: {e}", path.display()),
             }),
@@ -726,18 +752,14 @@ impl TwinEngine {
         Ok(())
     }
 
-    /// Rewrites meta, branch table, and branch checkpoints.
+    /// Rewrites branch table, branch checkpoints, and meta — meta last:
+    /// its header names the checkpoint format, so a version 1 directory
+    /// whose migration is cut short still reads as version 1 and migrates
+    /// again on the next open.
     fn persist(&mut self) -> Result<(), ServeError> {
         let Some(dir) = &self.state_dir else {
             return Ok(());
         };
-        write_atomic_text(
-            &dir.join("twin.meta"),
-            &format!(
-                "arcc-serve-state v1\nseed={}\nshard={}\n",
-                self.seed, self.shard
-            ),
-        )?;
         let mut listing = String::new();
         for (name, b) in &self.branches {
             listing.push_str(&format!("{name} {}\n", policy_token(b.policy)));
@@ -752,6 +774,10 @@ impl TwinEngine {
                 })?;
             checkpoint_bytes += b.ckpt.text_bytes();
         }
+        write_atomic_text(
+            &dir.join("twin.meta"),
+            &format!("{STATE_HEADER}\nseed={}\nshard={}\n", self.seed, self.shard),
+        )?;
         self.obs
             .counter_add("serve.persist.checkpoint_bytes", checkpoint_bytes);
         Ok(())

@@ -267,3 +267,85 @@ fn durable_state_reopens_extends_and_refuses_tampering() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A version 1 state directory, written before arrival fingerprints
+/// became rolling: the golden session's two segments under seed 7 and
+/// 32-channel shards, with the baseline and a `pool` branch
+/// (`spare-pool:50`) forked after the first segment.
+fn v1_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-state")
+}
+
+#[test]
+fn v1_state_dirs_migrate_to_v2() {
+    let fixture = v1_fixture();
+    let dir = state_dir("migrate");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    for entry in std::fs::read_dir(&fixture).expect("fixture") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    let read =
+        |dir: &std::path::Path, file: &str| std::fs::read_to_string(dir.join(file)).expect(file);
+
+    let mut engine = TwinEngine::open(2, 7, 32, &dir).expect("a v1 directory migrates");
+    assert_eq!(engine.branch_names(), vec!["baseline", "pool"]);
+
+    // Every branch equals a from-zero replay of the persisted segments.
+    let parse = |file: &str| arcc_replay::FaultLog::parse(&read(&fixture, file)).expect(file);
+    let mut log = parse("segment-00000.log");
+    log.append_segment(&parse("segment-00001.log"))
+        .expect("append");
+    let arrivals = log.arrivals().expect("arrivals");
+    for (name, policy) in [
+        ("baseline", OperatorPolicy::None),
+        ("pool", OperatorPolicy::SparePool { spares_per_10k: 50 }),
+    ] {
+        let spec = log.replay_spec(7).policy(policy).shard_channels(32);
+        let truth = run_replay(2, &spec, &arrivals).expect("from-zero replay");
+        assert!(
+            engine.stats(name).expect("stats").bitwise_eq(&truth),
+            "{name}"
+        );
+    }
+
+    // Segments are kept byte for byte, the directory is now version 2,
+    // and only the fingerprint lines of the checkpoints changed.
+    for file in ["segment-00000.log", "segment-00001.log"] {
+        assert_eq!(read(&dir, file), read(&fixture, file), "{file}");
+    }
+    assert_eq!(
+        read(&dir, "twin.meta"),
+        "arcc-serve-state v2\nseed=7\nshard=32\n"
+    );
+    let kept = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("fingerprint="))
+            .map(str::to_string)
+            .collect()
+    };
+    for file in ["branch-baseline.ckpt", "branch-pool.ckpt"] {
+        let (old, new) = (read(&fixture, file), read(&dir, file));
+        assert_ne!(old, new, "{file} still carries its v1 fingerprint");
+        assert_eq!(kept(&old), kept(&new), "{file}");
+    }
+
+    // The migrated directory reopens as version 2 without rerunning a
+    // shard, and an unknown header is still refused.
+    drop(engine);
+    let reopened = TwinEngine::open(2, 7, 32, &dir).expect("reopen");
+    assert_eq!(reopened.counters().shards_run, 0);
+    drop(reopened);
+    std::fs::write(
+        dir.join("twin.meta"),
+        "arcc-serve-state v9\nseed=7\nshard=32\n",
+    )
+    .expect("write meta");
+    match TwinEngine::open(2, 7, 32, &dir) {
+        Err(arcc_serve::ServeError::State { detail }) => {
+            assert!(detail.contains("unknown header"), "{detail}");
+        }
+        other => panic!("an unknown header must be refused, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
