@@ -199,7 +199,8 @@ impl AuditOutcome {
     }
 }
 
-/// RFC 8259 string escaping, matching `arcc-exp::report::json_escape`.
+/// RFC 8259 string escaping (the body of `arcc_obs::json_string`,
+/// copied so this crate stays dependency-free).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -18,7 +18,7 @@
 //!
 //! With `ARCC_OBS_AB=1` the run also A/B-tests the metrics recorder:
 //! best-of-3 [`run_fleet`] against best-of-3
-//! [`run_fleet_observed`](arcc_fleet::run_fleet_observed) at a fixed
+//! [`run_fleet_observed`] at a fixed
 //! size, failing when the enabled recorder costs more than
 //! [`OBS_AB_TOLERANCE`] — the observability layer's overhead budget is
 //! itself a gated acceptance artefact.

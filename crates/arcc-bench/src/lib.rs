@@ -15,10 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-use arcc_core::MixResult;
-use arcc_exp::Experiment;
 use arcc_obs::{elapsed_secs, Clock, WallClock};
-use arcc_trace::{Mix, TraceConfig};
 
 /// Wall-clock seconds spent in `f`, plus its result — the shared
 /// timing primitive behind every bench bin and throughput record,
@@ -48,42 +45,6 @@ pub fn best_of<T>(passes: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         out = value;
     }
     (best, out)
-}
-
-/// Requests per trace simulation (env `ARCC_TRACE_REQUESTS`).
-#[deprecated(note = "use arcc_exp::Experiment::trace_requests / from_env")]
-pub fn trace_requests() -> usize {
-    Experiment::from_env().trace_config().requests
-}
-
-/// Channels for lifetime Monte Carlos (env `ARCC_MC_CHANNELS`).
-#[deprecated(note = "use arcc_exp::Experiment::mc_channels / from_env")]
-pub fn mc_channels() -> u32 {
-    Experiment::from_env().mc_channel_count()
-}
-
-/// Machines for the SDC Monte Carlo (env `ARCC_MC_MACHINES`).
-#[deprecated(note = "use arcc_exp::Experiment::mc_machines / from_env")]
-pub fn mc_machines() -> u32 {
-    Experiment::from_env().mc_machine_count()
-}
-
-/// The deterministic trace configuration shared by all experiments.
-#[deprecated(note = "use arcc_exp::Experiment::trace_config")]
-pub fn trace_config() -> TraceConfig {
-    Experiment::from_env().trace_config()
-}
-
-/// Runs one mix under the SCCDCD baseline.
-#[deprecated(note = "use arcc_exp::Experiment::run_baseline")]
-pub fn run_baseline(mix: &Mix) -> MixResult {
-    Experiment::from_env().run_baseline(mix)
-}
-
-/// Runs one mix under ARCC with the given upgraded-page fraction.
-#[deprecated(note = "use arcc_exp::Experiment::run_arcc")]
-pub fn run_arcc(mix: &Mix, upgraded_fraction: f64) -> MixResult {
-    Experiment::from_env().run_arcc(mix, upgraded_fraction)
 }
 
 /// The throughput-regression gate shared by the `fleet` and `replay`
@@ -266,34 +227,9 @@ pub fn measure_codec(codec: &dyn arcc_gf::codec::Codec, lines: u64) -> (f64, f64
     (best, lines as f64 / best)
 }
 
-/// Prints a figure/table banner.
-pub fn banner(id: &str, caption: &str) {
-    println!();
-    println!("==================================================================");
-    println!("{id}: {caption}");
-    println!("==================================================================");
-}
-
 /// Formats a ratio as a signed percentage.
 pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
-}
-
-/// Geometric mean of a slice.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -336,22 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_helpers() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
+    fn pct_is_a_signed_percentage() {
         assert_eq!(pct(0.367), "+36.7%");
         assert_eq!(pct(-0.059), "-5.9%");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn env_fallbacks_still_answer() {
-        // The deprecated wrappers delegate to Experiment::from_env.
-        assert!(trace_requests() >= 1000);
-        assert!(mc_channels() >= 100);
-        assert!(mc_machines() >= 100);
-        assert_eq!(trace_config().requests, trace_requests());
     }
 }

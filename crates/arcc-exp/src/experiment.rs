@@ -338,6 +338,16 @@ mod tests {
     }
 
     #[test]
+    fn from_env_answers_with_usable_sizes() {
+        // Whatever legacy ARCC_* values the environment sets (CI sets
+        // quick ones), the fallback still yields runnable sizes.
+        let exp = Experiment::from_env();
+        assert!(exp.trace_config().requests >= 1000);
+        assert!(exp.mc_channel_count() >= 100);
+        assert!(exp.mc_machine_count() >= 100);
+    }
+
+    #[test]
     fn mix_filter_selects_by_name() {
         let exp = Experiment::new().mixes(["Mix3", "Mix7", "NoSuchMix"]);
         let names: Vec<_> = exp.mix_list().iter().map(|m| m.name).collect();

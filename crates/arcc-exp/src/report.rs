@@ -21,6 +21,8 @@
 
 use std::fmt;
 
+use arcc_obs::json_string;
+
 /// One typed cell of a report table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -62,7 +64,7 @@ impl Value {
             Value::Int(i) => i.to_string(),
             Value::Float(f) if f.is_finite() => format_float(*f),
             Value::Float(_) => "null".into(), // NaN/inf: JSON has no spelling
-            Value::Str(s) => json_escape(s),
+            Value::Str(s) => json_string(s),
         }
     }
 
@@ -147,25 +149,6 @@ fn format_float(f: f64) -> String {
     } else {
         format!("{s}.0")
     }
-}
-
-/// Escapes a string into a quoted JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Escapes a CSV field per RFC 4180: quote when the field contains a
@@ -370,14 +353,14 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push('{');
-        out.push_str(&format!("\"scenario\":{},", json_escape(&self.scenario)));
-        out.push_str(&format!("\"title\":{},", json_escape(&self.title)));
+        out.push_str(&format!("\"scenario\":{},", json_string(&self.scenario)));
+        out.push_str(&format!("\"title\":{},", json_string(&self.title)));
         out.push_str("\"meta\":{");
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_escape(k), v.to_json()));
+            out.push_str(&format!("{}:{}", json_string(k), v.to_json()));
         }
         out.push_str("},\"tables\":[");
         for (ti, t) in self.tables.iter().enumerate() {
@@ -386,12 +369,12 @@ impl Report {
             }
             out.push_str(&format!(
                 "{{\"name\":{},\"columns\":[",
-                json_escape(&t.name)
+                json_string(&t.name)
             ));
             out.push_str(
                 &t.columns
                     .iter()
-                    .map(|c| json_escape(c))
+                    .map(|c| json_string(c))
                     .collect::<Vec<_>>()
                     .join(","),
             );
@@ -416,7 +399,7 @@ impl Report {
             &self
                 .notes
                 .iter()
-                .map(|n| json_escape(n))
+                .map(|n| json_string(n))
                 .collect::<Vec<_>>()
                 .join(","),
         );

@@ -125,8 +125,8 @@ pub fn profile_json(timed: &[(Report, f64)]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"seconds\":{seconds},\"rows\":{}}}",
-            arcc_obs::escape_json(&report.scenario),
+            "{{\"name\":{},\"seconds\":{seconds},\"rows\":{}}}",
+            arcc_obs::json_string(&report.scenario),
             report.total_rows()
         ));
     }

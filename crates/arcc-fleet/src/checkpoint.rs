@@ -3,9 +3,10 @@
 //! Shards are independent and merged in shard order, so the prefix of
 //! merged shard aggregates *is* the engine's durable state: a
 //! [`FleetCheckpoint`] records how many shards completed plus their merged
-//! [`FleetStats`], guarded by the spec fingerprint. Resuming runs the
-//! remaining shards and produces bit-identical results to an uninterrupted
-//! run (pinned by the crate's tests).
+//! [`FleetStats`], guarded by the run fingerprint. Resuming
+//! ([`crate::run_until`]) runs the remaining shards and produces
+//! bit-identical results to an uninterrupted run (pinned by the crate's
+//! tests).
 //!
 //! The serialisation is a hand-rolled, versioned `key=value` text format
 //! (the build environment is offline — no serde), round-tripping floats
@@ -31,50 +32,30 @@ pub struct FleetCheckpoint {
     pub stats: FleetStats,
 }
 
-/// Errors parsing or applying a checkpoint.
+/// Errors parsing a checkpoint.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The text was not a valid checkpoint serialisation.
     Malformed(String),
-    /// The checkpoint belongs to a different spec.
-    SpecMismatch {
-        /// Fingerprint recorded in the checkpoint.
-        expected: u64,
-        /// Fingerprint of the spec being resumed.
-        actual: u64,
-    },
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
-            CheckpointError::SpecMismatch { expected, actual } => write!(
-                f,
-                "checkpoint fingerprint {expected:#x} does not match spec {actual:#x}"
-            ),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-/// Errors persisting a checkpoint to (or loading one from) disk.
+/// Errors loading a checkpoint from disk ([`FleetCheckpoint::load`]).
 #[derive(Debug)]
 pub enum PersistError {
-    /// Filesystem failure reading or writing the checkpoint file.
+    /// Filesystem failure reading the checkpoint file.
     Io(io::Error),
     /// The file existed but was not a valid checkpoint.
     Parse(CheckpointError),
-    /// The file is a valid checkpoint of a *different* run.
-    Mismatch {
-        /// Fingerprint recorded in the file.
-        expected: u64,
-        /// Fingerprint of the run being resumed.
-        actual: u64,
-    },
-    /// A replay arrival set failed validation against the spec.
-    Replay(crate::source::ReplayError),
 }
 
 impl fmt::Display for PersistError {
@@ -82,11 +63,6 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "checkpoint file I/O failed: {e}"),
             PersistError::Parse(e) => write!(f, "checkpoint file unreadable: {e}"),
-            PersistError::Mismatch { expected, actual } => write!(
-                f,
-                "checkpoint file fingerprint {expected:#x} does not match the run {actual:#x}"
-            ),
-            PersistError::Replay(e) => write!(f, "replay arrivals invalid: {e}"),
         }
     }
 }
@@ -96,8 +72,6 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Parse(e) => Some(e),
-            PersistError::Replay(e) => Some(e),
-            PersistError::Mismatch { .. } => None,
         }
     }
 }
@@ -136,11 +110,6 @@ impl FleetCheckpoint {
             shards_done: 0,
             stats: FleetStats::empty(spec.epochs(), spec.populations.len()),
         }
-    }
-
-    /// Does this checkpoint belong to `spec`?
-    pub fn matches(&self, spec: &FleetSpec) -> bool {
-        self.fingerprint == spec.fingerprint()
     }
 
     /// Writes the checkpoint to `path` atomically: the serialisation goes
@@ -508,7 +477,7 @@ mod tests {
     #[test]
     fn fingerprint_guards_spec_identity() {
         let ckpt = FleetCheckpoint::start(&spec());
-        assert!(ckpt.matches(&spec()));
-        assert!(!ckpt.matches(&spec().seed(99)));
+        assert_eq!(ckpt.fingerprint, spec().fingerprint());
+        assert_ne!(ckpt.fingerprint, spec().seed(99).fingerprint());
     }
 }

@@ -29,7 +29,7 @@
 //! above `1 - exp(-rate * H)`, each channel costs one RNG stream seed and
 //! one uniform draw against that precomputed threshold — no logarithm, no
 //! channel state, no queue traffic. Only event-bearing channels get a
-//! [`ChannelState`] slot, and queued events address those sparse slots
+//! `ChannelState` slot, and queued events address those sparse slots
 //! directly.
 //!
 //! Determinism: every channel owns its own RNG stream
@@ -374,7 +374,7 @@ impl<'a> ShardEngine<'a> {
     }
 
     /// Like [`Self::run`], but also returns the shard's deterministic
-    /// [`EngineMetrics`] for observed runs.
+    /// [`EngineMetrics`], which the fleet runner records in shard order.
     pub fn run_observed(mut self) -> (FleetStats, EngineMetrics) {
         self.drain();
         let metrics = self.metrics;

@@ -1,27 +1,30 @@
 //! The sharded fleet runner: windowed parallel execution with a
 //! streaming, shard-ordered merge.
 //!
-//! Shards execute on the workspace's deterministic
-//! [`parallel_map`](arcc_core::parallel_map) (results collected in input
-//! order), in bounded windows of `threads * WINDOW_FACTOR` shards: each
-//! window's aggregates are folded into the running total before the next
-//! window starts, so peak memory is `O(threads * shard_channels)` channel
-//! states plus `O(threads)` shard aggregates — independent of fleet size.
-//! Because the fold is always in shard order and every shard derives its
-//! RNG streams from `cell_seed(spec.seed, shard)`, a parallel run is
-//! byte-identical to a sequential one, and a resumed run byte-identical
-//! to an uninterrupted one. The spec's scheduler knob
-//! ([`crate::SchedulerKind`]) is orthogonal to all of this: heap and
-//! bucket shards produce byte-identical aggregates, so runs (and
-//! checkpoints) mix schedulers freely.
-
-use std::path::Path;
+//! Shards execute on the workspace's deterministic [`parallel_map`]
+//! (results collected in input order), in bounded windows of
+//! `threads * WINDOW_FACTOR` shards: each window's aggregates are folded
+//! into the running total before the next window starts, so peak memory
+//! is `O(threads * shard_channels)` channel states plus `O(threads)`
+//! shard aggregates — independent of fleet size. Because the fold is
+//! always in shard order and every shard derives its RNG streams from
+//! `cell_seed(spec.seed, shard)`, a parallel run is byte-identical to a
+//! sequential one, and a resumed run byte-identical to an uninterrupted
+//! one. The spec's scheduler knob ([`crate::SchedulerKind`]) is
+//! orthogonal to all of this: heap and bucket shards produce
+//! byte-identical aggregates, so runs (and checkpoints) mix schedulers
+//! freely.
+//!
+//! One span loop serves every entry point: [`run_until`] runs any span of
+//! either arrival source into any [`Recorder`], the one-shot runs run it
+//! from an empty checkpoint, and [`extend_replay`] grows a twin's
+//! checkpoint with its log.
 
 use arcc_core::parallel_map;
-use arcc_obs::{MetricsSnapshot, Recorder, SnapshotRecorder};
+use arcc_obs::{MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder};
 
-use crate::checkpoint::{CheckpointError, FleetCheckpoint, PersistError};
-use crate::engine::{EngineMetrics, ShardEngine};
+use crate::checkpoint::FleetCheckpoint;
+use crate::engine::ShardEngine;
 use crate::source::{ReplayArrivals, ReplayError};
 use crate::spec::FleetSpec;
 use crate::stats::FleetStats;
@@ -42,47 +45,28 @@ pub fn run_shard(spec: &FleetSpec, shard: u64) -> FleetStats {
 /// [validated](ReplayArrivals::validate_for) against `spec` — an
 /// arrival set covering fewer channels than the spec simulates panics
 /// on an out-of-bounds channel lookup. The fleet-level entry points
-/// ([`run_replay`] and friends) validate first and return a typed
-/// [`ReplayError`] instead.
+/// ([`run_replay`], [`run_until`], [`extend_replay`]) validate first and
+/// return a typed [`ReplayError`] instead.
 pub fn run_shard_replay(spec: &FleetSpec, shard: u64, arrivals: &ReplayArrivals) -> FleetStats {
     ShardEngine::new_replay(spec, shard, arrivals).run()
-}
-
-/// [`run_shard`] plus the shard's deterministic [`EngineMetrics`].
-pub fn run_shard_observed(spec: &FleetSpec, shard: u64) -> (FleetStats, EngineMetrics) {
-    ShardEngine::new(spec, shard).run_observed()
-}
-
-/// [`run_shard_replay`] plus the shard's deterministic [`EngineMetrics`].
-///
-/// # Panics
-///
-/// As for [`run_shard_replay`]: `arrivals` must already be validated
-/// against `spec`.
-pub fn run_shard_replay_observed(
-    spec: &FleetSpec,
-    shard: u64,
-    arrivals: &ReplayArrivals,
-) -> (FleetStats, EngineMetrics) {
-    ShardEngine::new_replay(spec, shard, arrivals).run_observed()
 }
 
 /// Runs the whole fleet on up to `threads` workers and returns the merged
 /// aggregate.
 pub fn run_fleet(threads: usize, spec: &FleetSpec) -> FleetStats {
-    let ckpt = FleetCheckpoint::start(spec);
-    run_span(threads, spec, ckpt, spec.shard_count(), None).stats
+    let start = FleetCheckpoint::start(spec);
+    run_span(threads, spec, None, start, u64::MAX, &mut NoopRecorder).stats
 }
 
 /// [`run_fleet`] plus a deterministic metric snapshot (`fleet.*` event
 /// counts). The snapshot is schedule-invariant: any `threads` value
-/// yields byte-identical metrics, and concatenating the snapshots of a
-/// split run ([`run_fleet_until_observed`]) reproduces the one-shot
-/// snapshot — the same contract the stats themselves carry.
+/// yields byte-identical metrics, and merging the snapshots of a split
+/// run ([`run_until`]) reproduces the one-shot snapshot — the same
+/// contract the stats themselves carry.
 pub fn run_fleet_observed(threads: usize, spec: &FleetSpec) -> (FleetStats, MetricsSnapshot) {
-    let ckpt = FleetCheckpoint::start(spec);
+    let start = FleetCheckpoint::start(spec);
     let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(threads, spec, ckpt, spec.shard_count(), None, &mut rec);
+    let done = run_span(threads, spec, None, start, u64::MAX, &mut rec);
     (done.stats, rec.into_snapshot())
 }
 
@@ -98,102 +82,59 @@ pub fn run_replay(
     spec: &FleetSpec,
     arrivals: &ReplayArrivals,
 ) -> Result<FleetStats, ReplayError> {
-    arrivals.validate_for(spec)?;
-    let ckpt = FleetCheckpoint::start_replay(spec, arrivals);
-    Ok(run_span(threads, spec, ckpt, spec.shard_count(), Some(arrivals)).stats)
+    let start = FleetCheckpoint::start_replay(spec, arrivals);
+    let noop = &mut NoopRecorder;
+    Ok(run_until(threads, spec, Some(arrivals), start, u64::MAX, noop)?.stats)
 }
 
-/// [`run_replay`] plus a deterministic metric snapshot (see
-/// [`run_fleet_observed`] for the schedule-invariance contract).
+/// Runs shards `[ckpt.shards_done, until)` of a synthetic run
+/// (`arrivals` is `None`) or a replay run (`Some`), records each shard's
+/// [`EngineMetrics`](crate::EngineMetrics) into `rec` in shard order,
+/// and returns the extended checkpoint.
+///
+/// `until` is clamped to the shard count, so `u64::MAX` runs to
+/// completion, and an `until` at or below `ckpt.shards_done` returns the
+/// checkpoint unchanged. Feeding the result back in with a larger
+/// `until` continues the same run: the stats come out bit-identical to a
+/// one-shot run, and the snapshots the spans record merge to the
+/// one-shot snapshot. Start a synthetic run from
+/// [`FleetCheckpoint::start`] and a replay run from
+/// [`FleetCheckpoint::start_replay`].
+///
+/// A durable run is three calls per step: [`FleetCheckpoint::load`]
+/// (or a fresh start when no file exists), `run_until`, and
+/// [`FleetCheckpoint::write_atomic`]. Call `run_until` before trusting
+/// even a finished file: that call is what checks it belongs to the run.
 ///
 /// # Errors
 ///
-/// As for [`run_replay`].
-pub fn run_replay_observed(
+/// [`ReplayError::CheckpointMismatch`] when `ckpt` belongs to another
+/// run. A synthetic run expects [`FleetSpec::fingerprint`] and a replay
+/// run [`ReplayArrivals::run_fingerprint`], so a checkpoint of one
+/// source never resumes the other. A replay run also returns the
+/// [`ReplayArrivals::validate_for`] errors.
+pub fn run_until(
     threads: usize,
     spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-) -> Result<(FleetStats, MetricsSnapshot), ReplayError> {
-    arrivals.validate_for(spec)?;
-    let ckpt = FleetCheckpoint::start_replay(spec, arrivals);
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        spec.shard_count(),
-        Some(arrivals),
-        &mut rec,
-    );
-    Ok((done.stats, rec.into_snapshot()))
-}
-
-/// Replay-mode [`run_fleet_until`]: runs shards `[ckpt.shards_done,
-/// until)` of a replay run and returns the extended checkpoint. Start
-/// from [`FleetCheckpoint::start_replay`]; checkpoints carry the mixed
-/// (spec, arrivals) fingerprint, so a synthetic checkpoint (or one from a
-/// different log) is refused.
-///
-/// # Errors
-///
-/// [`ReplayError::CheckpointMismatch`] when `ckpt` was produced under a
-/// different spec or arrival set, plus the [`run_replay`] validations.
-pub fn run_replay_until(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
+    arrivals: Option<&ReplayArrivals>,
     ckpt: FleetCheckpoint,
     until: u64,
+    rec: &mut dyn Recorder,
 ) -> Result<FleetCheckpoint, ReplayError> {
-    arrivals.validate_for(spec)?;
-    let expected = arrivals.run_fingerprint(spec);
+    let expected = match arrivals {
+        Some(arrivals) => {
+            arrivals.validate_for(spec)?;
+            arrivals.run_fingerprint(spec)
+        }
+        None => spec.fingerprint(),
+    };
     if ckpt.fingerprint != expected {
         return Err(ReplayError::CheckpointMismatch {
             expected: ckpt.fingerprint,
             actual: expected,
         });
     }
-    Ok(run_span(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        Some(arrivals),
-    ))
-}
-
-/// [`run_replay_until`] plus a *span-local* metric snapshot covering only
-/// the shards this call ran. Merging the snapshots of consecutive spans
-/// yields byte-for-byte the one-shot [`run_replay_observed`] snapshot.
-///
-/// # Errors
-///
-/// As for [`run_replay_until`].
-pub fn run_replay_until_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<(FleetCheckpoint, MetricsSnapshot), ReplayError> {
-    arrivals.validate_for(spec)?;
-    let expected = arrivals.run_fingerprint(spec);
-    if ckpt.fingerprint != expected {
-        return Err(ReplayError::CheckpointMismatch {
-            expected: ckpt.fingerprint,
-            actual: expected,
-        });
-    }
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        Some(arrivals),
-        &mut rec,
-    );
-    Ok((done, rec.into_snapshot()))
+    Ok(run_span(threads, spec, arrivals, ckpt, until, rec))
 }
 
 /// Extends a checkpointed replay run whose arrival set has *grown*
@@ -232,14 +173,12 @@ pub fn extend_replay(
     arrivals.validate_for(spec)?;
     let shard = u64::from(spec.shard_channels);
     let complete = spec.channels / shard;
-    if ckpt.shards_done > complete {
-        return Err(ReplayError::CheckpointMismatch {
-            expected: ckpt.fingerprint,
-            actual: arrivals.run_fingerprint(spec),
-        });
-    }
-    let expected = arrivals.run_fingerprint_prefix(spec, ckpt.shards_done * shard);
-    if ckpt.fingerprint != expected {
+    let expected = if ckpt.shards_done > complete {
+        arrivals.run_fingerprint(spec)
+    } else {
+        arrivals.run_fingerprint_prefix(spec, ckpt.shards_done * shard)
+    };
+    if ckpt.shards_done > complete || ckpt.fingerprint != expected {
         return Err(ReplayError::CheckpointMismatch {
             expected: ckpt.fingerprint,
             actual: expected,
@@ -247,216 +186,37 @@ pub fn extend_replay(
     }
     let mut ckpt = ckpt;
     ckpt.fingerprint = arrivals.run_fingerprint_prefix(spec, complete * shard);
-    Ok(run_span(threads, spec, ckpt, complete, Some(arrivals)))
+    let noop = &mut NoopRecorder;
+    let extended = run_span(threads, spec, Some(arrivals), ckpt, complete, noop);
+    Ok(extended)
 }
 
-/// Resumes a checkpointed replay run to completion.
-///
-/// # Errors
-///
-/// As for [`run_replay_until`].
-pub fn resume_replay(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    ckpt: FleetCheckpoint,
-) -> Result<FleetStats, ReplayError> {
-    run_replay_until(threads, spec, arrivals, ckpt, spec.shard_count()).map(|c| c.stats)
-}
-
-/// Runs shards `[ckpt.shards_done, until)` and returns the extended
-/// checkpoint; `until` is clamped to the shard count. Feeding the result
-/// back in (with a larger `until`) continues the same run.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::SpecMismatch`] when `ckpt` was produced
-/// under a different spec.
-pub fn run_fleet_until(
-    threads: usize,
-    spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<FleetCheckpoint, CheckpointError> {
-    if !ckpt.matches(spec) {
-        return Err(CheckpointError::SpecMismatch {
-            expected: ckpt.fingerprint,
-            actual: spec.fingerprint(),
-        });
-    }
-    Ok(run_span(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        None,
-    ))
-}
-
-/// [`run_fleet_until`] plus a *span-local* metric snapshot covering only
-/// the shards this call ran (see [`run_replay_until_observed`]).
-///
-/// # Errors
-///
-/// As for [`run_fleet_until`].
-pub fn run_fleet_until_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<(FleetCheckpoint, MetricsSnapshot), CheckpointError> {
-    if !ckpt.matches(spec) {
-        return Err(CheckpointError::SpecMismatch {
-            expected: ckpt.fingerprint,
-            actual: spec.fingerprint(),
-        });
-    }
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        None,
-        &mut rec,
-    );
-    Ok((done, rec.into_snapshot()))
-}
-
-/// Runs the fleet with durable progress: the checkpoint is written
-/// atomically to `path` every `every_shards` completed shards, and an
-/// existing checkpoint at `path` is resumed — so a killed run continues
-/// from disk just by calling this again with the same arguments. The
-/// final (complete) checkpoint is left on disk; re-running a finished
-/// run returns its stats without simulating anything.
-///
-/// # Errors
-///
-/// [`PersistError::Mismatch`] when the file at `path` belongs to a
-/// different spec, [`PersistError::Parse`] when it is not a valid
-/// checkpoint, [`PersistError::Io`] on filesystem failures.
-pub fn run_fleet_checkpointed(
-    threads: usize,
-    spec: &FleetSpec,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    run_checkpointed_impl(threads, spec, None, path, every_shards)
-}
-
-/// Replay-mode [`run_fleet_checkpointed`]: durable checkpoints carry the
-/// mixed (spec, arrivals) fingerprint, so a file from a different log or
-/// spec is refused rather than resumed.
-///
-/// # Errors
-///
-/// As for [`run_fleet_checkpointed`]; arrival-set validation failures
-/// surface as [`PersistError::Replay`].
-pub fn run_replay_checkpointed(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    arrivals.validate_for(spec).map_err(PersistError::Replay)?;
-    run_checkpointed_impl(threads, spec, Some(arrivals), path, every_shards)
-}
-
-fn run_checkpointed_impl(
-    threads: usize,
-    spec: &FleetSpec,
-    replay: Option<&ReplayArrivals>,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    let expected = match replay {
-        Some(arrivals) => arrivals.run_fingerprint(spec),
-        None => spec.fingerprint(),
-    };
-    let mut ckpt = match FleetCheckpoint::load(path)? {
-        Some(c) => {
-            if c.fingerprint != expected {
-                return Err(PersistError::Mismatch {
-                    expected: c.fingerprint,
-                    actual: expected,
-                });
-            }
-            c
-        }
-        None => match replay {
-            Some(arrivals) => FleetCheckpoint::start_replay(spec, arrivals),
-            None => FleetCheckpoint::start(spec),
-        },
-    };
-    let total = spec.shard_count();
-    let every = every_shards.max(1);
-    while ckpt.shards_done < total {
-        let until = (ckpt.shards_done + every).min(total);
-        ckpt = run_span(threads, spec, ckpt, until, replay);
-        ckpt.write_atomic(path).map_err(PersistError::Io)?;
-    }
-    Ok(ckpt.stats)
-}
-
-/// Resumes a checkpointed run to completion.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::SpecMismatch`] when `ckpt` was produced
-/// under a different spec.
-pub fn resume_fleet(
-    threads: usize,
-    spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-) -> Result<FleetStats, CheckpointError> {
-    run_fleet_until(threads, spec, ckpt, spec.shard_count()).map(|c| c.stats)
-}
-
+/// The span loop behind every entry point: runs shards
+/// `[ckpt.shards_done, until)` (`until` clamped to the shard count)
+/// window by window and folds their stats and metrics in shard order, so
+/// neither depends on `threads` or on how a run is split into spans.
 fn run_span(
     threads: usize,
     spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
     mut ckpt: FleetCheckpoint,
     until: u64,
-    replay: Option<&ReplayArrivals>,
-) -> FleetCheckpoint {
-    let window = (threads.max(1) * WINDOW_FACTOR).max(1) as u64;
-    while ckpt.shards_done < until {
-        let hi = (ckpt.shards_done + window).min(until);
-        let shards: Vec<u64> = (ckpt.shards_done..hi).collect();
-        let aggregates = parallel_map(threads, &shards, |_, &shard| match replay {
-            Some(arrivals) => run_shard_replay(spec, shard, arrivals),
-            None => run_shard(spec, shard),
-        });
-        for agg in &aggregates {
-            ckpt.stats.merge(agg);
-        }
-        ckpt.shards_done = hi;
-    }
-    ckpt
-}
-
-/// [`run_span`] with per-shard [`EngineMetrics`] recorded into `rec` —
-/// always in shard order, mirroring the stats fold, so the recorded
-/// snapshot is invariant to `threads` and to how a span is split.
-fn run_span_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    mut ckpt: FleetCheckpoint,
-    until: u64,
-    replay: Option<&ReplayArrivals>,
     rec: &mut dyn Recorder,
 ) -> FleetCheckpoint {
-    let window = (threads.max(1) * WINDOW_FACTOR).max(1) as u64;
+    let until = until.min(spec.shard_count());
+    let window = (threads.max(1) * WINDOW_FACTOR) as u64;
     while ckpt.shards_done < until {
         let hi = (ckpt.shards_done + window).min(until);
         let shards: Vec<u64> = (ckpt.shards_done..hi).collect();
-        let aggregates = parallel_map(threads, &shards, |_, &shard| match replay {
-            Some(arrivals) => run_shard_replay_observed(spec, shard, arrivals),
-            None => run_shard_observed(spec, shard),
+        let results = parallel_map(threads, &shards, |_, &shard| {
+            match arrivals {
+                Some(arrivals) => ShardEngine::new_replay(spec, shard, arrivals),
+                None => ShardEngine::new(spec, shard),
+            }
+            .run_observed()
         });
-        for (agg, metrics) in &aggregates {
-            ckpt.stats.merge(agg);
+        for (stats, metrics) in &results {
+            ckpt.stats.merge(stats);
             metrics.record_into(rec);
         }
         ckpt.shards_done = hi;
@@ -467,7 +227,9 @@ fn run_span_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::PersistError;
     use crate::spec::DimmPopulation;
+    use std::path::{Path, PathBuf};
 
     fn spec() -> FleetSpec {
         // 5 shards, one partial; hot rates so every counter moves.
@@ -475,6 +237,17 @@ mod tests {
             .populations(vec![DimmPopulation::paper("hot").rate_multiplier(8.0)])
             .shard_channels(512)
             .seed(0xBEEF)
+    }
+
+    /// [`run_until`] without a recorder.
+    fn until(
+        threads: usize,
+        spec: &FleetSpec,
+        arrivals: Option<&ReplayArrivals>,
+        ckpt: FleetCheckpoint,
+        until: u64,
+    ) -> Result<FleetCheckpoint, ReplayError> {
+        run_until(threads, spec, arrivals, ckpt, until, &mut NoopRecorder)
     }
 
     #[test]
@@ -508,32 +281,34 @@ mod tests {
         let s = spec();
         let full = run_fleet(4, &s);
         // Stop after 2 shards, round-trip through text, resume.
-        let half = run_fleet_until(4, &s, FleetCheckpoint::start(&s), 2).expect("prefix");
+        let half = until(4, &s, None, FleetCheckpoint::start(&s), 2).expect("prefix");
         assert_eq!(half.shards_done, 2);
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let resumed = resume_fleet(4, &s, parsed).expect("resume");
-        assert_eq!(resumed, full);
+        let resumed = until(4, &s, None, parsed, u64::MAX).expect("resume");
+        assert_eq!(resumed.stats, full);
     }
 
     #[test]
     fn mismatched_checkpoint_is_refused() {
         let s = spec();
-        let ckpt = FleetCheckpoint::start(&s.clone().seed(1));
-        assert!(matches!(
-            resume_fleet(1, &s, ckpt),
-            Err(CheckpointError::SpecMismatch { .. })
-        ));
+        let other = s.clone().seed(1);
+        assert_eq!(
+            until(1, &s, None, FleetCheckpoint::start(&other), u64::MAX),
+            Err(ReplayError::CheckpointMismatch {
+                expected: other.fingerprint(),
+                actual: s.fingerprint(),
+            })
+        );
     }
 
     #[test]
     fn until_clamps_to_shard_count() {
         let s = spec();
-        let done = run_fleet_until(2, &s, FleetCheckpoint::start(&s), 999).expect("run");
+        let done = until(2, &s, None, FleetCheckpoint::start(&s), 999).expect("run");
         assert_eq!(done.shards_done, s.shard_count());
         assert_eq!(done.stats, run_fleet(2, &s));
     }
 
-    use crate::source::{ReplayArrivals, ReplayError};
     use arcc_faults::montecarlo::FaultSampler;
     use arcc_faults::{FaultGeometry, FitRates};
     use rand::rngs::StdRng;
@@ -578,27 +353,32 @@ mod tests {
     }
 
     #[test]
-    fn replay_checkpoint_round_trips_and_refuses_synthetic() {
+    fn replay_checkpoint_round_trips_and_refuses_the_other_source() {
         let s = FleetSpec::baseline(700).shard_channels(256).seed(9);
         let arrivals = arrivals_at(700, &[(1, &[10.0, 11.0, 12.0]), (400, &[99.5])]);
         let full = run_replay(2, &s, &arrivals).expect("replay");
-        let half = run_replay_until(
-            2,
-            &s,
-            &arrivals,
-            FleetCheckpoint::start_replay(&s, &arrivals),
-            1,
-        )
-        .expect("prefix");
+        let start = FleetCheckpoint::start_replay(&s, &arrivals);
+        let half = until(2, &s, Some(&arrivals), start.clone(), 1).expect("prefix");
         assert_eq!(half.shards_done, 1);
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let resumed = resume_replay(2, &s, &arrivals, parsed).expect("resume");
-        assert!(resumed.bitwise_eq(&full));
+        let resumed = until(2, &s, Some(&arrivals), parsed, u64::MAX).expect("resume");
+        assert!(resumed.stats.bitwise_eq(&full));
         // A synthetic checkpoint must not resume a replay run...
-        assert!(matches!(
-            resume_replay(1, &s, &arrivals, FleetCheckpoint::start(&s)),
-            Err(ReplayError::CheckpointMismatch { .. })
-        ));
+        assert_eq!(
+            until(1, &s, Some(&arrivals), FleetCheckpoint::start(&s), u64::MAX),
+            Err(ReplayError::CheckpointMismatch {
+                expected: s.fingerprint(),
+                actual: arrivals.run_fingerprint(&s),
+            })
+        );
+        // ...nor a replay checkpoint a synthetic run...
+        assert_eq!(
+            until(1, &s, None, start, u64::MAX),
+            Err(ReplayError::CheckpointMismatch {
+                expected: arrivals.run_fingerprint(&s),
+                actual: s.fingerprint(),
+            })
+        );
         // ...and a replay set of the wrong width is refused outright.
         let narrow = arrivals_at(500, &[]);
         assert!(matches!(
@@ -695,8 +475,35 @@ mod tests {
         assert_eq!(again, ckpt);
     }
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
+    fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("arcc-fleet-{}-{name}", std::process::id()))
+    }
+
+    /// The durable loop a caller writes around [`run_until`]: resume
+    /// whatever checkpoint `path` holds (or start fresh), then advance
+    /// `every` shards at a time, persisting each step atomically. The
+    /// first step always runs, so a finished file is still checked
+    /// against the run before its stats are returned.
+    fn run_durable(
+        threads: usize,
+        spec: &FleetSpec,
+        arrivals: Option<&ReplayArrivals>,
+        path: &Path,
+        every: u64,
+    ) -> Result<FleetStats, ReplayError> {
+        let loaded = FleetCheckpoint::load(path).expect("readable checkpoint");
+        let mut ckpt = loaded.unwrap_or_else(|| match arrivals {
+            Some(arrivals) => FleetCheckpoint::start_replay(spec, arrivals),
+            None => FleetCheckpoint::start(spec),
+        });
+        loop {
+            let next = ckpt.shards_done + every;
+            ckpt = until(threads, spec, arrivals, ckpt, next)?;
+            ckpt.write_atomic(path).expect("write checkpoint");
+            if ckpt.shards_done == spec.shard_count() {
+                return Ok(ckpt.stats);
+            }
+        }
     }
 
     #[test]
@@ -705,23 +512,25 @@ mod tests {
         let path = temp_path("persist.ckpt");
         let _ = std::fs::remove_file(&path);
         let full = run_fleet(4, &s);
-        // A "killed" run: two shards done, checkpoint flushed to disk.
-        let partial = run_fleet_until(4, &s, FleetCheckpoint::start(&s), 2).expect("prefix");
+        // A "killed" run: two shards done, checkpoint flushed to disk. A
+        // fresh process loads the file and finishes the run.
+        let partial = until(4, &s, None, FleetCheckpoint::start(&s), 2).expect("prefix");
         partial.write_atomic(&path).expect("write");
-        // The fresh process picks the file up and finishes the run.
-        let resumed = run_fleet_checkpointed(4, &s, &path, 1).expect("resume from disk");
-        assert_eq!(resumed, full);
-        // The file now holds the complete run; running again is a no-op
-        // that returns the same stats.
-        let done = FleetCheckpoint::load(&path).expect("load").expect("exists");
-        assert_eq!(done.shards_done, s.shard_count());
-        let again = run_fleet_checkpointed(4, &s, &path, 3).expect("finished run");
-        assert_eq!(again, full);
+        let loaded = FleetCheckpoint::load(&path).expect("load").expect("exists");
+        let done = until(4, &s, None, loaded, u64::MAX).expect("resume from disk");
+        assert_eq!(done.stats, full);
+        // A finished file runs nothing more and returns the same stats.
+        done.write_atomic(&path).expect("write");
+        assert_eq!(run_durable(4, &s, None, &path, 1), Ok(full));
         // A different spec must refuse the file, not silently restart.
-        assert!(matches!(
-            run_fleet_checkpointed(1, &s.clone().seed(1), &path, 1),
-            Err(PersistError::Mismatch { .. })
-        ));
+        let other = s.clone().seed(1);
+        assert_eq!(
+            run_durable(1, &other, None, &path, 1),
+            Err(ReplayError::CheckpointMismatch {
+                expected: s.fingerprint(),
+                actual: other.fingerprint(),
+            })
+        );
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -730,16 +539,14 @@ mod tests {
         let s = spec();
         let path = temp_path("scratch.ckpt");
         let _ = std::fs::remove_file(&path);
-        let stats = run_fleet_checkpointed(2, &s, &path, 2).expect("fresh run");
-        assert_eq!(stats, run_fleet(2, &s));
-        // No stray temporary file is left behind.
-        let tmp =
-            std::path::PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
+        // From scratch, flushing every two shards; no tmp file is left.
+        assert_eq!(run_durable(2, &s, None, &path, 2), Ok(run_fleet(2, &s)));
+        let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
         assert!(!tmp.exists(), "atomic write must rename its tmp file away");
         // Garbage at the path is a parse error, never a silent restart.
         std::fs::write(&path, "definitely not a checkpoint").expect("write garbage");
         assert!(matches!(
-            run_fleet_checkpointed(1, &s, &path, 1),
+            FleetCheckpoint::load(&path),
             Err(PersistError::Parse(_))
         ));
         std::fs::remove_file(&path).expect("cleanup");
@@ -752,12 +559,12 @@ mod tests {
         let path = temp_path("replay.ckpt");
         let _ = std::fs::remove_file(&path);
         let direct = run_replay(2, &s, &arrivals).expect("replay");
-        let persisted = run_replay_checkpointed(2, &s, &arrivals, &path, 1).expect("persisted");
+        let persisted = run_durable(2, &s, Some(&arrivals), &path, 1).expect("persisted");
         assert!(direct.bitwise_eq(&persisted));
         // A synthetic run must refuse the replay checkpoint file.
         assert!(matches!(
-            run_fleet_checkpointed(1, &s, &path, 1),
-            Err(PersistError::Mismatch { .. })
+            run_durable(1, &s, None, &path, 1),
+            Err(ReplayError::CheckpointMismatch { .. })
         ));
         std::fs::remove_file(&path).expect("cleanup");
     }

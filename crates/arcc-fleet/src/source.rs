@@ -82,8 +82,8 @@ pub enum ReplayError {
         /// Events the set would hold.
         events: u64,
     },
-    /// A checkpoint being resumed was produced under a different
-    /// (spec, arrivals) pair.
+    /// A checkpoint being resumed belongs to another run: a different
+    /// spec, arrival set, or arrival source (synthetic vs replay).
     CheckpointMismatch {
         /// Fingerprint recorded in the checkpoint.
         expected: u64,
@@ -128,7 +128,7 @@ impl fmt::Display for ReplayError {
             ),
             ReplayError::CheckpointMismatch { expected, actual } => write!(
                 f,
-                "checkpoint fingerprint {expected:#x} does not match the replay run {actual:#x}"
+                "checkpoint fingerprint {expected:#x} does not match the run {actual:#x}"
             ),
         }
     }

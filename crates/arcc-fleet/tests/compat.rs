@@ -14,10 +14,20 @@
 use arcc_core::splitmix64;
 use arcc_faults::{AddressSet, DimSel, FaultEvent, FaultMode};
 use arcc_fleet::{
-    extend_replay, resume_fleet, resume_replay, run_fleet, run_fleet_until, run_replay,
-    run_replay_checkpointed, run_replay_until, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy, PersistError, ReplayArrivals, ReplayError,
+    extend_replay, run_fleet, run_replay, run_until, DimmPopulation, FleetCheckpoint, FleetSpec,
+    OperatorPolicy, ReplayArrivals, ReplayError,
 };
+use arcc_obs::NoopRecorder;
+
+/// [`run_until`] with no recorder: runs `ckpt` on to shard `until`.
+fn resume(
+    spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
+    ckpt: FleetCheckpoint,
+    until: u64,
+) -> Result<FleetCheckpoint, ReplayError> {
+    run_until(2, spec, arrivals, ckpt, until, &mut NoopRecorder)
+}
 
 /// The mixed-population spec used by the `arcc-serve` golden session.
 fn serve_mixed_spec() -> FleetSpec {
@@ -53,7 +63,7 @@ fn pre_zoo_checkpoint_text_loads_and_resumes() {
     // same stats layout. Serialise a partial run, re-parse it, and resume
     // — and make sure the text really carries the pre-zoo fingerprint.
     let spec = serve_mixed_spec();
-    let partial = run_fleet_until(2, &spec, FleetCheckpoint::start(&spec), 1).expect("partial run");
+    let partial = resume(&spec, None, FleetCheckpoint::start(&spec), 1).expect("partial run");
     assert_eq!(partial.shards_done, 1);
     let text = partial.to_text();
     assert!(
@@ -61,8 +71,8 @@ fn pre_zoo_checkpoint_text_loads_and_resumes() {
         "checkpoint text must carry the pre-zoo fingerprint:\n{text}"
     );
     let reloaded = FleetCheckpoint::from_text(&text).expect("reload");
-    let resumed = resume_fleet(2, &spec, reloaded).expect("resume");
-    assert_eq!(resumed, run_fleet(2, &spec));
+    let resumed = resume(&spec, None, reloaded, u64::MAX).expect("resume");
+    assert_eq!(resumed.stats, run_fleet(2, &spec));
 }
 
 #[test]
@@ -77,8 +87,14 @@ fn zoo_specs_refuse_pre_zoo_checkpoints() {
             .scheme("sccdcd"),
         DimmPopulation::paper("cold").rate_multiplier(12.0),
     ]);
-    assert!(!ckpt.matches(&new));
-    assert!(run_fleet_until(2, &new, ckpt, 1).is_err());
+    assert_ne!(ckpt.fingerprint, new.fingerprint());
+    assert_eq!(
+        resume(&new, None, ckpt, 1),
+        Err(ReplayError::CheckpointMismatch {
+            expected: old.fingerprint(),
+            actual: new.fingerprint(),
+        })
+    );
 }
 
 /// The version 1 `fingerprint()` of [`pinned_arrivals`], captured on the
@@ -187,17 +203,11 @@ fn v1_stamped_replay_checkpoints_are_refused_not_resumed() {
     assert_ne!(v1, arrivals.run_fingerprint(&spec));
 
     // A half-done replay checkpoint written by a version 1 build.
-    let mut partial = run_replay_until(
-        1,
-        &spec,
-        &arrivals,
-        FleetCheckpoint::start_replay(&spec, &arrivals),
-        1,
-    )
-    .expect("partial run");
+    let start = FleetCheckpoint::start_replay(&spec, &arrivals);
+    let mut partial = resume(&spec, Some(&arrivals), start, 1).expect("partial run");
     partial.fingerprint = v1;
     assert_eq!(
-        resume_replay(1, &spec, &arrivals, partial.clone()),
+        resume(&spec, Some(&arrivals), partial.clone(), u64::MAX),
         Err(ReplayError::CheckpointMismatch {
             expected: v1,
             actual: arrivals.run_fingerprint(&spec),
@@ -226,23 +236,25 @@ fn v1_stamped_replay_checkpoints_are_refused_not_resumed() {
         })
     );
 
-    // On disk, the durable runner refuses the file and leaves it alone.
+    // Loaded from disk, the file is refused and left alone.
     let path = std::env::temp_dir().join(format!("arcc-compat-{}-v1.ckpt", std::process::id()));
     partial.write_atomic(&path).expect("write");
     let before = std::fs::read(&path).expect("read");
-    match run_replay_checkpointed(1, &spec, &arrivals, &path, 1) {
-        Err(PersistError::Mismatch { expected, actual }) => {
-            assert_eq!(expected, v1);
-            assert_eq!(actual, arrivals.run_fingerprint(&spec));
-        }
-        other => panic!("a v1 checkpoint must be refused, got {other:?}"),
-    }
+    let loaded = FleetCheckpoint::load(&path).expect("load").expect("exists");
+    assert_eq!(
+        resume(&spec, Some(&arrivals), loaded, u64::MAX),
+        Err(ReplayError::CheckpointMismatch {
+            expected: v1,
+            actual: arrivals.run_fingerprint(&spec),
+        })
+    );
     assert_eq!(std::fs::read(&path).expect("read"), before);
     std::fs::remove_file(&path).expect("cleanup");
 
     // The v2 stamp of the same prefix resumes to the one-shot result.
     let mut current = partial;
     current.fingerprint = arrivals.run_fingerprint(&spec);
-    let resumed = resume_replay(1, &spec, &arrivals, current).expect("resume");
-    assert!(resumed.bitwise_eq(&run_replay(1, &spec, &arrivals).expect("one-shot")));
+    let resumed = resume(&spec, Some(&arrivals), current, u64::MAX).expect("resume");
+    let one_shot = run_replay(1, &spec, &arrivals).expect("one-shot");
+    assert!(resumed.stats.bitwise_eq(&one_shot));
 }

@@ -5,10 +5,10 @@
 //! snapshot, and the merge itself must be associative under shuffled
 //! shard order. This mirrors the `FleetStats` merge contract exactly.
 
+use arcc_fleet::engine::ShardEngine;
 use arcc_fleet::{
-    run_fleet, run_fleet_observed, run_fleet_until_observed, run_replay, run_replay_observed,
-    run_replay_until_observed, run_shard_observed, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy, ReplayArrivals, SchedulerKind,
+    run_fleet, run_fleet_observed, run_replay, run_until, DimmPopulation, FleetCheckpoint,
+    FleetSpec, OperatorPolicy, ReplayArrivals, SchedulerKind,
 };
 use arcc_obs::{MetricsSnapshot, Recorder, SnapshotRecorder};
 use proptest::prelude::*;
@@ -25,6 +25,46 @@ fn spec_for(
         .shard_channels(shard_channels)
         .seed(seed)
         .policy(policy)
+}
+
+/// One observed span: the extended checkpoint and the span-local
+/// metric snapshot.
+fn span(
+    threads: usize,
+    spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
+    ckpt: FleetCheckpoint,
+    until: u64,
+) -> (FleetCheckpoint, MetricsSnapshot) {
+    let mut rec = SnapshotRecorder::new();
+    let done = run_until(threads, spec, arrivals, ckpt, until, &mut rec).expect("span");
+    (done, rec.into_snapshot())
+}
+
+/// Runs a whole run as three chained spans — to the lower cut, to the
+/// upper cut, then to completion — on one thread count per span,
+/// round-tripping the checkpoint through its text form between spans.
+/// Returns the final checkpoint and the merged span snapshots.
+fn three_spans(
+    spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
+    start: FleetCheckpoint,
+    cuts: (u64, u64),
+    threads: (usize, usize, usize),
+) -> (FleetCheckpoint, MetricsSnapshot) {
+    let (lo, hi) = (cuts.0.min(cuts.1), cuts.0.max(cuts.1));
+    let (first, mut merged) = span(threads.0, spec, arrivals, start, lo);
+    let first = FleetCheckpoint::from_text(&first.to_text()).expect("round trip");
+    let (second, snap) = span(threads.1, spec, arrivals, first, hi);
+    merged.merge(&snap);
+    // A span ending at or before the prefix runs and records nothing.
+    let (same, none) = span(threads.2, spec, arrivals, second.clone(), lo);
+    assert_eq!(same, second);
+    assert!(none.is_empty());
+    let second = FleetCheckpoint::from_text(&second.to_text()).expect("round trip");
+    let (done, snap) = span(threads.2, spec, arrivals, second, u64::MAX);
+    merged.merge(&snap);
+    (done, merged)
 }
 
 fn policy() -> impl Strategy<Value = OperatorPolicy> {
@@ -72,25 +112,21 @@ proptest! {
     }
 
     /// Split runs (checkpoint/resume) produce span snapshots that merge
-    /// to the one-shot snapshot, regardless of the split point.
+    /// to the one-shot snapshot, regardless of the split points and of
+    /// each span's thread count.
     #[test]
     fn split_fleet_snapshots_merge_to_the_one_shot_snapshot(
         channels in 200u64..1200,
         seed in any::<u64>(),
         mult in 0.5f64..20.0,
-        split_at in 1u64..4,
+        cuts in (0u64..12, 0u64..12),
+        threads in (1usize..9, 1usize..9, 1usize..9),
     ) {
         let spec = spec_for(channels, 128, seed, mult, OperatorPolicy::None);
-        let split = split_at.min(spec.shard_count());
         let (full_stats, full_snap) = run_fleet_observed(4, &spec);
-        let (half, mut merged) =
-            run_fleet_until_observed(4, &spec, FleetCheckpoint::start(&spec), split)
-                .expect("prefix span");
-        // Round-trip the checkpoint through its text form mid-split.
-        let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let (done, tail_snap) =
-            run_fleet_until_observed(2, &spec, parsed, spec.shard_count()).expect("tail span");
-        merged.merge(&tail_snap);
+        let start = FleetCheckpoint::start(&spec);
+        let (done, merged) = three_spans(&spec, None, start, cuts, threads);
+        prop_assert_eq!(done.shards_done, spec.shard_count());
         prop_assert!(done.stats.bitwise_eq(&full_stats));
         prop_assert_eq!(&merged, &full_snap);
     }
@@ -102,25 +138,22 @@ proptest! {
         channels in 128u64..900,
         seed in any::<u64>(),
         mult in 2.0f64..25.0,
-        split_at in 1u64..3,
+        cuts in (0u64..9, 0u64..9),
+        threads in (1usize..9, 1usize..9, 1usize..9),
     ) {
         // Generate a synthetic log by running the engine, then replay it.
         let spec = spec_for(channels, 128, seed, mult, OperatorPolicy::None);
         let log = arcc_replay_log(&spec);
-        let (seq_stats, seq_snap) = run_replay_observed(1, &spec, &log).expect("seq");
-        let (par_stats, par_snap) = run_replay_observed(8, &spec, &log).expect("par");
-        prop_assert!(seq_stats.bitwise_eq(&par_stats));
-        prop_assert_eq!(&seq_snap, &par_snap);
-        prop_assert!(run_replay(4, &spec, &log).expect("plain").bitwise_eq(&seq_stats));
-
-        let split = split_at.min(spec.shard_count());
         let start = FleetCheckpoint::start_replay(&spec, &log);
-        let (half, mut merged) =
-            run_replay_until_observed(4, &spec, &log, start, split).expect("prefix");
-        let (done, tail) =
-            run_replay_until_observed(2, &spec, &log, half, spec.shard_count()).expect("tail");
-        merged.merge(&tail);
-        prop_assert!(done.stats.bitwise_eq(&seq_stats));
+        let (seq, seq_snap) = span(1, &spec, Some(&log), start.clone(), u64::MAX);
+        let (par, par_snap) = span(8, &spec, Some(&log), start.clone(), u64::MAX);
+        prop_assert!(seq.stats.bitwise_eq(&par.stats));
+        prop_assert_eq!(&seq_snap, &par_snap);
+        prop_assert!(run_replay(4, &spec, &log).expect("plain").bitwise_eq(&seq.stats));
+
+        let (done, merged) = three_spans(&spec, Some(&log), start, cuts, threads);
+        prop_assert_eq!(done.shards_done, spec.shard_count());
+        prop_assert!(done.stats.bitwise_eq(&seq.stats));
         prop_assert_eq!(&merged, &seq_snap);
     }
 
@@ -146,7 +179,7 @@ proptest! {
             .map(|&shard| {
                 let mut rec = SnapshotRecorder::new();
                 // Mix a histogram in so all three kinds are exercised.
-                let (_, m) = run_shard_observed(&spec, shard);
+                let (_, m) = ShardEngine::new(&spec, shard).run_observed();
                 m.record_into(&mut rec);
                 rec.observe("test.popped.per_shard", m.popped);
                 rec.into_snapshot()

@@ -7,10 +7,12 @@
 
 use crate::metrics::{Histogram, MetricValue, MetricsSnapshot};
 
-/// Escapes a string for embedding inside a JSON string literal
-/// (quotes, backslashes, and control characters).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Renders `s` as a quoted JSON string literal, escaping quotes,
+/// backslashes, and control characters (RFC 8259) — the one string
+/// encoder behind every hand-rolled JSON writer in the workspace.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -24,6 +26,7 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -102,7 +105,7 @@ pub fn to_json(snapshot: &MetricsSnapshot) -> String {
                 )
             }
         };
-        parts.push(format!("\"{}\":{body}", escape_json(name)));
+        parts.push(format!("{}:{body}", json_string(name)));
     }
     format!("{{{}}}", parts.join(","))
 }
@@ -148,9 +151,10 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\nd\te\r"), "\"a\\\"b\\\\c\\nd\\te\\r\"");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
         assert_eq!(prometheus_name("a.b-c:d_e9"), "a_b_c:d_e9");
     }
 }

@@ -4,7 +4,7 @@
 //! routing every event through [`log_line`] makes stderr a stream of
 //! one-JSON-object-per-line records that fleet tooling can parse.
 
-use crate::export::escape_json;
+use crate::export::json_string;
 
 /// Severity of a [`log_line`] event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,16 +33,12 @@ impl LogLevel {
 /// order follows the given slice; keys and values are JSON-escaped.
 pub fn log_line(level: LogLevel, event: &str, fields: &[(&str, &str)]) -> String {
     let mut out = format!(
-        "{{\"level\":\"{}\",\"event\":\"{}\"",
+        "{{\"level\":\"{}\",\"event\":{}",
         level.as_str(),
-        escape_json(event)
+        json_string(event)
     );
     for (key, value) in fields {
-        out.push_str(&format!(
-            ",\"{}\":\"{}\"",
-            escape_json(key),
-            escape_json(value)
-        ));
+        out.push_str(&format!(",{}:{}", json_string(key), json_string(value)));
     }
     out.push('}');
     out

@@ -7,7 +7,7 @@
 //! questions ("what if we had run a spare pool?") repeat. This crate
 //! keeps the simulation **alive between questions**:
 //!
-//! * the [`TwinEngine`](twin::TwinEngine) owns durable fleet state
+//! * the [`TwinEngine`] owns durable fleet state
 //!   rooted in [`arcc_fleet::FleetCheckpoint`]: ingesting an
 //!   `arcc-fault-log v1` segment **appends** (via
 //!   [`arcc_replay::FaultLog::ingest_segment`] and

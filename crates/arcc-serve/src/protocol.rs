@@ -50,7 +50,7 @@ use std::io::{BufRead, Write};
 
 use arcc_exp::{find, names, run, Experiment};
 use arcc_fleet::FleetStats;
-use arcc_obs::{Clock, ManualClock, Recorder as _, SnapshotRecorder};
+use arcc_obs::{json_string, Clock, ManualClock, Recorder as _, SnapshotRecorder};
 
 use crate::twin::{parse_policy, policy_token, ServeError, TwinEngine, BASELINE_BRANCH};
 
@@ -578,25 +578,6 @@ pub fn render_error(error: &ServeError) -> String {
     )
 }
 
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Shortest round-trip decimal for a finite f64 (`null` otherwise, so
 /// the line stays valid JSON even for degenerate statistics).
 fn json_f64(x: f64) -> String {
@@ -862,6 +843,5 @@ mod tests {
         assert_eq!(json_f64(0.25), "0.25");
         assert_eq!(json_f64(3.0), "3.0");
         assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }
