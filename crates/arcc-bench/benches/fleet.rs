@@ -1,27 +1,24 @@
 //! Criterion benchmarks for the `arcc-fleet` event engine, plus the
 //! `BENCH_fleet.json` throughput record.
 //!
-//! The criterion groups time one shard (under both schedulers) and a
-//! small sharded fleet; after they run, a custom `main` measures
-//! end-to-end channels/second at 10k, 100k, 1M, and 10M channels and
-//! writes `BENCH_fleet.json` (path overridable via `ARCC_BENCH_OUT`) so
-//! the perf trajectory of the engine is recorded from its first PR. The
-//! 1M rung is this PR's acceptance artefact: the bucket scheduler must
-//! hold ≥2x the PR 3 heap engine's ~8M channels/sec.
+//! The criterion groups time one shard and a small sharded fleet; after
+//! they run, a custom `main` measures end-to-end channels/second at 10k,
+//! 100k, 1M, and 10M channels and writes `BENCH_fleet.json` (path
+//! overridable via `ARCC_BENCH_OUT`) so the perf trajectory of the
+//! engine is recorded. The 1M rung is the calendar queue's acceptance
+//! artefact: ≥2x the ~8M channels/sec of the original heap-queue engine.
 
 use arcc_bench::{bench_record_json, best_of};
-use arcc_fleet::{run_fleet, run_shard, FleetSpec, SchedulerKind};
+use arcc_fleet::{run_fleet, run_shard, FleetSpec};
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 
 fn bench_shard(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_shard");
     g.throughput(Throughput::Elements(4096));
-    for sched in [SchedulerKind::Bucket, SchedulerKind::Heap] {
-        let spec = FleetSpec::baseline(4096).scheduler(sched);
-        g.bench_function(format!("one_shard_4096_channels_{}", sched.name()), |b| {
-            b.iter(|| run_shard(black_box(&spec), 0))
-        });
-    }
+    let spec = FleetSpec::baseline(4096);
+    g.bench_function("one_shard_4096_channels", |b| {
+        b.iter(|| run_shard(black_box(&spec), 0))
+    });
     g.finish();
 }
 

@@ -1,17 +1,15 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the ARCC paper.
+//! Shared harness for the experiment and bench binaries.
 //!
-//! Each binary under `src/bin/` is a thin shim over the in-process
-//! scenario registry in [`arcc_exp`] (`arcc::exp`): it calls
-//! [`arcc_exp::main_for`] with its artefact name, and `repro_all` loops
-//! the whole registry via [`arcc_exp::repro_all_main`], writing JSON
-//! reports under `target/repro/`.
+//! Every table and figure of the ARCC paper is a scenario in the
+//! in-process registry of [`arcc_exp`] (`arcc::exp`). The `repro_all`
+//! binary runs them via [`arcc_exp::repro_all_main`] — all of them, or
+//! the ones named on its command line (`repro_all fig7_1`) — printing
+//! each rendering and writing JSON reports under `target/repro/`.
 //!
-//! Knobs are typed on [`arcc_exp::Experiment`]; the legacy environment
-//! variables (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`,
-//! `ARCC_MC_MACHINES`) survive as a deprecated fallback through
-//! [`arcc_exp::Experiment::from_env`], which the shims use so existing CI
-//! configurations keep working.
+//! Knobs are typed on [`arcc_exp::Experiment`]; binaries read them from
+//! the environment variables (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`,
+//! `ARCC_MC_MACHINES`, `ARCC_THREADS`, `ARCC_MIXES`) through
+//! [`arcc_exp::Experiment::from_env`].
 
 #![forbid(unsafe_code)]
 

@@ -51,8 +51,8 @@ pub const DEFAULT_FRACTION_GRID: &[f64] = &[0.0, 1.0 / 32.0, 1.0 / 16.0, 0.5, 1.
 /// ```
 ///
 /// All builder methods consume and return `self`, so configurations are
-/// single expressions. [`Experiment::from_env`] is the deprecated
-/// fallback honouring the legacy `ARCC_*` environment variables.
+/// single expressions. [`Experiment::from_env`] is how binaries read
+/// their knobs, from the `ARCC_*` environment variables.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     trace_requests: usize,
@@ -103,12 +103,11 @@ impl Experiment {
             .escape_trials(5_000)
     }
 
-    /// Deprecated fallback: defaults overridden by the legacy `ARCC_*`
-    /// environment variables (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`,
-    /// `ARCC_MC_MACHINES`, plus `ARCC_THREADS` and `ARCC_MIXES`).
-    ///
-    /// New code should state its knobs with the typed builder; this exists
-    /// so existing CI configurations and shell habits keep working.
+    /// Defaults overridden by the `ARCC_*` environment variables
+    /// (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`, `ARCC_MC_MACHINES`,
+    /// `ARCC_THREADS` and `ARCC_MIXES`): the knob path of the `repro_all`
+    /// binary, which CI uses for its quick-mode runs. Library code states
+    /// its knobs with the typed builder.
     pub fn from_env() -> Self {
         fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
             std::env::var(var).ok().and_then(|v| v.parse().ok())

@@ -4,20 +4,19 @@
 //! The paper's evaluation is a grid of scenarios — schemes × workload
 //! mixes × upgraded-page fractions × Monte-Carlo depths. This crate makes
 //! that grid a first-class, typed, parallel API instead of a zoo of
-//! hand-rolled binaries and environment variables:
+//! hand-rolled binaries:
 //!
 //! * [`Experiment`] — a builder carrying every knob (trace length and
 //!   seed, Monte-Carlo channels/machines, mix filter, scheme selection,
-//!   upgraded-fraction grid, worker count). The legacy `ARCC_*`
-//!   environment variables survive as the deprecated
-//!   [`Experiment::from_env`] fallback.
+//!   upgraded-fraction grid, worker count). Binaries read the `ARCC_*`
+//!   environment variables through [`Experiment::from_env`].
 //! * [`Scenario`] + [`registry`] — the ~13 named paper artefacts
 //!   (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`, `motivation`,
 //!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale
 //!   studies over the `arcc-fleet` event engine (`fleet_baseline`,
 //!   `fleet_mixed_population`, `fleet_repair_policies`), each runnable
-//!   in-process via [`run`]. The figure binaries in `arcc-bench` are thin
-//!   shims; `repro_all` is an in-process loop ([`run_all`]) rather than a
+//!   in-process via [`run`]. The `repro_all` binary in `arcc-bench` runs
+//!   any subset of them in-process ([`run_selected`]), not as a
 //!   subprocess chain.
 //! * [`sweep`] — a deterministic parallel sweep engine: ordered
 //!   [`parallel_map`] over `std::thread::scope`, per-cell seeds
@@ -60,11 +59,8 @@ pub mod sweep;
 pub use experiment::{Experiment, DEFAULT_FRACTION_GRID};
 pub use report::{Report, Table, Value};
 pub use runner::{
-    default_report_dir, main_for, profile_json, repro_all_main, repro_all_main_with, run_all,
-    run_and_print, run_selected, run_selected_profiled,
+    default_report_dir, profile_json, repro_all_main, repro_all_main_with, run_all, run_selected,
+    run_selected_profiled,
 };
 pub use scenario::{find, names, registry, run, ExpError, Scenario};
-pub use sweep::{
-    cell_seed, default_threads, lifetime_curve_sharded, lifetime_curve_sharded_recorded,
-    parallel_map, MC_CHUNK,
-};
+pub use sweep::{cell_seed, default_threads, lifetime_curve_sharded, parallel_map, MC_CHUNK};

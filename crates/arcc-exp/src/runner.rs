@@ -1,5 +1,6 @@
-//! Driving scenarios from binaries: single-artefact shims and the
-//! in-process `repro_all` loop with JSON report emission.
+//! Driving scenarios from the `repro_all` binary: the in-process loop
+//! over the registry (all of it, or the scenarios named on the command
+//! line) with JSON report emission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -8,28 +9,7 @@ use arcc_obs::{elapsed_secs, Clock, ManualClock, WallClock};
 
 use crate::experiment::Experiment;
 use crate::report::Report;
-use crate::scenario::{registry, run, ExpError, Scenario};
-
-/// Runs one scenario and prints its human rendering to stdout.
-pub fn run_and_print(name: &str, exp: &Experiment) -> Result<Report, ExpError> {
-    let report = run(name, exp)?;
-    print!("{}", report.render());
-    Ok(report)
-}
-
-/// Entry point for the single-artefact shim binaries under `arcc-bench`:
-/// builds an [`Experiment`] from the deprecated `ARCC_*` environment
-/// fallback, runs `name`, prints the rendering, and exits.
-pub fn main_for(name: &str) -> ! {
-    let exp = Experiment::from_env();
-    match run_and_print(name, &exp) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
+use crate::scenario::{registry, ExpError, Scenario};
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -149,8 +129,9 @@ pub fn default_report_dir() -> PathBuf {
 /// scenario's name is printed to stderr.
 ///
 /// Trailing CLI arguments select a subset by scenario name (CI uses
-/// this to smoke-run `fleet_scheme_sweep` on its own); no arguments
-/// means the full registry.
+/// this to smoke-run `fig7_6` and `fleet_scheme_sweep` on their own); no
+/// arguments means the full registry. Knobs come from the `ARCC_*`
+/// environment variables ([`Experiment::from_env`]).
 pub fn repro_all_main() -> i32 {
     repro_all_main_with(&WallClock::new())
 }

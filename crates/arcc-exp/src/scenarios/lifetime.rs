@@ -7,6 +7,7 @@
 use arcc_core::system::worst_case_power_factor;
 use arcc_core::SchemeKind;
 use arcc_faults::{FaultGeometry, FaultMode};
+use arcc_obs::NoopRecorder;
 use arcc_reliability::{faulty_fraction_curve, LifetimeConfig, LifetimePoint, OverheadModel};
 use arcc_trace::paper_mixes;
 
@@ -148,8 +149,8 @@ fn overhead_curves_report(
             ..LifetimeConfig::default()
         };
         curves.push((
-            lifetime_curve_sharded(exp.worker_count(), &cfg, worst),
-            lifetime_curve_sharded(exp.worker_count(), &cfg, measured),
+            lifetime_curve_sharded(exp.worker_count(), &cfg, worst, &mut NoopRecorder),
+            lifetime_curve_sharded(exp.worker_count(), &cfg, measured, &mut NoopRecorder),
         ));
     }
 
@@ -270,7 +271,7 @@ impl Scenario for Fig7_6 {
                 seed: exp.mc_seed_value(),
                 ..LifetimeConfig::default()
             };
-            let c = lifetime_curve_sharded(exp.worker_count(), &cfg, &model);
+            let c = lifetime_curve_sharded(exp.worker_count(), &cfg, &model, &mut NoopRecorder);
             avgs.push(mean(&c.iter().map(|p| p.avg_overhead).collect::<Vec<_>>()));
             curves.push(c);
         }

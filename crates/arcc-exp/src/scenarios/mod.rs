@@ -1,7 +1,7 @@
 //! The thirteen paper artefacts plus the fleet-scale studies as
 //! [`Scenario`](crate::Scenario) implementations. Each module groups
-//! related figures; the binaries in `arcc-bench` are shims over these via
-//! [`crate::run`].
+//! related figures; `repro_all <name>` in `arcc-bench` runs any of them
+//! via the registry.
 
 mod fleet;
 mod lifetime;

@@ -36,21 +36,13 @@ pub use arcc_core::{cell_seed, default_threads, parallel_map};
 /// a [`cell_seed`]-derived seed; shard curves are combined by a
 /// channel-weighted average **in shard order**, so the result is
 /// bit-identical whether shards ran sequentially or in parallel.
-pub fn lifetime_curve_sharded(
-    threads: usize,
-    cfg: &LifetimeConfig,
-    model: &OverheadModel,
-) -> Vec<LifetimePoint> {
-    lifetime_curve_sharded_recorded(threads, cfg, model, &mut arcc_obs::NoopRecorder)
-}
-
-/// [`lifetime_curve_sharded`] with sweep metrics: records the
-/// `exp.sweep.chunks` (Monte-Carlo cells dispatched) and
+///
+/// Records the `exp.sweep.chunks` (Monte-Carlo cells dispatched) and
 /// `exp.sweep.cells` (channels swept across them) counters into `rec`.
 /// Both are functions of the config alone — not of thread count or
 /// scheduling — so observed sweeps stay as reproducible as the curve
 /// itself.
-pub fn lifetime_curve_sharded_recorded(
+pub fn lifetime_curve_sharded(
     threads: usize,
     cfg: &LifetimeConfig,
     model: &OverheadModel,
@@ -128,8 +120,9 @@ mod tests {
             channels: 2500, // three chunks, one partial
             ..LifetimeConfig::default()
         };
-        let seq = lifetime_curve_sharded(1, &cfg, &model);
-        let par = lifetime_curve_sharded(8, &cfg, &model);
+        let noop = &mut arcc_obs::NoopRecorder;
+        let seq = lifetime_curve_sharded(1, &cfg, &model, noop);
+        let par = lifetime_curve_sharded(8, &cfg, &model, noop);
         assert_eq!(seq.len(), cfg.years as usize);
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.avg_overhead.to_bits(), b.avg_overhead.to_bits());
@@ -148,8 +141,8 @@ mod tests {
         };
         let mut seq_rec = SnapshotRecorder::new();
         let mut par_rec = SnapshotRecorder::new();
-        let seq = lifetime_curve_sharded_recorded(1, &cfg, &model, &mut seq_rec);
-        let par = lifetime_curve_sharded_recorded(8, &cfg, &model, &mut par_rec);
+        let seq = lifetime_curve_sharded(1, &cfg, &model, &mut seq_rec);
+        let par = lifetime_curve_sharded(8, &cfg, &model, &mut par_rec);
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.avg_overhead.to_bits(), b.avg_overhead.to_bits());
         }

@@ -27,7 +27,9 @@ pub enum FaultMode {
 }
 
 impl FaultMode {
-    /// All modes, in increasing blast-radius order.
+    /// All modes, in increasing blast-radius order. Each mode's index
+    /// here is its discriminant, so `mode as usize` indexes per-mode
+    /// tables and fingerprints.
     pub const ALL: [FaultMode; 7] = [
         FaultMode::SingleBit,
         FaultMode::SingleWord,
@@ -218,6 +220,15 @@ mod tests {
         }
         // Big faults must be mostly permanent.
         assert!(FaultMode::MultiRank.transient_fraction() < 0.5);
+    }
+
+    #[test]
+    fn mode_discriminants_index_all() {
+        // Per-mode tables, the log writer and the replay fingerprint all
+        // index by `mode as usize`.
+        for (i, mode) in FaultMode::ALL.iter().enumerate() {
+            assert_eq!(*mode as usize, i);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The per-shard discrete-event engine.
 //!
 //! One [`ShardEngine`] owns a slice of the fleet's channels and a single
-//! time-ordered event queue (heap or calendar/bucket — see
-//! [`crate::spec::SchedulerKind`]). Three event kinds drive a channel
+//! time-ordered event queue, a calendar queue keyed on scrub epochs
+//! (debug builds check its every pop against a shadow `BinaryHeap`).
+//! Three event kinds drive a channel
 //! through its service life:
 //!
 //! * **fault arrivals** — drawn lazily, one exponential gap at a time
@@ -36,8 +37,6 @@
 //! (`cell_seed(shard_seed, channel_index)`), so results are independent
 //! of event interleaving across channels; ties in time are broken by a
 //! monotone sequence number, making the replay itself deterministic too.
-//! Both schedulers fire events in identical `(time, seq)` order, so the
-//! scheduler knob never changes a single output bit.
 //!
 //! Arrivals come from one of two [`sources`](crate::source): the default
 //! synthetic lazy-exponential draws described above, or a
@@ -52,16 +51,14 @@
 
 use arcc_core::cell_seed;
 use arcc_faults::montecarlo::FaultSampler;
-use arcc_faults::{
-    exp_interarrival, exp_interarrival_from_u, FaultEvent, FaultMode, HOURS_PER_YEAR,
-};
+use arcc_faults::{exp_interarrival, exp_interarrival_from_u, FaultEvent, HOURS_PER_YEAR};
 use arcc_reliability::{active_at, arrival_is_sdc, detection_time, SchemeCapability};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sched::{EventKind, EventQueue, QueuedEvent};
+use crate::sched::{BucketQueue, EventKind, QueuedEvent};
 use crate::source::ReplayArrivals;
-use crate::spec::{FleetSpec, OperatorPolicy, SchedulerKind};
+use crate::spec::{FleetSpec, OperatorPolicy};
 use crate::stats::FleetStats;
 
 /// Deterministic per-shard engine telemetry: plain event counts the
@@ -182,7 +179,7 @@ pub struct ShardEngine<'a> {
     /// Sparse channel states: only channels with at least one in-horizon
     /// event own a slot; queued events address slots directly.
     states: Vec<ChannelState>,
-    queue: EventQueue,
+    queue: BucketQueue,
     seq: u64,
     spares_left: u32,
     /// High-water mark of any channel's active-fault list (compaction
@@ -255,12 +252,7 @@ impl<'a> ShardEngine<'a> {
             None => max_rate * horizon_h * shard_channels as f64,
         };
         let events_hint = (per_fault_events * expected_faults).ceil() as usize;
-        let queue = match spec.scheduler {
-            SchedulerKind::Heap => EventQueue::heap(),
-            SchedulerKind::Bucket => {
-                EventQueue::bucket(horizon_h, spec.bucket_width_hours(), events_hint)
-            }
-        };
+        let queue = BucketQueue::new(horizon_h, spec.bucket_width_hours(), events_hint);
         let mut engine = Self {
             horizon_h,
             policy: spec.policy,
@@ -367,15 +359,10 @@ impl<'a> ShardEngine<'a> {
         self.metrics.queue_peak = self.metrics.queue_peak.max(self.queue.len() as u64);
     }
 
-    /// Runs the shard to the horizon and returns its aggregate.
-    pub fn run(mut self) -> FleetStats {
-        self.drain();
-        self.finalize()
-    }
-
-    /// Like [`Self::run`], but also returns the shard's deterministic
-    /// [`EngineMetrics`], which the fleet runner records in shard order.
-    pub fn run_observed(mut self) -> (FleetStats, EngineMetrics) {
+    /// Runs the shard to the horizon and returns its aggregate and its
+    /// deterministic [`EngineMetrics`], which the fleet runner records in
+    /// shard order.
+    pub fn run(mut self) -> (FleetStats, EngineMetrics) {
         self.drain();
         let metrics = self.metrics;
         (self.finalize(), metrics)
@@ -426,11 +413,7 @@ impl<'a> ShardEngine<'a> {
 
         self.stats.faults += 1;
         self.stats.populations[pop].faults += 1;
-        let mode_idx = FaultMode::ALL
-            .iter()
-            .position(|m| *m == fault.mode)
-            .expect("every mode is in ALL");
-        self.stats.faults_by_mode[mode_idx] += 1;
+        self.stats.faults_by_mode[fault.mode as usize] += 1;
         if !state.had_fault {
             state.had_fault = true;
             self.stats.channels_with_faults += 1;
@@ -733,31 +716,17 @@ mod tests {
     #[test]
     fn shard_runs_are_deterministic() {
         let spec = quick_spec(500, 4.0);
-        let a = ShardEngine::new(&spec, 0).run();
-        let b = ShardEngine::new(&spec, 0).run();
+        let a = ShardEngine::new(&spec, 0).run().0;
+        let b = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(a, b);
         assert_eq!(a.channels, 500);
         assert!(a.faults > 0, "4x rates over 7y must produce faults");
     }
 
     #[test]
-    fn heap_and_bucket_schedulers_agree_bit_for_bit() {
-        for mult in [4.0, 30.0] {
-            let spec =
-                quick_spec(800, mult).policy(OperatorPolicy::SparePool { spares_per_10k: 20 });
-            let heap = ShardEngine::new(&spec.clone().scheduler(SchedulerKind::Heap), 0).run();
-            let bucket = ShardEngine::new(&spec.scheduler(SchedulerKind::Bucket), 0).run();
-            assert!(
-                heap.bitwise_eq(&bucket),
-                "{mult}x: schedulers diverged: {heap:?} vs {bucket:?}"
-            );
-        }
-    }
-
-    #[test]
     fn fault_count_tracks_poisson_expectation() {
         let spec = quick_spec(4000, 4.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         let sampler = FaultSampler::new(spec.populations[0].geometry, spec.populations[0].rates());
         let expect = sampler.expected_faults(spec.horizon_hours()) * 4000.0;
         let got = stats.faults as f64;
@@ -777,7 +746,7 @@ mod tests {
     #[test]
     fn transients_clear_and_permanents_upgrade() {
         let spec = quick_spec(3000, 8.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert!(stats.transient_cleared > 0);
         assert!(stats.detections >= stats.transient_cleared);
         assert!(stats.avg_upgraded_fraction() > 0.0);
@@ -825,8 +794,10 @@ mod tests {
     fn replace_on_due_resets_channels() {
         // High rates make DUE overlaps likely enough to exercise the path.
         let base = quick_spec(3000, 30.0);
-        let none = ShardEngine::new(&base, 0).run();
-        let replace = ShardEngine::new(&base.clone().policy(OperatorPolicy::ReplaceOnDue), 0).run();
+        let none = ShardEngine::new(&base, 0).run().0;
+        let replace = ShardEngine::new(&base.clone().policy(OperatorPolicy::ReplaceOnDue), 0)
+            .run()
+            .0;
         assert!(none.due_events > 0, "need DUEs to compare policies");
         assert!(replace.replacements > 0);
         assert_eq!(replace.channels_failed, 0);
@@ -843,7 +814,7 @@ mod tests {
         let spec = quick_spec(3000, 30.0).policy(OperatorPolicy::SparePool { spares_per_10k: 10 });
         let stocked = spec.policy.spares_for_range(0, 3000) as u64;
         assert_eq!(stocked, 3);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(stats.spares_consumed, stocked, "pool must drain fully");
         assert_eq!(stats.replacements, stocked);
         assert!(
@@ -891,7 +862,7 @@ mod tests {
                     .rate_multiplier(30.0)
                     .scheme(key)])
                 .shard_channels(2000);
-            ShardEngine::new(&spec, 0).run()
+            ShardEngine::new(&spec, 0).run().0
         };
         let arcc = for_scheme("arcc");
         let sccdcd = for_scheme("sccdcd");
@@ -920,7 +891,7 @@ mod tests {
     #[test]
     fn zero_rate_population_is_inert() {
         let spec = quick_spec(100, 0.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(stats.faults, 0);
         assert_eq!(stats.channels, 100);
         assert_eq!(stats.channel_hours, 100.0 * spec.horizon_hours());

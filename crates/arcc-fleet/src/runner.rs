@@ -10,10 +10,7 @@
 //! always in shard order and every shard derives its RNG streams from
 //! `cell_seed(spec.seed, shard)`, a parallel run is byte-identical to a
 //! sequential one, and a resumed run byte-identical to an uninterrupted
-//! one. The spec's scheduler knob ([`crate::SchedulerKind`]) is
-//! orthogonal to all of this: heap and bucket shards produce
-//! byte-identical aggregates, so runs (and checkpoints) mix schedulers
-//! freely.
+//! one.
 //!
 //! One span loop serves every entry point: [`run_until`] runs any span of
 //! either arrival source into any [`Recorder`], the one-shot runs run it
@@ -34,7 +31,7 @@ const WINDOW_FACTOR: usize = 4;
 
 /// Runs one shard to completion (the unit the runner parallelises).
 pub fn run_shard(spec: &FleetSpec, shard: u64) -> FleetStats {
-    ShardEngine::new(spec, shard).run()
+    ShardEngine::new(spec, shard).run().0
 }
 
 /// Runs one shard in replay mode.
@@ -48,7 +45,7 @@ pub fn run_shard(spec: &FleetSpec, shard: u64) -> FleetStats {
 /// ([`run_replay`], [`run_until`], [`extend_replay`]) validate first and
 /// return a typed [`ReplayError`] instead.
 pub fn run_shard_replay(spec: &FleetSpec, shard: u64, arrivals: &ReplayArrivals) -> FleetStats {
-    ShardEngine::new_replay(spec, shard, arrivals).run()
+    ShardEngine::new_replay(spec, shard, arrivals).run().0
 }
 
 /// Runs the whole fleet on up to `threads` workers and returns the merged
@@ -213,7 +210,7 @@ fn run_span(
                 Some(arrivals) => ShardEngine::new_replay(spec, shard, arrivals),
                 None => ShardEngine::new(spec, shard),
             }
-            .run_observed()
+            .run()
         });
         for (stats, metrics) in &results {
             ckpt.stats.merge(stats);
@@ -340,16 +337,9 @@ mod tests {
         assert_eq!(stats.faults, 3, "in-horizon logged arrivals only");
         assert_eq!(stats.channels_with_faults, 2);
         assert_eq!(stats.populations[0].channels, 700);
-        // Replay is deterministic and scheduler-independent.
+        // Replay is deterministic and thread-count-independent.
         let again = run_replay(1, &s, &arrivals).expect("replay");
         assert!(stats.bitwise_eq(&again));
-        let heap = run_replay(
-            2,
-            &s.clone().scheduler(crate::spec::SchedulerKind::Heap),
-            &arrivals,
-        )
-        .expect("replay heap");
-        assert!(stats.bitwise_eq(&heap));
     }
 
     #[test]

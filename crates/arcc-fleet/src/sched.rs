@@ -1,27 +1,30 @@
-//! Event scheduling for the shard engine: two interchangeable queue
-//! implementations behind one enum.
+//! Event scheduling for the shard engine: one calendar queue keyed on
+//! scrub epochs.
 //!
 //! The determinism contract of the whole crate rests on a single total
 //! order: events fire in ascending `(time_h, seq)` — `seq` is the
-//! monotone schedule-order tie-breaker — and both queues here pop in
-//! exactly that order. Because they are *observationally identical*, the
-//! scheduler choice is a pure performance knob: `FleetStats` from a
-//! [`HeapQueue`] run and a [`BucketQueue`] run are byte-for-byte equal
-//! (pinned by `tests/sched_ab.rs`), and the knob deliberately stays out
-//! of [`crate::FleetSpec::fingerprint`] so checkpoints written under one
-//! scheduler resume under the other.
+//! monotone schedule-order tie-breaker — and [`BucketQueue`] pops in
+//! exactly that order.
 //!
-//! [`BucketQueue`] is a calendar queue keyed on scrub epochs: pushes are
-//! O(1) appends into coarse time buckets (default width = the scrub
-//! interval, so every scrub tick's detection batch lands at the head of
-//! its own bucket), and a bucket is sorted only when the sweep reaches
-//! it. Correctness does not depend on bucket boundaries being exact:
-//! the bucket index is a *monotone* function of time (float truncation
-//! of `t * inv_width` is monotone), so an event mis-rounded across a
-//! boundary still sorts correctly — it is merged into the live drain
-//! stack if its bucket has already been taken.
+//! [`BucketQueue`] is a calendar queue: pushes are O(1) appends into
+//! coarse time buckets (width = the smallest scrub interval, so every
+//! scrub tick's detection batch lands at the head of its own bucket),
+//! and a bucket is sorted only when the sweep reaches it. Correctness
+//! does not depend on bucket boundaries being exact: the bucket index is
+//! a *monotone* function of time (float truncation of `t * inv_width` is
+//! monotone), so an event mis-rounded across a boundary still sorts
+//! correctly — it is merged into the live drain stack if its bucket has
+//! already been taken.
+//!
+//! A `BinaryHeap` is the reference for that order. In debug builds the
+//! queue also pushes every event into a shadow heap and asserts that each
+//! pop returns the heap's `(time_h, seq)`, so every debug-build engine
+//! run in the workspace (fleet, replay, serve and scenario tests) checks
+//! the calendar against the heap on every pop. Release builds carry no
+//! shadow.
 
 use std::cmp::Ordering;
+#[cfg(debug_assertions)]
 use std::collections::BinaryHeap;
 
 /// What a queued event does when it fires.
@@ -72,8 +75,9 @@ impl Eq for QueuedEvent {}
 
 impl Ord for QueuedEvent {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops
-        // first. Times are finite and non-negative by construction.
+        // Inverted (earlier = greater) so the shadow max-heap pops the
+        // earliest event first and an ascending sort puts it last. Times
+        // are finite and non-negative by construction.
         other
             .time_h
             .partial_cmp(&self.time_h)
@@ -108,6 +112,9 @@ const EMPTY: u32 = u32::MAX;
 /// * simulation time never runs backwards, so a push always lands at or
 ///   after the last popped event — into a bucket `>= draining`, or
 ///   merged into `stack` when its (monotone) bucket was already taken.
+///
+/// Debug builds also keep `shadow`, the reference heap of every pending
+/// event; [`Self::pop`] asserts that both agree.
 #[derive(Debug)]
 pub(crate) struct BucketQueue {
     inv_width: f64,
@@ -120,6 +127,9 @@ pub(crate) struct BucketQueue {
     /// Pending events of taken buckets, sorted descending (next pop last).
     stack: Vec<QueuedEvent>,
     len: usize,
+    /// Every pending event again, in `(time_h, seq)` heap order.
+    #[cfg(debug_assertions)]
+    shadow: BinaryHeap<QueuedEvent>,
 }
 
 impl BucketQueue {
@@ -146,6 +156,8 @@ impl BucketQueue {
             draining: 0,
             stack: Vec::new(),
             len: 0,
+            #[cfg(debug_assertions)]
+            shadow: BinaryHeap::new(),
         }
     }
 
@@ -158,6 +170,8 @@ impl BucketQueue {
 
     #[inline]
     pub fn push(&mut self, ev: QueuedEvent) {
+        #[cfg(debug_assertions)]
+        self.shadow.push(ev);
         self.len += 1;
         let b = self.bucket_of(ev.time_h);
         if b < self.draining {
@@ -173,14 +187,31 @@ impl BucketQueue {
         }
     }
 
-    /// Pending event count.
+    /// Pending event count (the engine's queue-occupancy metric).
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
+    /// Pops the next event in `(time_h, seq)` order. Debug builds assert
+    /// that the shadow heap pops the same event.
     #[inline]
     pub fn pop(&mut self) -> Option<QueuedEvent> {
+        let next = self.pop_calendar();
+        #[cfg(debug_assertions)]
+        {
+            let key = |ev: QueuedEvent| (ev.time_h.to_bits(), ev.seq);
+            assert_eq!(
+                next.map(key),
+                self.shadow.pop().map(key),
+                "calendar queue left (time_h, seq) order"
+            );
+        }
+        next
+    }
+
+    #[inline]
+    fn pop_calendar(&mut self) -> Option<QueuedEvent> {
         if self.len == 0 {
             return None;
         }
@@ -205,57 +236,12 @@ impl BucketQueue {
     }
 }
 
-/// The shard engine's event queue: the reference binary heap or the
-/// calendar queue, selected by [`crate::spec::SchedulerKind`].
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    /// `BinaryHeap` priority queue (the PR 3 reference scheduler).
-    Heap(BinaryHeap<QueuedEvent>),
-    /// Calendar/bucket queue keyed on scrub epochs.
-    Bucket(BucketQueue),
-}
-
-impl EventQueue {
-    pub fn heap() -> Self {
-        EventQueue::Heap(BinaryHeap::new())
-    }
-
-    pub fn bucket(horizon_h: f64, width_h: f64, events_hint: usize) -> Self {
-        EventQueue::Bucket(BucketQueue::new(horizon_h, width_h, events_hint))
-    }
-
-    #[inline]
-    pub fn push(&mut self, ev: QueuedEvent) {
-        match self {
-            EventQueue::Heap(h) => h.push(ev),
-            EventQueue::Bucket(b) => b.push(ev),
-        }
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<QueuedEvent> {
-        match self {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Bucket(b) => b.pop(),
-        }
-    }
-
-    /// Pending event count — the engine's queue-occupancy metric; both
-    /// implementations track it O(1).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Bucket(b) => b.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
 
     fn ev(time_h: f64, seq: u64) -> QueuedEvent {
         QueuedEvent {
@@ -268,8 +254,9 @@ mod tests {
     }
 
     /// Replays a time-forward push/pop trace (pushes only at or after the
-    /// last popped time, like the engine) against both queues and demands
-    /// identical pop sequences.
+    /// last popped time, like the engine) against a `BinaryHeap` and
+    /// demands identical pop sequences — the same check as the debug-build
+    /// shadow, made explicitly so release test runs make it too.
     fn ab_trace(width_h: f64, seed: u64) {
         let horizon = 100.0;
         let mut heap: BinaryHeap<QueuedEvent> = BinaryHeap::new();
@@ -373,5 +360,19 @@ mod tests {
         for s in 0..5 {
             assert_eq!(q.pop().unwrap().seq, s);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "calendar queue left (time_h, seq) order")]
+    fn shadow_heap_catches_a_misordered_pop() {
+        let mut q = BucketQueue::new(100.0, 4.0, 16);
+        for s in 0..3 {
+            q.push(ev(1.0 + s as f64, s));
+        }
+        // The first pop drains bucket 0 onto the stack: [3.0, 2.0] remain.
+        assert_eq!(q.pop().unwrap().seq, 0);
+        q.stack.swap(0, 1);
+        q.pop();
     }
 }

@@ -146,36 +146,6 @@ impl DimmPopulation {
     }
 }
 
-/// Which event-queue implementation the shard engine drives.
-///
-/// Schedulers are *observationally identical*: both fire events in
-/// ascending `(time, seq)` order, so `FleetStats` are byte-for-byte equal
-/// under either (pinned by the `sched_ab` tests). The knob is therefore a
-/// pure performance choice — it deliberately stays out of
-/// [`FleetSpec::fingerprint`], and checkpoints written under one
-/// scheduler resume under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The PR 3 reference scheduler: a `BinaryHeap` priority queue.
-    Heap,
-    /// Calendar/bucket queue keyed on scrub epochs (the default): O(1)
-    /// inserts into coarse time buckets (width defaults to the scrub
-    /// interval), per-bucket sort on drain, and same-tick scrub
-    /// detections batched at bucket heads.
-    #[default]
-    Bucket,
-}
-
-impl SchedulerKind {
-    /// Short registry-style name for reports and bench labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Bucket => "bucket",
-        }
-    }
-}
-
 /// What the operator does when a channel raises a detected-uncorrectable
 /// error (DUE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,13 +231,6 @@ pub struct FleetSpec {
     /// Channels per shard (tunes memory/parallelism granularity, not
     /// results *per shard stream*; see the runner's determinism notes).
     pub shard_channels: u32,
-    /// Event-queue implementation (performance-only; results are
-    /// byte-identical under either scheduler).
-    pub scheduler: SchedulerKind,
-    /// Calendar bucket width in hours for [`SchedulerKind::Bucket`];
-    /// `None` derives it from the population mix (the smallest scrub
-    /// interval, so each scrub epoch owns one bucket). Performance-only.
-    pub bucket_width_h: Option<f64>,
 }
 
 impl FleetSpec {
@@ -281,37 +244,18 @@ impl FleetSpec {
             policy: OperatorPolicy::None,
             populations: vec![DimmPopulation::paper("paper_1x")],
             shard_channels: DEFAULT_SHARD_CHANNELS,
-            scheduler: SchedulerKind::default(),
-            bucket_width_h: None,
         }
     }
 
-    /// Selects the event-queue implementation (results are byte-identical
-    /// under either; this is a performance knob).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Overrides the calendar bucket width in hours (bucket scheduler
-    /// only; performance knob, results unchanged).
-    pub fn bucket_width_h(mut self, hours: f64) -> Self {
-        assert!(hours > 0.0, "bucket width must be positive");
-        self.bucket_width_h = Some(hours);
-        self
-    }
-
-    /// The calendar bucket width in force: the explicit override, or the
-    /// smallest scrub interval in the population mix — one bucket per
-    /// scrub epoch, so a scrub tick's detection batch heads its bucket.
-    pub fn bucket_width_hours(&self) -> f64 {
-        self.bucket_width_h.unwrap_or_else(|| {
-            self.populations
-                .iter()
-                .map(|p| p.scrub_interval_h)
-                .fold(f64::INFINITY, f64::min)
-                .min(self.horizon_hours())
-        })
+    /// The engine's calendar bucket width: the smallest scrub interval in
+    /// the population mix, capped at the horizon — one bucket per scrub
+    /// epoch, so a scrub tick's detection batch heads its bucket.
+    pub(crate) fn bucket_width_hours(&self) -> f64 {
+        self.populations
+            .iter()
+            .map(|p| p.scrub_interval_h)
+            .fold(f64::INFINITY, f64::min)
+            .min(self.horizon_hours())
     }
 
     /// Sets the simulated horizon in years.
@@ -396,12 +340,9 @@ impl FleetSpec {
         self.populations.len() - 1
     }
 
-    /// Order-sensitive fingerprint of every result-affecting knob, used to
-    /// refuse resuming a checkpoint against a different spec.
-    ///
-    /// Deliberately excludes [`Self::scheduler`] and
-    /// [`Self::bucket_width_h`]: both schedulers produce byte-identical
-    /// results, so a checkpoint taken under one resumes under the other.
+    /// Order-sensitive fingerprint of every knob (all of them affect
+    /// results), used to refuse resuming a checkpoint against a different
+    /// spec.
     pub fn fingerprint(&self) -> u64 {
         let mut h = splitmix64(self.seed);
         let mut mix = |x: u64| h = splitmix64(h ^ x);
@@ -513,27 +454,17 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_scheduler_knobs() {
-        // Both schedulers yield byte-identical results, so a heap
-        // checkpoint must resume under the bucket scheduler and vice
-        // versa: the fingerprint may not see the knob.
-        let base = FleetSpec::baseline(1000);
-        let fp = base.fingerprint();
-        assert_eq!(
-            fp,
-            base.clone().scheduler(SchedulerKind::Heap).fingerprint()
-        );
-        assert_eq!(fp, base.clone().bucket_width_h(12.0).fingerprint());
-    }
-
-    #[test]
     fn bucket_width_defaults_to_smallest_scrub_interval() {
         let spec = FleetSpec::baseline(100).populations(vec![
             DimmPopulation::paper("slow").scrub_interval_h(12.0),
             DimmPopulation::paper("fast").scrub_interval_h(2.0),
         ]);
         assert_eq!(spec.bucket_width_hours(), 2.0);
-        assert_eq!(spec.clone().bucket_width_h(7.5).bucket_width_hours(), 7.5);
+        // A scrub interval past the horizon is capped at it.
+        let sparse = FleetSpec::baseline(100)
+            .years(1.0)
+            .populations(vec![DimmPopulation::paper("p").scrub_interval_h(1e6)]);
+        assert_eq!(sparse.bucket_width_hours(), sparse.horizon_hours());
     }
 
     #[test]
@@ -590,6 +521,8 @@ mod tests {
         let base = FleetSpec::baseline(1000);
         let fp = base.fingerprint();
         assert_eq!(fp, FleetSpec::baseline(1000).fingerprint());
+        assert_ne!(fp, FleetSpec::baseline(1001).fingerprint());
+        assert_ne!(fp, base.clone().shard_channels(512).fingerprint());
         assert_ne!(fp, base.clone().seed(9).fingerprint());
         assert_ne!(fp, base.clone().years(5.0).fingerprint());
         assert_ne!(

@@ -250,8 +250,8 @@ impl FleetStats {
 
     /// Bit-level equality across every field — stricter than `PartialEq`
     /// for the float sums (`-0.0 == 0.0` and such round-trips are *not*
-    /// forgiven). This is the predicate the scheduler A/B tests pin:
-    /// heap and bucket runs of one spec must satisfy it.
+    /// forgiven). This is the predicate the determinism tests pin:
+    /// parallel vs sequential, resumed vs one-shot, replay vs synthetic.
     pub fn bitwise_eq(&self, other: &FleetStats) -> bool {
         let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
         let vec_bits =

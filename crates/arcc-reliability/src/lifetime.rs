@@ -58,11 +58,7 @@ impl OverheadModel {
 
     /// Overhead for one mode.
     pub fn overhead(&self, mode: FaultMode) -> f64 {
-        let idx = FaultMode::ALL
-            .iter()
-            .position(|m| *m == mode)
-            .expect("every mode is in ALL");
-        self.by_mode[idx]
+        self.by_mode[mode as usize]
     }
 }
 

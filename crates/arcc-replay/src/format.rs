@@ -317,10 +317,7 @@ impl FaultLog {
             ));
         }
         for (dimm, ev) in &self.faults {
-            let mode = MODE_TOKENS[FaultMode::ALL
-                .iter()
-                .position(|m| *m == ev.mode)
-                .expect("every mode is in ALL")];
+            let mode = MODE_TOKENS[ev.mode as usize];
             let rank = ev.rank.map(|r| r.to_string()).unwrap_or("*".to_string());
             out.push_str(&format!(
                 "fault {} {} {mode} {} {rank} {} {} {} {}\n",

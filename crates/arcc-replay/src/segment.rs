@@ -110,9 +110,11 @@ impl FaultLog {
     }
 
     /// Parses `text` as a standalone segment document and appends it:
-    /// the one-call ingestion entry point a long-lived service wants.
-    /// Parse failures and contract violations are both [`SegmentError`]s
-    /// and leave the log unchanged.
+    /// the one-call ingestion entry point a long-lived service wants. On
+    /// success, records the [`FaultLog::parse_recorded`] parse counters
+    /// plus a `replay.ingest.segments` counter into `rec`. Failed ingests
+    /// (parse errors and contract violations alike) record nothing and
+    /// leave the log unchanged.
     ///
     /// # Errors
     ///
@@ -120,24 +122,6 @@ impl FaultLog {
     /// otherwise as for [`FaultLog::append_segment`].
     #[allow(clippy::type_complexity)]
     pub fn ingest_segment(
-        &mut self,
-        text: &str,
-    ) -> Result<(Vec<u32>, Vec<Vec<FaultEvent>>), SegmentError> {
-        let segment = FaultLog::parse(text).map_err(SegmentError::Parse)?;
-        self.append_segment(&segment)
-    }
-
-    /// [`Self::ingest_segment`] with ingest metrics: on success, records
-    /// the [`FaultLog::parse_recorded`] parse counters plus a
-    /// `replay.ingest.segments` counter into `rec`. Failed ingests (parse
-    /// errors and contract violations alike) record nothing and leave the
-    /// log unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Self::ingest_segment`].
-    #[allow(clippy::type_complexity)]
-    pub fn ingest_segment_recorded(
         &mut self,
         text: &str,
         rec: &mut dyn arcc_obs::Recorder,
@@ -320,7 +304,7 @@ mod tests {
         let mut acc = segments[0].clone();
         let mut rec = SnapshotRecorder::new();
         for seg in &segments[1..] {
-            acc.ingest_segment_recorded(&seg.to_text(), &mut rec)
+            acc.ingest_segment(&seg.to_text(), &mut rec)
                 .expect("ingest");
         }
         assert_eq!(acc, log);
@@ -333,7 +317,7 @@ mod tests {
         // A refused segment (duplicate dimms) records nothing.
         let before = rec.snapshot().clone();
         assert!(acc
-            .ingest_segment_recorded(&segments[0].to_text(), &mut rec)
+            .ingest_segment(&segments[0].to_text(), &mut rec)
             .is_err());
         assert_eq!(rec.snapshot(), &before);
     }

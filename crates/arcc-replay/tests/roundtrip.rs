@@ -5,12 +5,11 @@
 //! (no redraw ever differs), and within the golden ±2pp tolerance on
 //! DUE/SDC probabilities under repair policies (where synthetic mode
 //! redraws arrivals for replaced DIMMs while replay redelivers the
-//! observed stream). Replay must also work under both schedulers and
-//! across checkpoint/resume.
+//! observed stream). Replay must also work across checkpoint/resume.
 
 use arcc_fleet::{
     run_fleet, run_replay, run_until, DimmPopulation, FleetCheckpoint, FleetSpec, FleetStats,
-    OperatorPolicy, SchedulerKind,
+    OperatorPolicy,
 };
 use arcc_obs::NoopRecorder;
 use arcc_replay::{fit_spec, generate_log, FaultLog};
@@ -40,36 +39,32 @@ fn replay_of_generated_log_is_bit_identical_under_no_repair() {
     let arrivals = ingest(&spec);
     let synthetic = run_fleet(4, &spec);
     assert!(synthetic.faults > 1_000, "need a busy fleet");
-    for sched in [SchedulerKind::Bucket, SchedulerKind::Heap] {
-        let replayed = run_replay(4, &spec.clone().scheduler(sched), &arrivals).expect("replay");
-        assert!(
-            synthetic.bitwise_eq(&replayed),
-            "{}: replay diverged from synthetic\nsynthetic: {synthetic:?}\nreplayed: {replayed:?}",
-            sched.name()
-        );
-    }
+    let replayed = run_replay(4, &spec, &arrivals).expect("replay");
+    assert!(
+        synthetic.bitwise_eq(&replayed),
+        "replay diverged from synthetic\nsynthetic: {synthetic:?}\nreplayed: {replayed:?}"
+    );
     // Thread count must not matter either.
     let sequential = run_replay(1, &spec, &arrivals).expect("replay");
     assert!(synthetic.bitwise_eq(&sequential));
 }
 
 #[test]
-fn replay_checkpoint_resume_crosses_schedulers() {
+fn replay_checkpoint_resumes_through_text() {
     let spec = hot_spec(1_500, 8.0);
     let arrivals = ingest(&spec);
     let full = run_replay(2, &spec, &arrivals).expect("replay");
-    // Stop after one shard under the bucket scheduler, round-trip the
-    // checkpoint through text, resume under the heap scheduler.
+    // Stop after one shard, round-trip the checkpoint through text, and
+    // resume to the end.
     let (log, noop) = (Some(&arrivals), &mut NoopRecorder);
     let start = FleetCheckpoint::start_replay(&spec, &arrivals);
     let half = run_until(2, &spec, log, start, 1, noop).expect("prefix");
     assert_eq!(half.shards_done, 1);
     let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("checkpoint text");
-    let heap = spec.clone().scheduler(SchedulerKind::Heap);
-    let resumed = run_until(2, &heap, log, parsed, u64::MAX, noop).expect("resume");
+    let resumed = run_until(2, &spec, log, parsed, u64::MAX, noop).expect("resume");
     assert!(
         full.bitwise_eq(&resumed.stats),
-        "checkpoint resume across schedulers diverged"
+        "checkpoint resume diverged"
     );
 }
 

@@ -388,7 +388,10 @@ impl Service {
                 ));
                 Ok(out)
             }
-            "quit" => Ok(render_quit()),
+            "quit" => {
+                expect_keys(cmd, &args, &[])?;
+                Ok(render_quit())
+            }
             other => Err(ServeError::Protocol {
                 detail: format!("unknown command {other:?}"),
             }),
@@ -680,6 +683,7 @@ mod tests {
             ("query-stats branch", "not key=value"),
             ("query-stats branch=a branch=b", "duplicate argument"),
             ("query-stats lines=3", "does not take"),
+            ("quit now=1", "does not take"),
             ("fork name=x", "needs policy=<value>"),
             ("ingest lines=0", "out of range"),
             ("ingest lines=no", "not a line count"),
@@ -717,7 +721,8 @@ mod tests {
         script.push_str("# transcript-style session\n\n");
         script.push_str(&format!("ingest lines={}\n", segments[0].lines().count()));
         script.push_str(&segments[0]);
-        script.push_str("status\nquit\n");
+        // `quit` with arguments is refused and does not end the session.
+        script.push_str("quit now=1\nstatus\nquit\n");
         script.push_str("query-stats\n"); // after quit: must not be answered
 
         let mut output = Vec::new();
@@ -727,10 +732,16 @@ mod tests {
             .expect("in-memory transport");
         let out = String::from_utf8(output).expect("utf8");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(lines.len(), 4, "{out}");
         assert!(lines[0].starts_with("{\"ok\":true,\"cmd\":\"ingest\""));
-        assert!(lines[1].starts_with("{\"ok\":true,\"cmd\":\"status\""));
-        assert_eq!(lines[2], "{\"ok\":true,\"cmd\":\"quit\"}");
+        assert!(
+            lines[1].starts_with("{\"ok\":false,\"error\":{\"kind\":\"Protocol\"")
+                && lines[1].contains("does not take"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].starts_with("{\"ok\":true,\"cmd\":\"status\""));
+        assert_eq!(lines[3], "{\"ok\":true,\"cmd\":\"quit\"}");
     }
 
     #[test]

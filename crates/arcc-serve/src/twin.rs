@@ -640,8 +640,7 @@ impl TwinEngine {
                 self.arrivals = arrivals;
             }
             Some(log) => {
-                let (populations, per_channel) =
-                    log.ingest_segment_recorded(text, &mut self.obs)?;
+                let (populations, per_channel) = log.ingest_segment(text, &mut self.obs)?;
                 self.arrivals.extend(populations, per_channel)?;
             }
         }
