@@ -363,6 +363,34 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_time_ties_with_zero_in_seq_order() {
+        // A replay log may carry a `-0` arrival time (the parser accepts
+        // it). It must tie with `0` and keep schedule order, which
+        // `f64::total_cmp` would break by putting `-0.0` first.
+        let mut q = BucketQueue::new(10.0, 1.0, 4);
+        q.push(ev(0.0, 0));
+        q.push(ev(-0.0, 1));
+        q.push(ev(0.0, 2));
+        for s in 0..3 {
+            assert_eq!(q.pop().unwrap().seq, s);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "calendar queue left (time_h, seq) order")]
+    fn shadow_heap_catches_a_lost_event() {
+        let mut q = BucketQueue::new(100.0, 4.0, 16);
+        q.push(ev(1.0, 0));
+        q.push(ev(9.0, 1));
+        // The calendar loses count of its last pending event: it reports
+        // empty while the shadow still holds the event.
+        q.len -= 1;
+        assert_eq!(q.pop().unwrap().seq, 0);
+        q.pop();
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "calendar queue left (time_h, seq) order")]
     fn shadow_heap_catches_a_misordered_pop() {
