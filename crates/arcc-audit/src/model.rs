@@ -215,7 +215,7 @@ impl<'s> Parser<'s> {
             match trees.get(*i) {
                 Some(t @ Tree::Leaf(ti)) if self.toks[*ti].kind == TokKind::DocOuter => {
                     p.has_doc = true;
-                    p.start.get_or_insert(self.tok(t).start);
+                    p.start.get_or_insert_with(|| self.tok(t).start);
                     *i += 1;
                 }
                 Some(Tree::Leaf(ti)) if self.toks[*ti].kind == TokKind::DocInner => {

@@ -126,9 +126,9 @@ impl FaultLog {
         text: &str,
         rec: &mut dyn arcc_obs::Recorder,
     ) -> Result<(Vec<u32>, Vec<Vec<FaultEvent>>), SegmentError> {
-        let segment = FaultLog::parse(text).map_err(SegmentError::Parse)?;
+        let (segment, lines) = FaultLog::parse_counted(text).map_err(SegmentError::Parse)?;
         let slices = self.append_segment(&segment)?;
-        rec.counter_add("replay.parse.lines", text.lines().count() as u64);
+        rec.counter_add("replay.parse.lines", lines as u64);
         rec.counter_add("replay.parse.classes", segment.classes.len() as u64);
         rec.counter_add("replay.parse.dimms", segment.dimms.len() as u64);
         rec.counter_add("replay.parse.faults", segment.faults.len() as u64);

@@ -9,16 +9,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const VALID: &str = "arcc-fault-log v1\n\
-                     years 7\n\
-                     class cold 4 4\n\
-                     class hot 2 16\n\
-                     dimm d0 cold\n\
-                     dimm d1 hot\n\
-                     fault d1 10.5 bit T 0 3 2 100 5\n\
-                     fault d1 900 lane P * 7 * * *\n\
-                     fault d0 61319.9 column P 1 35 3 * h1\n\
-                     end\n";
+/// The fixture every edge case edits; `arcc-replay`'s differential
+/// parser test mutates it too.
+const VALID: &str = include_str!("fixtures/edges.log");
 
 #[test]
 fn the_fixture_itself_parses() {
