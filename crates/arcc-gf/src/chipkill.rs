@@ -190,6 +190,10 @@ impl std::error::Error for LineError {
     }
 }
 
+/// Most codewords (beats) whose LFSRs run interleaved: the registers are
+/// independent, so their step latencies overlap.
+const LANES: usize = 4;
+
 /// Encoder/decoder for a whole line under one chipkill organisation.
 #[derive(Debug, Clone)]
 pub struct LineCodec {
@@ -299,26 +303,77 @@ impl LineCodec {
                 got: data.len(),
             });
         }
-        let mut symbols = vec![0u8; self.devices * self.beats];
-        let mut cw_data = vec![0u8; self.data_devices];
-        for beat in 0..self.beats {
-            // Beat b carries data bytes [b*k, (b+1)*k): consecutive bytes map
-            // to consecutive devices, matching the bus interleaving.
-            cw_data
-                .copy_from_slice(&data[beat * self.data_devices..(beat + 1) * self.data_devices]);
-            let parity = self.rs.encode(&cw_data).expect("length checked above");
-            for d in 0..self.data_devices {
-                symbols[d * self.beats + beat] = cw_data[d];
-            }
-            for (i, &p) in parity.iter().enumerate() {
-                symbols[(self.data_devices + i) * self.beats + beat] = p;
-            }
+        let beats = self.beats;
+        let mut symbols = vec![0u8; self.devices * beats];
+        let (data_syms, check_syms) = symbols.split_at_mut(self.data_devices * beats);
+        let mut b0 = 0;
+        while b0 < beats {
+            b0 += match beats - b0 {
+                1 => self.encode_beats::<1>(data, data_syms, check_syms, b0),
+                2 | 3 => self.encode_beats::<2>(data, data_syms, check_syms, b0),
+                _ => self.encode_beats::<LANES>(data, data_syms, check_syms, b0),
+            };
         }
         Ok(EncodedLine {
             symbols,
             devices: self.devices,
-            beats: self.beats,
+            beats,
         })
+    }
+
+    /// Encodes beats `b0..b0 + W` of `data` into the device-major data
+    /// and check symbol storage, their LFSRs interleaved; returns `W`.
+    fn encode_beats<const W: usize>(
+        &self,
+        data: &[u8],
+        data_syms: &mut [u8],
+        check_syms: &mut [u8],
+        b0: usize,
+    ) -> usize {
+        let (k, beats) = (self.data_devices, self.beats);
+        // Beat b carries data bytes [b*k, (b+1)*k): consecutive bytes map
+        // to consecutive devices, matching the bus interleaving.
+        let rows: [&[u8]; W] = std::array::from_fn(|w| &data[(b0 + w) * k..][..k]);
+        self.rs.encode_lanes(
+            |i| {
+                let s = rows.map(|row| row[i]);
+                data_syms[i * beats + b0..][..W].copy_from_slice(&s);
+                s
+            },
+            |w, j, p| check_syms[j * beats + b0 + w] = p,
+        );
+        W
+    }
+
+    /// True when any beat of `line` has a non-zero residue, i.e. is not a
+    /// codeword.
+    fn any_residue(&self, line: &EncodedLine) -> bool {
+        let beats = self.beats;
+        let mut any = 0u8;
+        let mut b0 = 0;
+        while b0 < beats {
+            b0 += match beats - b0 {
+                1 => self.residue_beats::<1>(line, b0, &mut any),
+                2 | 3 => self.residue_beats::<2>(line, b0, &mut any),
+                _ => self.residue_beats::<LANES>(line, b0, &mut any),
+            };
+        }
+        any != 0
+    }
+
+    /// ORs the residues of beats `b0..b0 + W` of `line` into `any`, their
+    /// LFSRs interleaved; returns `W`.
+    fn residue_beats<const W: usize>(&self, line: &EncodedLine, b0: usize, any: &mut u8) -> usize {
+        let beats = self.beats;
+        self.rs.residue_lanes(
+            |i| {
+                let mut s = [0u8; W];
+                s.copy_from_slice(&line.symbols[i * beats + b0..][..W]);
+                s
+            },
+            |_, _, r| *any |= r,
+        );
+        W
     }
 
     /// Decodes every codeword of the line in place.
@@ -345,16 +400,23 @@ impl LineCodec {
     ) -> Result<LineOutcome, LineError> {
         assert_eq!(line.devices, self.devices, "device count mismatch");
         assert_eq!(line.beats, self.beats, "beat count mismatch");
+        // Clean lines (nearly every read) return after the residue check,
+        // once the erasures pass the checks the per-beat decode makes.
+        self.rs.erasure_set(erased_devices);
+        if erased_devices.len() <= self.check_symbols() && !self.any_residue(line) {
+            return Ok(LineOutcome::default());
+        }
         let mut corrected_devices = Vec::new();
         let mut symbols_corrected = 0usize;
-        let mut cw = vec![0u8; self.devices];
+        let mut buf = [0u8; 256];
+        let cw = &mut buf[..self.devices];
         for beat in 0..self.beats {
             for (d, slot) in cw.iter_mut().enumerate() {
                 *slot = line.symbols[d * self.beats + beat];
             }
             match self
                 .rs
-                .decode_with_limit(&mut cw, erased_devices, max_errors_per_cw)
+                .decode_with_limit(cw, erased_devices, max_errors_per_cw)
             {
                 Ok(outcome) => {
                     for c in outcome.corrections() {
@@ -384,16 +446,7 @@ impl LineCodec {
     pub fn detect_line(&self, line: &EncodedLine) -> bool {
         assert_eq!(line.devices, self.devices, "device count mismatch");
         assert_eq!(line.beats, self.beats, "beat count mismatch");
-        let mut cw = vec![0u8; self.devices];
-        for beat in 0..self.beats {
-            for (d, slot) in cw.iter_mut().enumerate() {
-                *slot = line.symbols[d * self.beats + beat];
-            }
-            if self.rs.detect(&cw) {
-                return true;
-            }
-        }
-        false
+        self.any_residue(line)
     }
 
     /// Extracts the data payload from an encoded line (no checking).
@@ -619,5 +672,38 @@ mod tests {
     #[test]
     fn zero_beats_rejected() {
         assert!(LineCodec::new(18, 16, 0).is_err());
+    }
+
+    #[test]
+    fn interleaved_beats_match_one_codeword_at_a_time() {
+        // Beat counts that split into 4-, 2- and 1-beat chunks, and codes
+        // with more than 8 check symbols (the multi-word register).
+        for (n, k, beats) in [
+            (18, 16, 1),
+            (18, 16, 3),
+            (36, 32, 5),
+            (72, 64, 7),
+            (40, 20, 4),
+            (255, 223, 2),
+        ] {
+            let codec = LineCodec::new(n, k, beats).unwrap();
+            let data: Vec<u8> = (0..codec.data_bytes())
+                .map(|i| (i * 151 + n) as u8)
+                .collect();
+            let clean = codec.encode_line(&data).unwrap();
+            for (b, cw_data) in data.chunks_exact(k).enumerate() {
+                let cw: Vec<u8> = (0..n).map(|d| clean.symbol(d, b)).collect();
+                assert_eq!(cw, codec.code().encode_to_codeword(cw_data).unwrap());
+            }
+            assert!(!codec.detect_line(&clean));
+            for b in 0..beats {
+                let mut enc = clean.clone();
+                enc.corrupt_symbol((b * 7) % n, b, 0x5c);
+                assert!(codec.detect_line(&enc), "RS({n},{k}) x{beats}, beat {b}");
+                let out = codec.decode_line(&mut enc, &[], 1).unwrap();
+                assert_eq!(out.corrected_devices, vec![(b * 7) % n]);
+                assert_eq!(enc, clean);
+            }
+        }
     }
 }

@@ -771,10 +771,9 @@ impl Codec for TwoTierSecDed {
             });
         }
         let mut line = EncodedLine::from_symbols(vec![0u8; TT_DEV * TT_BEATS], TT_DEV, TT_BEATS);
-        let mut cw_data = [0u8; 16];
-        for b in 0..TT_DATA_BEATS {
-            cw_data.copy_from_slice(&data[b * 16..(b + 1) * 16]);
-            let parity = self.rs.encode(&cw_data)?;
+        let mut parity = [0u8; 2];
+        for (b, cw_data) in data.chunks_exact(16).enumerate() {
+            self.rs.encode_into(cw_data, &mut parity)?;
             for (d, &s) in cw_data.iter().enumerate() {
                 line.set_symbol(d, b, s);
             }

@@ -1,12 +1,11 @@
 //! Finite fields of characteristic 2 used by the chipkill codes.
 //!
-//! Elements are stored in the low bits of a `u8`. Arithmetic uses
-//! lazily-built log/exp tables (built once per process via `OnceLock`), the
-//! same structure a hardware EDAC controller would bake into combinational
-//! logic.
+//! Elements are stored in the low bits of a `u8`. Arithmetic uses log/exp
+//! tables built at compile time by `const fn`s — no lazy build, no
+//! `OnceLock` — the same structure a hardware EDAC controller would bake
+//! into combinational logic.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A binary extension field GF(2^m) with `m <= 8`, element values in
 /// `0..ORDER`.
@@ -119,34 +118,50 @@ pub trait GaloisField: Copy + Clone + fmt::Debug + Eq + Send + Sync + 'static {
 
 /// Exp/log lookup tables for one field.
 ///
-/// `exp` has length `2 * GROUP_ORDER` so products of two logs index without
-/// a modulo.
+/// `exp` is long enough that the sum of two logs indexes it without a
+/// modulo: GF(2^8)'s holds 512 entries, so `log[a] + log[b]` (two `u8`s)
+/// never needs a bounds check. GF(2^4)'s tables are sized to that field,
+/// so a symbol outside it still panics on lookup.
 #[derive(Debug)]
 pub struct Tables {
-    /// `exp[i] = alpha^i` for `i in 0..2*GROUP_ORDER`.
-    pub exp: Vec<u8>,
+    /// `exp[i] = alpha^(i mod GROUP_ORDER)`.
+    pub exp: &'static [u8],
     /// `log[a]` for `a in 1..ORDER`; `log[0]` is unused (set to 0).
-    pub log: Vec<u8>,
+    pub log: &'static [u8],
 }
 
-fn build_tables(order: usize, prim_poly: u16) -> Tables {
+/// `alpha^(i mod (order - 1))` for every `i < N`, with `alpha = x` reduced
+/// by `prim_poly`.
+const fn exp_table<const N: usize>(order: usize, prim_poly: u16) -> [u8; N] {
     let group = order - 1;
-    let mut exp = vec![0u8; 2 * group];
-    let mut log = vec![0u8; order];
+    let mut exp = [0u8; N];
     let mut x: u16 = 1;
-    for (i, slot) in exp.iter_mut().enumerate().take(group) {
-        *slot = x as u8;
-        log[x as usize] = i as u8;
+    let mut i = 0;
+    while i < group {
+        exp[i] = x as u8;
         x <<= 1;
         if x & order as u16 != 0 {
             x ^= prim_poly;
         }
-        x &= (order - 1) as u16 | (order as u16 - 1); // keep within field width
+        i += 1;
     }
-    for i in group..2 * group {
+    while i < N {
         exp[i] = exp[i - group];
+        i += 1;
     }
-    Tables { exp, log }
+    exp
+}
+
+/// The inverse of [`exp_table`] over the `N = order` field elements.
+const fn log_table<const N: usize>(prim_poly: u16) -> [u8; N] {
+    let exp = exp_table::<N>(N, prim_poly);
+    let mut log = [0u8; N];
+    let mut i = 0;
+    while i < N - 1 {
+        log[exp[i] as usize] = i as u8;
+        i += 1;
+    }
+    log
 }
 
 /// GF(2^8), primitive polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).
@@ -162,9 +177,15 @@ impl GaloisField for Gf256 {
     const ORDER: usize = 256;
     const PRIM_POLY: u16 = 0x11d;
 
+    #[inline]
     fn tables() -> &'static Tables {
-        static T: OnceLock<Tables> = OnceLock::new();
-        T.get_or_init(|| build_tables(Gf256::ORDER, Gf256::PRIM_POLY))
+        // A `const`, not a `static`: every inlined lookup sees the table
+        // lengths, so GF(2^8)'s u8 indices compile without bounds checks.
+        const T: Tables = Tables {
+            exp: &exp_table::<512>(Gf256::ORDER, Gf256::PRIM_POLY),
+            log: &log_table::<256>(Gf256::PRIM_POLY),
+        };
+        &T
     }
 }
 
@@ -180,9 +201,13 @@ impl GaloisField for Gf16 {
     const ORDER: usize = 16;
     const PRIM_POLY: u16 = 0x13;
 
+    #[inline]
     fn tables() -> &'static Tables {
-        static T: OnceLock<Tables> = OnceLock::new();
-        T.get_or_init(|| build_tables(Gf16::ORDER, Gf16::PRIM_POLY))
+        const T: Tables = Tables {
+            exp: &exp_table::<30>(Gf16::ORDER, Gf16::PRIM_POLY),
+            log: &log_table::<16>(Gf16::PRIM_POLY),
+        };
+        &T
     }
 }
 
@@ -303,6 +328,17 @@ mod tests {
                 acc = Gf256::mul(acc, a);
             }
         }
+    }
+
+    #[test]
+    fn gf16_tables_are_sized_to_the_field() {
+        // GF(2^8)'s u8 log sums index its 512-entry exp table unchecked,
+        // while a symbol outside GF(2^4) still fails its table lookup.
+        assert_eq!(Gf256::tables().exp.len(), 512);
+        assert_eq!(Gf16::tables().log.len(), Gf16::ORDER);
+        assert!(std::panic::catch_unwind(|| Gf16::mul(16, 3)).is_err());
+        assert!(std::panic::catch_unwind(|| Gf16::inv(16)).is_err());
+        assert_eq!(Gf16::mul(15, 15), Gf16::pow(15, 2));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! Chien search, and Forney's algorithm, plus a *policy limit* on the number
 //! of corrected errors so that schemes which deliberately under-use a code's
 //! correction power (e.g. SCCDCD's correct-1/detect-2) can be expressed.
+//!
+//! The kernels are table-driven, since nearly every line a server reads is
+//! clean: encoding is a packed LFSR with one feedback-row lookup per data
+//! symbol, a word is checked by re-encoding its data and comparing check
+//! symbols (the residue, as an EDAC controller does), and only a non-zero
+//! residue reaches the error path, which runs over fixed stack buffers.
 
 use std::fmt;
 
@@ -164,14 +170,124 @@ impl DecodeOutcome {
 ///
 /// The first `k` symbols of a codeword are the data symbols, the trailing
 /// `n - k` are check symbols. First consecutive root is `alpha^1`.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ReedSolomon<F: GaloisField> {
     n: usize,
     k: usize,
     genpoly: Poly<F>,
+    /// Encoder feedback rows: row `f` is `f * g(x)` below its `x^(n-k)`
+    /// term, packed into the register layout of [`step`].
+    taps: Taps,
+}
+
+impl<F: GaloisField> fmt::Debug for ReedSolomon<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The tables are a pure function of these three fields.
+        f.debug_struct("ReedSolomon")
+            .field("n", &self.n)
+            .field("k", &self.k)
+            .field("genpoly", &self.genpoly)
+            .finish()
+    }
 }
 
 const FCR: i64 = 1;
+
+/// Coefficient slots of every fixed-size buffer: polynomials of the
+/// error path have degree at most `n - k <= 254`, and codewords hold at
+/// most 255 symbols.
+const SLOTS: usize = 256;
+
+/// Register words of a code with more than 8 check symbols: 254 check
+/// symbols need 32 words of 8 byte lanes.
+const WIDE: usize = 32;
+
+/// The encoder feedback rows, one per field element.
+#[derive(Debug, Clone)]
+enum Taps {
+    /// `n - k <= 8`: a row (and the register) is one word.
+    Narrow(Box<[[u64; 1]]>),
+    /// Wider codes: the same LFSR over a [`WIDE`]-word register.
+    Wide(Box<[[u64; WIDE]]>),
+}
+
+/// Builds the feedback rows: row `f` holds `f * g_(r-1-i)` in lane `i`
+/// for `r = n - k`. Multiplying by `g` is GF(2)-linear in `f`, so only
+/// the `BITS` basis rows need field multiplies: once rows `0..2^b` are
+/// done, row `2^b + f` is row `f` XOR basis row `2^b`.
+fn build_taps<F: GaloisField, const L: usize>(genpoly: &Poly<F>, nroots: usize) -> Box<[[u64; L]]> {
+    let mut rows = vec![[0u64; L]; F::ORDER];
+    for bit in 0..F::BITS {
+        let f = 1usize << bit;
+        let mut basis = [0u64; L];
+        for i in 0..nroots {
+            let c = F::mul(f as u8, genpoly.coeff(nroots - 1 - i));
+            basis[i / 8] |= u64::from(c) << (56 - 8 * (i % 8));
+        }
+        let (done, next) = rows.split_at_mut(f);
+        for (row, prev) in next.iter_mut().zip(done) {
+            for w in 0..L {
+                row[w] = prev[w] ^ basis[w];
+            }
+        }
+    }
+    rows.into_boxed_slice()
+}
+
+/// One encoder LFSR step on a packed register: check symbol `i` sits in
+/// byte lane `i % 8` of word `i / 8`, counting from the most significant
+/// byte, so lane 0 of word 0 is the top symbol. The step shifts every
+/// symbol up one lane and adds the feedback row of `d ^ top`.
+#[inline(always)]
+fn step<const L: usize>(reg: &mut [u64; L], taps: &[[u64; L]], d: u8) {
+    let row = &taps[usize::from(d ^ (reg[0] >> 56) as u8)];
+    for w in 0..L - 1 {
+        reg[w] = (reg[w] << 8 | reg[w + 1] >> 56) ^ row[w];
+    }
+    reg[L - 1] = (reg[L - 1] << 8) ^ row[L - 1];
+}
+
+/// Runs `W` independent encoder LFSRs interleaved over data symbols
+/// `0..k`, so the step latencies of the codewords overlap: `sym(i)` holds
+/// symbol `i` of every codeword, and check symbol `j` of codeword `w`
+/// goes to `check(w, j, symbol)`.
+#[inline(always)]
+fn run_lfsr<const L: usize, const W: usize>(
+    taps: &[[u64; L]],
+    k: usize,
+    nroots: usize,
+    mut sym: impl FnMut(usize) -> [u8; W],
+    mut check: impl FnMut(usize, usize, u8),
+) {
+    let mut regs = [[0u64; L]; W];
+    for i in 0..k {
+        let s = sym(i);
+        for (reg, &d) in regs.iter_mut().zip(&s) {
+            step(reg, taps, d);
+        }
+    }
+    for j in 0..nroots {
+        for (w, reg) in regs.iter().enumerate() {
+            check(w, j, (reg[j / 8] >> (56 - 8 * (j % 8))) as u8);
+        }
+    }
+}
+
+/// Horner evaluation of the little-endian coefficients `p` at `x`.
+#[inline]
+fn eval<F: GaloisField>(p: &[u8], x: u8) -> u8 {
+    p.iter().rev().fold(0, |acc, &c| F::add(F::mul(acc, x), c))
+}
+
+/// Declared erasure positions as a bitset over `0..n` (`n <= 255`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ErasureSet([u64; 4]);
+
+impl ErasureSet {
+    fn contains(&self, p: usize) -> bool {
+        self.0[p / 64] >> (p % 64) & 1 == 1
+    }
+}
 
 impl<F: GaloisField> ReedSolomon<F> {
     /// Creates an `RS(n, k)` code.
@@ -191,7 +307,17 @@ impl<F: GaloisField> ReedSolomon<F> {
             let root = F::alpha_pow(FCR + i as i64);
             genpoly = genpoly.mul(&Poly::from_coeffs(vec![root, 1]));
         }
-        Ok(Self { n, k, genpoly })
+        let taps = if nroots <= 8 {
+            Taps::Narrow(build_taps(&genpoly, nroots))
+        } else {
+            Taps::Wide(build_taps(&genpoly, nroots))
+        };
+        Ok(Self {
+            n,
+            k,
+            genpoly,
+            taps,
+        })
     }
 
     /// Codeword length in symbols.
@@ -226,33 +352,114 @@ impl<F: GaloisField> ReedSolomon<F> {
         F::alpha_pow((self.n - 1 - j) as i64)
     }
 
-    /// Computes the `n - k` check symbols for `data` (length `k`).
+    /// The inverse locators `X_j^-1 = alpha^(j+1-n)` of positions `0..n`:
+    /// a window of the exp table, which runs past `alpha^GROUP_ORDER`.
+    #[inline]
+    fn inv_locs(&self) -> &'static [u8] {
+        &F::tables().exp[F::GROUP_ORDER + 1 - self.n..][..self.n]
+    }
+
+    /// Encodes `W` interleaved codewords: `sym(i)` holds data symbol `i`
+    /// (`i < k`) of every codeword, and check symbol `j` of codeword `w`
+    /// goes to `check(w, j, symbol)`.
+    #[inline(always)]
+    pub(crate) fn encode_lanes<const W: usize>(
+        &self,
+        sym: impl FnMut(usize) -> [u8; W],
+        check: impl FnMut(usize, usize, u8),
+    ) {
+        let nroots = self.nroots();
+        // One row per field element: a symbol outside the field panics on
+        // lookup, and GF(2^8)'s u8 feedback needs no bounds check.
+        match &self.taps {
+            Taps::Narrow(taps) => run_lfsr(&taps[..F::ORDER], self.k, nroots, sym, check),
+            Taps::Wide(taps) => run_lfsr(&taps[..F::ORDER], self.k, nroots, sym, check),
+        }
+    }
+
+    /// Residues of `W` interleaved words: `sym(i)` holds symbol `i` (`i <
+    /// n`) of every word, and `out(w, j, r)` receives word `w`'s
+    /// re-encoded check symbol `j` XOR its stored one. A word is a
+    /// codeword exactly when its residue is zero, which is what an EDAC
+    /// controller computes.
+    #[inline(always)]
+    pub(crate) fn residue_lanes<const W: usize>(
+        &self,
+        sym: impl Fn(usize) -> [u8; W],
+        mut out: impl FnMut(usize, usize, u8),
+    ) {
+        let k = self.k;
+        self.encode_lanes(&sym, |w, j, p| out(w, j, p ^ sym(k + j)[w]));
+    }
+
+    /// Residue of one codeword into `res[..n-k]`; true when it is non-zero.
+    fn residue(&self, cw: &[u8], res: &mut [u8; SLOTS]) -> bool {
+        let mut any = 0u8;
+        self.residue_lanes(
+            |i| [cw[i]],
+            |_, j, r| {
+                res[j] = r;
+                any |= r;
+            },
+        );
+        any != 0
+    }
+
+    /// The `n - k` syndromes `S_i = c(alpha^(FCR+i))` from the residue
+    /// `R(x) = c(x) mod g(x)`: `g` vanishes at every root, so `S_i =
+    /// R(alpha^(FCR+i))`, `(n-k)^2` multiplies instead of `n(n-k)`.
+    fn residue_syndromes(&self, res: &[u8; SLOTS], synd: &mut [u8]) {
+        let res = &res[..self.nroots()];
+        for (i, slot) in synd.iter_mut().enumerate() {
+            let x = F::alpha_pow(FCR + i as i64);
+            // The residue is in transmission order: res[0] is the highest power.
+            *slot = res.iter().fold(0, |acc, &r| F::add(F::mul(acc, x), r));
+        }
+    }
+
+    /// Checks declared erasures (every position `< n`, none repeated) and
+    /// returns them as a set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range or duplicated position.
+    pub(crate) fn erasure_set(&self, erasures: &[usize]) -> ErasureSet {
+        let mut seen = ErasureSet::default();
+        for &p in erasures {
+            assert!(p < self.n, "erasure position {p} out of range");
+            assert!(!seen.contains(p), "duplicate erasure position {p}");
+            seen.0[p / 64] |= 1 << (p % 64);
+        }
+        seen
+    }
+
+    /// Computes the check symbols for `data` (length `k`) into
+    /// `parity[..n-k]`, without allocating.
     ///
     /// # Errors
     ///
     /// Returns [`RsError::LengthMismatch`] if `data.len() != k`.
-    pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, RsError> {
+    pub(crate) fn encode_into(&self, data: &[u8], parity: &mut [u8]) -> Result<(), RsError> {
         if data.len() != self.k {
             return Err(RsError::LengthMismatch {
                 expected: self.k,
                 got: data.len(),
             });
         }
-        let nroots = self.nroots();
         // Systematic encoding: remainder of m(x) * x^nroots by g(x), done
-        // with an LFSR-style loop (what the EDAC controller implements).
-        let mut parity = vec![0u8; nroots];
-        for &d in data {
-            let feedback = F::add(d, parity[0]);
-            // Shift left by one symbol while accumulating feedback * g.
-            for i in 0..nroots - 1 {
-                parity[i] = F::add(
-                    parity[i + 1],
-                    F::mul(feedback, self.genpoly.coeff(nroots - 1 - i)),
-                );
-            }
-            parity[nroots - 1] = F::mul(feedback, self.genpoly.coeff(0));
-        }
+        // with an LFSR (what the EDAC controller implements).
+        self.encode_lanes(|i| [data[i]], |_, j, p| parity[j] = p);
+        Ok(())
+    }
+
+    /// Computes the `n - k` check symbols for `data` (length `k`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RsError::LengthMismatch`] if `data.len() != k`.
+    pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, RsError> {
+        let mut parity = vec![0u8; self.nroots()];
+        self.encode_into(data, &mut parity)?;
         Ok(parity)
     }
 
@@ -262,10 +469,9 @@ impl<F: GaloisField> ReedSolomon<F> {
     ///
     /// Returns [`RsError::LengthMismatch`] if `data.len() != k`.
     pub fn encode_to_codeword(&self, data: &[u8]) -> Result<Vec<u8>, RsError> {
-        let parity = self.encode(data)?;
-        let mut cw = Vec::with_capacity(self.n);
-        cw.extend_from_slice(data);
-        cw.extend_from_slice(&parity);
+        let mut cw = vec![0u8; self.n];
+        self.encode_into(data, &mut cw[self.k..])?;
+        cw[..self.k].copy_from_slice(data);
         Ok(cw)
     }
 
@@ -277,23 +483,21 @@ impl<F: GaloisField> ReedSolomon<F> {
     /// Panics if `cw.len() != n` (programming error in the caller).
     pub fn syndromes(&self, cw: &[u8]) -> Vec<u8> {
         assert_eq!(cw.len(), self.n, "codeword length mismatch");
-        let nroots = self.nroots();
-        let mut out = vec![0u8; nroots];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let x = F::alpha_pow(FCR + i as i64);
-            // Horner over transmission order: cw[0] is the highest power.
-            let mut acc = 0u8;
-            for &c in cw {
-                acc = F::add(F::mul(acc, x), c);
-            }
-            *slot = acc;
-        }
+        let mut res = [0u8; SLOTS];
+        self.residue(cw, &mut res);
+        let mut out = vec![0u8; self.nroots()];
+        self.residue_syndromes(&res, &mut out);
         out
     }
 
     /// True when `cw` is a valid codeword (no detectable error).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cw.len() != n`.
     pub fn is_valid(&self, cw: &[u8]) -> bool {
-        self.syndromes(cw).iter().all(|&s| s == 0)
+        assert_eq!(cw.len(), self.n, "codeword length mismatch");
+        !self.residue(cw, &mut [0u8; SLOTS])
     }
 
     /// Detect-only check: returns `true` when an error is present.
@@ -344,119 +548,145 @@ impl<F: GaloisField> ReedSolomon<F> {
         max_errors: usize,
     ) -> Result<DecodeOutcome, DecodeError> {
         assert_eq!(cw.len(), self.n, "codeword length mismatch");
-        let nroots = self.nroots();
+        let erased = self.erasure_set(erasures);
         let nu = erasures.len();
-        {
-            let mut seen = vec![false; self.n];
-            for &p in erasures {
-                assert!(p < self.n, "erasure position {p} out of range");
-                assert!(!seen[p], "duplicate erasure position {p}");
-                seen[p] = true;
-            }
-        }
-        if nu > nroots {
+        if nu > self.nroots() {
             return Err(DecodeError::Uncorrectable { erasures: nu });
         }
-
-        let synd = self.syndromes(cw);
-        if synd.iter().all(|&s| s == 0) {
+        let mut res = [0u8; SLOTS];
+        if !self.residue(cw, &mut res) {
             // Valid codeword. Any declared erasures turned out intact.
             return Ok(DecodeOutcome::default());
         }
+        self.correct(cw, erasures, erased, &res, max_errors)
+    }
 
-        // Erasure locator Gamma(x) = prod (1 - X_j x).
-        let mut lambda = Poly::<F>::one();
-        for &p in erasures {
-            let term = Poly::from_coeffs(vec![1, self.loc(p)]);
-            lambda = lambda.mul(&term);
+    /// The error path of [`decode_with_limit`](Self::decode_with_limit):
+    /// Berlekamp–Massey, Chien and Forney over fixed stack buffers, for a
+    /// word with non-zero residue `res`.
+    fn correct(
+        &self,
+        cw: &mut [u8],
+        erasures: &[usize],
+        erased: ErasureSet,
+        res: &[u8; SLOTS],
+        max_errors: usize,
+    ) -> Result<DecodeOutcome, DecodeError> {
+        let nroots = self.nroots();
+        let nu = erasures.len();
+        let uncorrectable = DecodeError::Uncorrectable { erasures: nu };
+        let mut synd = [0u8; SLOTS];
+        self.residue_syndromes(res, &mut synd[..nroots]);
+
+        // Erasure locator Gamma(x) = prod (1 - X_j x). Every buffer holds a
+        // polynomial's little-endian coefficients, zero above its degree.
+        let mut lambda = [0u8; SLOTS];
+        lambda[0] = 1;
+        for (m, &p) in erasures.iter().enumerate() {
+            let x = self.loc(p);
+            for i in (1..=m + 1).rev() {
+                lambda[i] = F::add(lambda[i], F::mul(lambda[i - 1], x));
+            }
         }
 
         // Berlekamp–Massey seeded with the erasure locator (Karn's
-        // formulation: run on raw syndromes starting at step nu).
-        let mut b = lambda.clone();
+        // formulation: run on raw syndromes starting at step nu). Before
+        // step r both lambda and b have degree below r.
+        let mut b = lambda;
         let mut el = nu;
         for r in nu + 1..=nroots {
             let mut discr = 0u8;
-            let deg = lambda.degree().unwrap_or(0);
-            for i in 0..=deg.min(r - 1) {
-                discr = F::add(discr, F::mul(lambda.coeff(i), synd[r - 1 - i]));
+            for i in 0..r {
+                discr = F::add(discr, F::mul(lambda[i], synd[r - 1 - i]));
             }
+            // `b <- x * b` rotates b[r], which is zero, into b[0].
             if discr == 0 {
-                b = b.mul(&Poly::monomial(1, 1));
-            } else {
-                let t = lambda.add(&b.mul(&Poly::monomial(discr, 1)));
-                if 2 * el < r + nu {
-                    el = r + nu - el;
-                    // discr != 0 on this branch, so inv always succeeds;
-                    // treat the impossible case as an uncorrectable word
-                    // rather than panicking in library code.
-                    let Some(dinv) = F::inv(discr) else {
-                        return Err(DecodeError::Uncorrectable { erasures: nu });
-                    };
-                    b = lambda.scale(dinv);
-                } else {
-                    b = b.mul(&Poly::monomial(1, 1));
-                }
-                lambda = t;
+                b[..=r].rotate_right(1);
+                continue;
             }
+            let mut t = lambda;
+            for i in 1..=r {
+                t[i] = F::add(t[i], F::mul(b[i - 1], discr));
+            }
+            if 2 * el < r + nu {
+                el = r + nu - el;
+                // discr != 0 on this branch, so inv always succeeds;
+                // treat the impossible case as an uncorrectable word
+                // rather than panicking in library code.
+                let Some(dinv) = F::inv(discr) else {
+                    return Err(uncorrectable);
+                };
+                for i in 0..=r {
+                    b[i] = F::mul(lambda[i], dinv);
+                }
+            } else {
+                b[..=r].rotate_right(1);
+            }
+            lambda = t;
         }
 
-        let deg_lambda = match lambda.degree() {
+        let deg_lambda = match lambda.iter().rposition(|&c| c != 0) {
             Some(d) => d,
-            None => return Err(DecodeError::Uncorrectable { erasures: nu }),
+            None => return Err(uncorrectable),
         };
         if deg_lambda > nroots {
-            return Err(DecodeError::Uncorrectable { erasures: nu });
+            return Err(uncorrectable);
         }
+        let lambda = &lambda[..=deg_lambda];
 
         // Chien search restricted to the n real positions of the shortened
         // code. Roots landing in the virtual padding mean a bogus locator.
-        let mut root_positions = Vec::with_capacity(deg_lambda);
-        for j in 0..self.n {
-            // loc(j) is a non-zero field element by construction; skip the
-            // impossible zero rather than panicking.
-            let Some(xinv) = F::inv(self.loc(j)) else {
-                return Err(DecodeError::Uncorrectable { erasures: nu });
-            };
-            if lambda.eval(xinv) == 0 {
-                root_positions.push(j);
+        let mut roots = [0u8; SLOTS];
+        let mut found = 0;
+        let inv_locs = self.inv_locs();
+        for (j, &xinv) in inv_locs.iter().enumerate() {
+            if eval::<F>(lambda, xinv) == 0 {
+                if found == deg_lambda {
+                    return Err(uncorrectable);
+                }
+                roots[found] = j as u8;
+                found += 1;
             }
         }
-        if root_positions.len() != deg_lambda {
-            return Err(DecodeError::Uncorrectable { erasures: nu });
+        if found != deg_lambda {
+            return Err(uncorrectable);
         }
+        let roots = &roots[..found];
 
-        // Omega(x) = S(x) * Lambda(x) mod x^nroots.
-        let spoly = Poly::<F>::from_coeffs(synd.clone());
-        let omega = spoly.mul(&lambda).truncate(nroots);
-        let lambda_deriv = lambda.derivative();
+        // Omega(x) = S(x) * Lambda(x) mod x^nroots, and Lambda'(x): in
+        // characteristic 2 only the odd-power terms survive.
+        let mut omega = [0u8; SLOTS];
+        for (i, &s) in synd[..nroots].iter().enumerate() {
+            for (j, &l) in lambda.iter().enumerate().take(nroots - i) {
+                omega[i + j] = F::add(omega[i + j], F::mul(s, l));
+            }
+        }
+        let mut deriv = [0u8; SLOTS];
+        for i in (1..lambda.len()).step_by(2) {
+            deriv[i - 1] = lambda[i];
+        }
 
         // Forney: magnitude at position j with X = loc(j) is
         //   e_j = X^(1-FCR) * Omega(X^-1) / Lambda'(X^-1);  FCR = 1 makes the
         // leading factor 1.
-        let mut corrections = Vec::with_capacity(root_positions.len());
-        for &j in &root_positions {
-            let Some(xinv) = F::inv(self.loc(j)) else {
-                return Err(DecodeError::Uncorrectable { erasures: nu });
+        let mut mags = [0u8; SLOTS];
+        let mut located = 0;
+        for (slot, &j) in mags.iter_mut().zip(roots) {
+            let j = usize::from(j);
+            let xinv = inv_locs[j];
+            let denom = eval::<F>(&deriv[..deg_lambda], xinv);
+            let num = eval::<F>(&omega[..nroots], xinv);
+            let Some(mag) = F::div(num, denom) else {
+                return Err(uncorrectable);
             };
-            let denom = lambda_deriv.eval(xinv);
-            let num = omega.eval(xinv);
-            let mag = match F::div(num, denom) {
-                Some(m) => m,
-                None => return Err(DecodeError::Uncorrectable { erasures: nu }),
-            };
-            if mag == 0 && !erasures.contains(&j) {
+            let was_erasure = erased.contains(j);
+            if mag == 0 && !was_erasure {
                 // A located error with zero magnitude is inconsistent.
-                return Err(DecodeError::Uncorrectable { erasures: nu });
+                return Err(uncorrectable);
             }
-            corrections.push(Correction {
-                position: j,
-                magnitude: mag,
-                was_erasure: erasures.contains(&j),
-            });
+            located += usize::from(!was_erasure);
+            *slot = mag;
         }
-
-        let located = corrections.iter().filter(|c| !c.was_erasure).count();
         if located > max_errors {
             return Err(DecodeError::PolicyLimited {
                 needed: located,
@@ -466,19 +696,233 @@ impl<F: GaloisField> ReedSolomon<F> {
 
         // Apply, then verify. A consistent correction must produce a valid
         // codeword; if not, roll back and report uncorrectable.
-        for c in &corrections {
-            cw[c.position] = F::add(cw[c.position], c.magnitude);
+        let fixes = || {
+            roots
+                .iter()
+                .map(|&j| usize::from(j))
+                .zip(mags.iter().copied())
+        };
+        for (j, m) in fixes() {
+            cw[j] = F::add(cw[j], m);
         }
         if !self.is_valid(cw) {
+            for (j, m) in fixes() {
+                cw[j] = F::add(cw[j], m);
+            }
+            return Err(uncorrectable);
+        }
+
+        // Chien visits positions in ascending order, so the corrections
+        // already are.
+        let corrections = fixes()
+            .filter(|&(_, m)| m != 0)
+            .map(|(position, magnitude)| Correction {
+                position,
+                magnitude,
+                was_erasure: erased.contains(position),
+            })
+            .collect();
+        Ok(DecodeOutcome { corrections })
+    }
+}
+
+/// The scalar encoder, syndromes and decoder this module's table-driven
+/// kernels replaced, kept verbatim as the oracle of the differential
+/// tests: one `F::mul` per generator coefficient per symbol, `n * (n - k)`
+/// syndrome products, and `Poly` arithmetic on the error path.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl<F: GaloisField> ReedSolomon<F> {
+        pub(super) fn reference_encode(&self, data: &[u8]) -> Result<Vec<u8>, RsError> {
+            if data.len() != self.k {
+                return Err(RsError::LengthMismatch {
+                    expected: self.k,
+                    got: data.len(),
+                });
+            }
+            let nroots = self.nroots();
+            // Systematic encoding: remainder of m(x) * x^nroots by g(x), done
+            // with an LFSR-style loop (what the EDAC controller implements).
+            let mut parity = vec![0u8; nroots];
+            for &d in data {
+                let feedback = F::add(d, parity[0]);
+                // Shift left by one symbol while accumulating feedback * g.
+                for i in 0..nroots - 1 {
+                    parity[i] = F::add(
+                        parity[i + 1],
+                        F::mul(feedback, self.genpoly.coeff(nroots - 1 - i)),
+                    );
+                }
+                parity[nroots - 1] = F::mul(feedback, self.genpoly.coeff(0));
+            }
+            Ok(parity)
+        }
+
+        pub(super) fn reference_syndromes(&self, cw: &[u8]) -> Vec<u8> {
+            assert_eq!(cw.len(), self.n, "codeword length mismatch");
+            let nroots = self.nroots();
+            let mut out = vec![0u8; nroots];
+            for (i, slot) in out.iter_mut().enumerate() {
+                let x = F::alpha_pow(FCR + i as i64);
+                // Horner over transmission order: cw[0] is the highest power.
+                let mut acc = 0u8;
+                for &c in cw {
+                    acc = F::add(F::mul(acc, x), c);
+                }
+                *slot = acc;
+            }
+            out
+        }
+
+        pub(super) fn reference_is_valid(&self, cw: &[u8]) -> bool {
+            self.reference_syndromes(cw).iter().all(|&s| s == 0)
+        }
+
+        pub(super) fn reference_decode_with_limit(
+            &self,
+            cw: &mut [u8],
+            erasures: &[usize],
+            max_errors: usize,
+        ) -> Result<DecodeOutcome, DecodeError> {
+            assert_eq!(cw.len(), self.n, "codeword length mismatch");
+            let nroots = self.nroots();
+            let nu = erasures.len();
+            {
+                let mut seen = vec![false; self.n];
+                for &p in erasures {
+                    assert!(p < self.n, "erasure position {p} out of range");
+                    assert!(!seen[p], "duplicate erasure position {p}");
+                    seen[p] = true;
+                }
+            }
+            if nu > nroots {
+                return Err(DecodeError::Uncorrectable { erasures: nu });
+            }
+
+            let synd = self.reference_syndromes(cw);
+            if synd.iter().all(|&s| s == 0) {
+                // Valid codeword. Any declared erasures turned out intact.
+                return Ok(DecodeOutcome::default());
+            }
+
+            // Erasure locator Gamma(x) = prod (1 - X_j x).
+            let mut lambda = Poly::<F>::one();
+            for &p in erasures {
+                let term = Poly::from_coeffs(vec![1, self.loc(p)]);
+                lambda = lambda.mul(&term);
+            }
+
+            // Berlekamp–Massey seeded with the erasure locator (Karn's
+            // formulation: run on raw syndromes starting at step nu).
+            let mut b = lambda.clone();
+            let mut el = nu;
+            for r in nu + 1..=nroots {
+                let mut discr = 0u8;
+                let deg = lambda.degree().unwrap_or(0);
+                for i in 0..=deg.min(r - 1) {
+                    discr = F::add(discr, F::mul(lambda.coeff(i), synd[r - 1 - i]));
+                }
+                if discr == 0 {
+                    b = b.mul(&Poly::monomial(1, 1));
+                } else {
+                    let t = lambda.add(&b.mul(&Poly::monomial(discr, 1)));
+                    if 2 * el < r + nu {
+                        el = r + nu - el;
+                        // discr != 0 on this branch, so inv always succeeds;
+                        // treat the impossible case as an uncorrectable word
+                        // rather than panicking in library code.
+                        let Some(dinv) = F::inv(discr) else {
+                            return Err(DecodeError::Uncorrectable { erasures: nu });
+                        };
+                        b = lambda.scale(dinv);
+                    } else {
+                        b = b.mul(&Poly::monomial(1, 1));
+                    }
+                    lambda = t;
+                }
+            }
+
+            let deg_lambda = match lambda.degree() {
+                Some(d) => d,
+                None => return Err(DecodeError::Uncorrectable { erasures: nu }),
+            };
+            if deg_lambda > nroots {
+                return Err(DecodeError::Uncorrectable { erasures: nu });
+            }
+
+            // Chien search restricted to the n real positions of the shortened
+            // code. Roots landing in the virtual padding mean a bogus locator.
+            let mut root_positions = Vec::with_capacity(deg_lambda);
+            for j in 0..self.n {
+                // loc(j) is a non-zero field element by construction; skip the
+                // impossible zero rather than panicking.
+                let Some(xinv) = F::inv(self.loc(j)) else {
+                    return Err(DecodeError::Uncorrectable { erasures: nu });
+                };
+                if lambda.eval(xinv) == 0 {
+                    root_positions.push(j);
+                }
+            }
+            if root_positions.len() != deg_lambda {
+                return Err(DecodeError::Uncorrectable { erasures: nu });
+            }
+
+            // Omega(x) = S(x) * Lambda(x) mod x^nroots.
+            let spoly = Poly::<F>::from_coeffs(synd.clone());
+            let omega = spoly.mul(&lambda).truncate(nroots);
+            let lambda_deriv = lambda.derivative();
+
+            // Forney: magnitude at position j with X = loc(j) is
+            //   e_j = X^(1-FCR) * Omega(X^-1) / Lambda'(X^-1);  FCR = 1 makes the
+            // leading factor 1.
+            let mut corrections = Vec::with_capacity(root_positions.len());
+            for &j in &root_positions {
+                let Some(xinv) = F::inv(self.loc(j)) else {
+                    return Err(DecodeError::Uncorrectable { erasures: nu });
+                };
+                let denom = lambda_deriv.eval(xinv);
+                let num = omega.eval(xinv);
+                let mag = match F::div(num, denom) {
+                    Some(m) => m,
+                    None => return Err(DecodeError::Uncorrectable { erasures: nu }),
+                };
+                if mag == 0 && !erasures.contains(&j) {
+                    // A located error with zero magnitude is inconsistent.
+                    return Err(DecodeError::Uncorrectable { erasures: nu });
+                }
+                corrections.push(Correction {
+                    position: j,
+                    magnitude: mag,
+                    was_erasure: erasures.contains(&j),
+                });
+            }
+
+            let located = corrections.iter().filter(|c| !c.was_erasure).count();
+            if located > max_errors {
+                return Err(DecodeError::PolicyLimited {
+                    needed: located,
+                    limit: max_errors,
+                });
+            }
+
+            // Apply, then verify. A consistent correction must produce a valid
+            // codeword; if not, roll back and report uncorrectable.
             for c in &corrections {
                 cw[c.position] = F::add(cw[c.position], c.magnitude);
             }
-            return Err(DecodeError::Uncorrectable { erasures: nu });
-        }
+            if !self.reference_is_valid(cw) {
+                for c in &corrections {
+                    cw[c.position] = F::add(cw[c.position], c.magnitude);
+                }
+                return Err(DecodeError::Uncorrectable { erasures: nu });
+            }
 
-        corrections.retain(|c| c.magnitude != 0);
-        corrections.sort_by_key(|c| c.position);
-        Ok(DecodeOutcome { corrections })
+            corrections.retain(|c| c.magnitude != 0);
+            corrections.sort_by_key(|c| c.position);
+            Ok(DecodeOutcome { corrections })
+        }
     }
 }
 
@@ -737,5 +1181,176 @@ mod tests {
         assert_eq!(out.corrections()[0].magnitude, 5);
         assert!(!out.corrections()[0].was_erasure);
         assert_eq!(out.located_errors(), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential tests: the table-driven kernels against `reference`.
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// The code parameters of `tests/prop_codec.rs`: every organisation
+    /// the paper uses, RS(255,223), and random sizes.
+    fn nk() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            Just((18usize, 16usize)),
+            Just((36, 32)),
+            Just((72, 64)),
+            Just((9, 8)),
+            Just((15, 9)),
+            Just((255, 223)),
+            (4usize..=60).prop_flat_map(|n| (Just(n), 1..n)),
+        ]
+    }
+
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One differential case over `rs`, drawn from `seed`: a random
+    /// codeword, `0..=n-k+2` errors, `0..=n-k+1` distinct erasures (some on
+    /// error positions, some on intact ones) and a policy limit in
+    /// `0..=t+1`. Every observable must match the reference exactly.
+    /// Returns the case's outcome class: clean, corrected, uncorrectable
+    /// or policy-limited.
+    fn check_against_reference<F: GaloisField>(rs: &ReedSolomon<F>, seed: u64) -> usize {
+        let (n, k, nroots) = (rs.n(), rs.k(), rs.nroots());
+        let mut state = seed;
+        let mut draw = |below: usize| {
+            state = splitmix64(state);
+            (state % below as u64) as usize
+        };
+        let sym = F::ORDER;
+        let data: Vec<u8> = (0..k).map(|_| draw(sym) as u8).collect();
+        let parity = rs.encode(&data).unwrap();
+        assert_eq!(parity, rs.reference_encode(&data).unwrap(), "parity");
+        let mut cw = rs.encode_to_codeword(&data).unwrap();
+        assert_eq!(cw[..k], data[..]);
+        assert_eq!(cw[k..], parity[..]);
+
+        let errors = draw(nroots + 3).min(n);
+        let mut error_at = Vec::new();
+        while error_at.len() < errors {
+            let p = draw(n);
+            if !error_at.contains(&p) {
+                error_at.push(p);
+                cw[p] ^= 1 + draw(sym - 1) as u8;
+            }
+        }
+        let wanted = draw(nroots + 2).min(n);
+        let mut erasures = Vec::new();
+        while erasures.len() < wanted {
+            let p = match draw(2) {
+                0 if !error_at.is_empty() => error_at[draw(error_at.len())],
+                _ => draw(n),
+            };
+            if !erasures.contains(&p) {
+                erasures.push(p);
+            }
+        }
+        let limit = draw(rs.max_correctable() + 2);
+
+        let synd = rs.syndromes(&cw);
+        assert_eq!(synd, rs.reference_syndromes(&cw), "syndromes");
+        assert_eq!(rs.is_valid(&cw), rs.reference_is_valid(&cw), "is_valid");
+        assert_eq!(rs.detect(&cw), !rs.reference_is_valid(&cw), "detect");
+        let mut ours = cw.clone();
+        let mut theirs = cw;
+        let got = rs.decode_with_limit(&mut ours, &erasures, limit);
+        let want = rs.reference_decode_with_limit(&mut theirs, &erasures, limit);
+        assert_eq!(
+            got, want,
+            "decode of RS({n},{k}): errors at {error_at:?}, erasures {erasures:?}, limit {limit}"
+        );
+        assert_eq!(ours, theirs, "codeword after decode");
+        match got {
+            Ok(out) if out.is_clean() => 0,
+            Ok(_) => 1,
+            Err(DecodeError::Uncorrectable { .. }) => 2,
+            Err(DecodeError::PolicyLimited { .. }) => 3,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        fn kernels_match_reference_gf256((n, k) in nk(), seed in any::<u64>()) {
+            check_against_reference(&rs(n, k), seed);
+        }
+
+        fn kernels_match_reference_gf16(
+            (n, k) in prop_oneof![Just((15usize, 11usize)), Just((15, 13)), Just((10, 6)), Just((15, 3))],
+            seed in any::<u64>(),
+        ) {
+            check_against_reference(&ReedSolomon::<Gf16>::new(n, k).unwrap(), seed);
+        }
+    }
+
+    #[test]
+    fn differential_cases_reach_every_outcome() {
+        let mut seen = [0usize; 4];
+        for seed in 0..2000 {
+            for (n, k) in [(18, 16), (36, 32), (72, 64), (15, 9)] {
+                seen[check_against_reference(&rs(n, k), seed)] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 0), "outcome classes {seen:?}");
+    }
+
+    #[test]
+    fn clean_and_single_error_words_match_reference_exhaustively() {
+        // Every position and a spread of magnitudes, with and without the
+        // position declared, on the organisations the codecs use.
+        for (n, k) in [(18, 16), (36, 32), (72, 64)] {
+            let code = rs(n, k);
+            let clean = code
+                .encode_to_codeword(&(0..k as u8).collect::<Vec<_>>())
+                .unwrap();
+            for pos in 0..n {
+                for mag in [0u8, 1, 0x80, 0xff] {
+                    for erasures in [&[][..], &[pos][..]] {
+                        let mut ours = clean.clone();
+                        ours[pos] ^= mag;
+                        let mut theirs = ours.clone();
+                        assert_eq!(
+                            code.decode_with_limit(&mut ours, erasures, 1),
+                            code.reference_decode_with_limit(&mut theirs, erasures, 1)
+                        );
+                        assert_eq!(ours, theirs);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn erasure_checks_panic_as_before() {
+        let code = rs(18, 16);
+        let mut cw = code.encode_to_codeword(&[1u8; 16]).unwrap();
+        for (erasures, message) in [
+            (&[18usize][..], "erasure position 18 out of range"),
+            (&[3, 3][..], "duplicate erasure position 3"),
+        ] {
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                code.decode(&mut cw, erasures)
+            }))
+            .unwrap_err();
+            assert_eq!(
+                got.downcast_ref::<String>().map(String::as_str),
+                Some(message)
+            );
+        }
+    }
+
+    #[test]
+    fn gf16_symbols_outside_the_field_still_panic() {
+        let code = ReedSolomon::<Gf16>::new(15, 11).unwrap();
+        let mut data = [1u8; 11];
+        data[4] = 16;
+        assert!(std::panic::catch_unwind(|| code.encode(&data)).is_err());
+        assert!(std::panic::catch_unwind(|| code.reference_encode(&data)).is_err());
     }
 }

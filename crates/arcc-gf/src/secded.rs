@@ -53,18 +53,36 @@ const fn data_columns() -> [u8; 32] {
     cols
 }
 
+/// Check bits of each byte lane of the data word: `LANE_CHECKS[l][v]` is
+/// the XOR of the columns of the set bits of `v << (8 * l)`. The check
+/// bits are GF(2)-linear in the data, so a word's check bits are the XOR
+/// of its four lanes' entries.
+const LANE_CHECKS: [[u8; 256]; 4] = lane_checks();
+
+const fn lane_checks() -> [[u8; 256]; 4] {
+    let mut t = [[0u8; 256]; 4];
+    let mut lane = 0;
+    while lane < 4 {
+        let mut v: usize = 1;
+        while v < 256 {
+            // Lowest set bit's column, plus the entry without that bit.
+            let low = v.trailing_zeros() as usize;
+            t[lane][v] = DATA_COLUMNS[8 * lane + low] ^ t[lane][v & (v - 1)];
+            v += 1;
+        }
+        lane += 1;
+    }
+    t
+}
+
 impl SecDed39 {
     /// Computes the 7 check bits for a 32-bit data word.
     pub fn check_bits(data: u32) -> u8 {
-        let mut c = 0u8;
-        let mut i = 0;
-        while i < 32 {
-            if (data >> i) & 1 == 1 {
-                c ^= DATA_COLUMNS[i];
-            }
-            i += 1;
-        }
-        c
+        let [b0, b1, b2, b3] = data.to_le_bytes();
+        LANE_CHECKS[0][usize::from(b0)]
+            ^ LANE_CHECKS[1][usize::from(b1)]
+            ^ LANE_CHECKS[2][usize::from(b2)]
+            ^ LANE_CHECKS[3][usize::from(b3)]
     }
 
     /// Decodes a stored `(data, check)` pair. Only the low 7 bits of
@@ -93,6 +111,103 @@ impl SecDed39 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-serial check-bit computation the lane tables replaced.
+    fn reference_check_bits(data: u32) -> u8 {
+        let mut c = 0u8;
+        let mut i = 0;
+        while i < 32 {
+            if (data >> i) & 1 == 1 {
+                c ^= DATA_COLUMNS[i];
+            }
+            i += 1;
+        }
+        c
+    }
+
+    /// `decode` as it was, over the reference check bits.
+    fn reference_decode(data: u32, check: u8) -> SecDedOutcome {
+        let syndrome = reference_check_bits(data) ^ (check & 0x7f);
+        if syndrome == 0 {
+            return SecDedOutcome::Clean;
+        }
+        match syndrome.count_ones() {
+            1 => SecDedOutcome::CorrectedCheck(check ^ syndrome),
+            3 => {
+                for (i, &col) in DATA_COLUMNS.iter().enumerate() {
+                    if col == syndrome {
+                        return SecDedOutcome::CorrectedData(data ^ (1 << i));
+                    }
+                }
+                SecDedOutcome::Uncorrectable
+            }
+            _ => SecDedOutcome::Uncorrectable,
+        }
+    }
+
+    /// A seeded stream of 32-bit words.
+    fn words(count: usize) -> impl Iterator<Item = u32> {
+        let mut s = 0x5EC0_DED3_9E37_79B9u64;
+        (0..count).map(move |_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 16) as u32
+        })
+    }
+
+    #[test]
+    fn lane_tables_match_the_bit_loop() {
+        for lane in 0..4 {
+            for v in 0..256u32 {
+                let data = v << (8 * lane);
+                assert_eq!(
+                    SecDed39::check_bits(data),
+                    reference_check_bits(data),
+                    "{data:#x}"
+                );
+            }
+        }
+        for data in words(10_000) {
+            assert_eq!(
+                SecDed39::check_bits(data),
+                reference_check_bits(data),
+                "{data:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_single_and_double_flips() {
+        // Flips over all 39 stored bits (32 data, 7 check) of seeded words:
+        // every single flip, and every double flip of a sample of words.
+        let flip = |data: u32, check: u8, bit: usize| {
+            if bit < 32 {
+                (data ^ (1 << bit), check)
+            } else {
+                (data, check ^ (1 << (bit - 32)))
+            }
+        };
+        for (w, data) in words(200).enumerate() {
+            let check = SecDed39::check_bits(data);
+            assert_eq!(SecDed39::decode(data, check), reference_decode(data, check));
+            for i in 0..39 {
+                let (d, c) = flip(data, check, i);
+                assert_eq!(SecDed39::decode(d, c), reference_decode(d, c), "bit {i}");
+                if w % 20 != 0 {
+                    continue;
+                }
+                for j in i + 1..39 {
+                    let (d, c) = flip(d, c, j);
+                    assert_eq!(
+                        SecDed39::decode(d, c),
+                        reference_decode(d, c),
+                        "bits {i},{j}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn columns_are_distinct_weight_3() {
