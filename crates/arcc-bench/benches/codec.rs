@@ -48,21 +48,42 @@ fn bench_decode(c: &mut Criterion) {
             )
         });
     }
-    // Decode with a dead device (the expensive path: BM + Chien + Forney).
-    for (name, codec) in [
-        ("chipkill_relaxed", LineCodec::relaxed_x8()),
-        ("chipkill_upgraded", LineCodec::upgraded_two_channel()),
+    // Decode with dead devices: one is the single-symbol solver's case;
+    // two at limit 2 go through Berlekamp–Massey, Chien and Forney.
+    for (name, codec, dead, limit) in [
+        ("chipkill_relaxed", LineCodec::relaxed_x8(), &[3][..], 1),
+        (
+            "chipkill_upgraded",
+            LineCodec::upgraded_two_channel(),
+            &[3],
+            1,
+        ),
+        (
+            "chipkill_upgraded2",
+            LineCodec::upgraded_four_channel(),
+            &[3],
+            1,
+        ),
+        ("chipkill_sccdcd", LineCodec::sccdcd_x4(), &[3], 1),
+        (
+            "double_chipkill_upgraded2",
+            LineCodec::upgraded_four_channel(),
+            &[3, 40],
+            2,
+        ),
     ] {
         let data: Vec<u8> = (0..codec.data_bytes()).map(|i| i as u8).collect();
         let mut enc = codec.encode_line(&data).expect("valid geometry");
-        enc.kill_device(3, 0xFF);
+        for &device in dead {
+            enc.kill_device(device, 0xFF);
+        }
         g.throughput(Throughput::Bytes(codec.data_bytes() as u64));
         g.bench_function(name, |b| {
             b.iter_batched(
                 || enc.clone(),
                 |mut e| {
                     codec
-                        .decode_line(black_box(&mut e), &[], 1)
+                        .decode_line(black_box(&mut e), &[], limit)
                         .expect("correctable")
                 },
                 criterion::BatchSize::SmallInput,

@@ -23,7 +23,7 @@
 use std::fmt;
 
 use crate::field::Gf256;
-use crate::rs::{DecodeError, ReedSolomon, RsError};
+use crate::rs::{DecodeError, ErasureSet, ReedSolomon, RsError, SLOTS};
 
 /// An encoded line: one symbol per (device, beat).
 ///
@@ -193,6 +193,15 @@ impl std::error::Error for LineError {
 /// Most codewords (beats) whose LFSRs run interleaved: the registers are
 /// independent, so their step latencies overlap.
 const LANES: usize = 4;
+
+/// The erasures and policy limit [`LineCodec::decode_line`] decodes
+/// every beat under.
+#[derive(Clone, Copy)]
+struct BeatPolicy<'a> {
+    erasures: &'a [usize],
+    erased: ErasureSet,
+    max_errors: usize,
+}
 
 /// Encoder/decoder for a whole line under one chipkill organisation.
 #[derive(Debug, Clone)]
@@ -383,6 +392,12 @@ impl LineCodec {
     /// is the correction policy limit (see
     /// [`ReedSolomon::decode_with_limit`]).
     ///
+    /// The line takes one residue pass, its beats' LFSRs interleaved as in
+    /// [`detect_line`](Self::detect_line). A beat with a zero residue is a
+    /// codeword and is skipped; each other beat's residue goes straight to
+    /// the corrector. The outcome equals decoding the beats in order with
+    /// [`ReedSolomon::decode_with_limit`].
+    ///
     /// # Errors
     ///
     /// [`LineError::Due`] when any codeword is uncorrectable; symbols of
@@ -400,41 +415,97 @@ impl LineCodec {
     ) -> Result<LineOutcome, LineError> {
         assert_eq!(line.devices, self.devices, "device count mismatch");
         assert_eq!(line.beats, self.beats, "beat count mismatch");
-        // Clean lines (nearly every read) return after the residue check,
-        // once the erasures pass the checks the per-beat decode makes.
-        self.rs.erasure_set(erased_devices);
-        if erased_devices.len() <= self.check_symbols() && !self.any_residue(line) {
-            return Ok(LineOutcome::default());
+        let erased = self.rs.erasure_set(erased_devices);
+        let nu = erased_devices.len();
+        if nu > self.check_symbols() {
+            let source = DecodeError::Uncorrectable { erasures: nu };
+            return Err(LineError::Due { beat: 0, source });
         }
-        let mut corrected_devices = Vec::new();
-        let mut symbols_corrected = 0usize;
-        let mut buf = [0u8; 256];
-        let cw = &mut buf[..self.devices];
-        for beat in 0..self.beats {
+        let policy = BeatPolicy {
+            erasures: erased_devices,
+            erased,
+            max_errors: max_errors_per_cw,
+        };
+        let mut out = LineOutcome::default();
+        // Residue buffers of 8 bytes cover every code the workspace runs,
+        // so a clean line zeroes a few bytes per beat, not a kilobyte.
+        if self.check_symbols() <= 8 {
+            self.decode_chunks::<8>(line, policy, &mut out)?;
+        } else {
+            self.decode_chunks::<SLOTS>(line, policy, &mut out)?;
+        }
+        out.corrected_devices.sort_unstable();
+        Ok(out)
+    }
+
+    /// Runs [`decode_beats`](Self::decode_beats) over the line's beats in
+    /// chunks of up to [`LANES`], with `R`-byte residue buffers (`R >= n -
+    /// k`).
+    fn decode_chunks<const R: usize>(
+        &self,
+        line: &mut EncodedLine,
+        policy: BeatPolicy<'_>,
+        out: &mut LineOutcome,
+    ) -> Result<(), LineError> {
+        let mut b0 = 0;
+        while b0 < self.beats {
+            b0 += match self.beats - b0 {
+                1 => self.decode_beats::<1, R>(line, b0, policy, out),
+                2 | 3 => self.decode_beats::<2, R>(line, b0, policy, out),
+                _ => self.decode_beats::<LANES, R>(line, b0, policy, out),
+            }?;
+        }
+        Ok(())
+    }
+
+    /// Decodes beats `b0..b0 + W` of `line` in place from one interleaved
+    /// residue pass, tallying corrections into `out`; returns `W`. Dirty
+    /// beats are corrected in beat order, so a DUE leaves earlier beats
+    /// written back and later ones untouched.
+    fn decode_beats<const W: usize, const R: usize>(
+        &self,
+        line: &mut EncodedLine,
+        b0: usize,
+        policy: BeatPolicy<'_>,
+        out: &mut LineOutcome,
+    ) -> Result<usize, LineError> {
+        let beats = self.beats;
+        let mut res = [[0u8; R]; W];
+        let mut dirty = [0u8; W];
+        self.rs.residue_lanes(
+            |i| {
+                let mut s = [0u8; W];
+                s.copy_from_slice(&line.symbols[i * beats + b0..][..W]);
+                s
+            },
+            |w, j, r| {
+                res[w][j] = r;
+                dirty[w] |= r;
+            },
+        );
+        for (w, res) in res.iter().enumerate() {
+            if dirty[w] == 0 {
+                continue;
+            }
+            let beat = b0 + w;
+            let mut buf = [0u8; SLOTS];
+            let cw = &mut buf[..self.devices];
             for (d, slot) in cw.iter_mut().enumerate() {
-                *slot = line.symbols[d * self.beats + beat];
+                *slot = line.symbols[d * beats + beat];
             }
-            match self
+            let fixes = self
                 .rs
-                .decode_with_limit(cw, erased_devices, max_errors_per_cw)
-            {
-                Ok(outcome) => {
-                    for c in outcome.corrections() {
-                        if !corrected_devices.contains(&c.position) {
-                            corrected_devices.push(c.position);
-                        }
-                        symbols_corrected += 1;
-                        line.symbols[c.position * self.beats + beat] = cw[c.position];
-                    }
+                .correct(cw, policy.erasures, policy.erased, res, policy.max_errors)
+                .map_err(|source| LineError::Due { beat, source })?;
+            for (d, _) in fixes.iter() {
+                if !out.corrected_devices.contains(&d) {
+                    out.corrected_devices.push(d);
                 }
-                Err(source) => return Err(LineError::Due { beat, source }),
+                out.symbols_corrected += 1;
+                line.symbols[d * beats + beat] = cw[d];
             }
         }
-        corrected_devices.sort_unstable();
-        Ok(LineOutcome {
-            corrected_devices,
-            symbols_corrected,
-        })
+        Ok(W)
     }
 
     /// Detect-only scan: returns `true` when any codeword has a non-zero
@@ -501,6 +572,61 @@ impl LineCodec {
         let a = narrow.encode_line(&data[..half])?;
         let b = narrow.encode_line(&data[half..])?;
         Ok((a, b))
+    }
+}
+
+/// The per-beat loop `decode_line`'s single residue pass replaced, kept
+/// as the oracle of its differential test: every beat of a dirty line
+/// goes through `decode_with_limit`, which takes its own residue.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl LineCodec {
+        pub(super) fn reference_decode_line(
+            &self,
+            line: &mut EncodedLine,
+            erased_devices: &[usize],
+            max_errors_per_cw: usize,
+        ) -> Result<LineOutcome, LineError> {
+            assert_eq!(line.devices, self.devices, "device count mismatch");
+            assert_eq!(line.beats, self.beats, "beat count mismatch");
+            // Clean lines (nearly every read) return after the residue check,
+            // once the erasures pass the checks the per-beat decode makes.
+            self.rs.erasure_set(erased_devices);
+            if erased_devices.len() <= self.check_symbols() && !self.any_residue(line) {
+                return Ok(LineOutcome::default());
+            }
+            let mut corrected_devices = Vec::new();
+            let mut symbols_corrected = 0usize;
+            let mut buf = [0u8; 256];
+            let cw = &mut buf[..self.devices];
+            for beat in 0..self.beats {
+                for (d, slot) in cw.iter_mut().enumerate() {
+                    *slot = line.symbols[d * self.beats + beat];
+                }
+                match self
+                    .rs
+                    .decode_with_limit(cw, erased_devices, max_errors_per_cw)
+                {
+                    Ok(outcome) => {
+                        for c in outcome.corrections() {
+                            if !corrected_devices.contains(&c.position) {
+                                corrected_devices.push(c.position);
+                            }
+                            symbols_corrected += 1;
+                            line.symbols[c.position * self.beats + beat] = cw[c.position];
+                        }
+                    }
+                    Err(source) => return Err(LineError::Due { beat, source }),
+                }
+            }
+            corrected_devices.sort_unstable();
+            Ok(LineOutcome {
+                corrected_devices,
+                symbols_corrected,
+            })
+        }
     }
 }
 
@@ -705,5 +831,124 @@ mod tests {
                 assert_eq!(enc, clean);
             }
         }
+    }
+
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `count` distinct devices below `n`.
+    fn distinct(draw: &mut impl FnMut(usize) -> usize, n: usize, count: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        while out.len() < count {
+            let d = draw(n);
+            if !out.contains(&d) {
+                out.push(d);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decode_line_matches_the_per_beat_reference() {
+        // Seeded lines in five scenarios, each decoded at limits 0..=2 by
+        // both paths: the result (`LineError::Due`'s beat included) and
+        // every symbol afterwards must agree. `seen` counts the cases the
+        // single pass must get right: a clean beat inside a dirty line, a
+        // DUE after earlier beats were written back, erasures with
+        // corrections, and more erasures than check symbols.
+        let mut state = 17u64;
+        let mut draw = |below: usize| {
+            state = splitmix64(state);
+            (state % below as u64) as usize
+        };
+        let mut seen = [0usize; 4];
+        for codec in [
+            LineCodec::relaxed_x8(),
+            LineCodec::upgraded_two_channel(),
+            LineCodec::sccdcd_x4(),
+            LineCodec::upgraded_four_channel(),
+            LineCodec::new(18, 16, 3).unwrap(),
+            LineCodec::new(40, 20, 7).unwrap(),
+        ] {
+            let (n, beats, r) = (codec.devices(), codec.beats(), codec.check_symbols());
+            for case in 0..250 {
+                let data: Vec<u8> = (0..codec.data_bytes()).map(|_| draw(256) as u8).collect();
+                let mut line = codec.encode_line(&data).unwrap();
+                let mut erased: Vec<usize> = Vec::new();
+                match case % 5 {
+                    // A dead device stuck at one beat's own symbol.
+                    0 => {
+                        let d = draw(n);
+                        line.kill_device(d, line.symbol(d, draw(beats)));
+                    }
+                    // Two dead devices, the first stuck at one beat's symbol.
+                    1 => {
+                        let a = draw(n);
+                        let b = (a + 1 + draw(n - 1)) % n;
+                        line.kill_device(a, line.symbol(a, draw(beats)));
+                        line.kill_device(b, draw(256) as u8);
+                    }
+                    // Erased dead devices, and sometimes a fresh bad symbol.
+                    2 => {
+                        let count = 1 + draw(r);
+                        erased = distinct(&mut draw, n, count);
+                        for &d in &erased {
+                            line.kill_device(d, draw(256) as u8);
+                        }
+                        if draw(2) == 1 {
+                            line.corrupt_symbol(draw(n), draw(beats), 1 + draw(255) as u8);
+                        }
+                    }
+                    // More erasures than check symbols.
+                    3 => {
+                        let count = r + 1 + draw(2);
+                        erased = distinct(&mut draw, n, count);
+                        if draw(2) == 1 {
+                            line.kill_device(erased[0], draw(256) as u8);
+                        }
+                    }
+                    // Scattered bad symbols.
+                    _ => {
+                        for _ in 0..=draw(r + 1) {
+                            line.corrupt_symbol(draw(n), draw(beats), 1 + draw(255) as u8);
+                        }
+                    }
+                }
+                for limit in 0..=2 {
+                    let mut ours = line.clone();
+                    let mut theirs = line.clone();
+                    let got = codec.decode_line(&mut ours, &erased, limit);
+                    let want = codec.reference_decode_line(&mut theirs, &erased, limit);
+                    assert_eq!(
+                        got,
+                        want,
+                        "RS({n},{}) x{beats}, case {case}, erased {erased:?}, limit {limit}",
+                        codec.data_devices()
+                    );
+                    assert_eq!(ours, theirs, "symbols after decode");
+                    match got {
+                        Ok(out) if out.corrected_devices.len() == 1 => {
+                            let d = out.corrected_devices[0];
+                            seen[0] +=
+                                usize::from(out.symbols_corrected < beats && !erased.contains(&d));
+                            seen[2] += usize::from(!erased.is_empty());
+                        }
+                        Ok(out) => seen[2] += usize::from(!erased.is_empty() && !out.is_clean()),
+                        Err(LineError::Due { beat, .. }) if beat > 0 && ours != line => {
+                            seen[1] += 1
+                        }
+                        Err(LineError::Due { beat: 0, .. }) => {
+                            seen[3] += usize::from(erased.len() > r)
+                        }
+                        Err(_) => {}
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 0), "scenarios reached {seen:?}");
     }
 }

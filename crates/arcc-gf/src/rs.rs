@@ -19,10 +19,20 @@
 //! correction power (e.g. SCCDCD's correct-1/detect-2) can be expressed.
 //!
 //! The kernels are table-driven, since nearly every line a server reads is
-//! clean: encoding is a packed LFSR with one feedback-row lookup per data
-//! symbol, a word is checked by re-encoding its data and comparing check
-//! symbols (the residue, as an EDAC controller does), and only a non-zero
-//! residue reaches the error path, which runs over fixed stack buffers.
+//! clean and nearly every other one has a single bad symbol (a dead
+//! device). Encoding is a packed LFSR with one feedback-row lookup per
+//! data symbol. A decode runs these stages, each only when the one before
+//! it has not settled the word, over fixed stack buffers:
+//!
+//! 1. **Residue.** Re-encode the data and compare check symbols, as an
+//!    EDAC controller does; a zero residue is a codeword.
+//! 2. **Table syndromes.** For `n - k <= 8` (every code the workspace
+//!    runs), one lookup per residue byte yields all `n - k` syndromes
+//!    packed in a word; wider codes evaluate the residue by Horner.
+//! 3. **Single-symbol solver.** Syndromes of one bad symbol form a
+//!    geometric sequence whose ratio is its locator, so one division
+//!    finds the position and another the magnitude.
+//! 4. **Berlekamp–Massey, Chien and Forney** for every other word.
 
 use std::fmt;
 
@@ -175,8 +185,9 @@ pub struct ReedSolomon<F: GaloisField> {
     n: usize,
     k: usize,
     genpoly: Poly<F>,
-    /// Encoder feedback rows: row `f` is `f * g(x)` below its `x^(n-k)`
-    /// term, packed into the register layout of [`step`].
+    /// Encoder feedback rows (row `f` is `f * g(x)` below its `x^(n-k)`
+    /// term, packed into the register layout of [`step`]) and, for narrow
+    /// codes, the syndrome rows.
     taps: Taps,
 }
 
@@ -196,18 +207,24 @@ const FCR: i64 = 1;
 /// Coefficient slots of every fixed-size buffer: polynomials of the
 /// error path have degree at most `n - k <= 254`, and codewords hold at
 /// most 255 symbols.
-const SLOTS: usize = 256;
+pub(crate) const SLOTS: usize = 256;
 
 /// Register words of a code with more than 8 check symbols: 254 check
 /// symbols need 32 words of 8 byte lanes.
 const WIDE: usize = 32;
 
-/// The encoder feedback rows, one per field element.
+/// The encoder feedback rows, one per field element, and a narrow
+/// code's syndrome rows.
 #[derive(Debug, Clone)]
 enum Taps {
-    /// `n - k <= 8`: a row (and the register) is one word.
-    Narrow(Box<[[u64; 1]]>),
-    /// Wider codes: the same LFSR over a [`WIDE`]-word register.
+    /// `n - k <= 8`: a row (and the register) is one word, and so are the
+    /// `n - k` syndromes. `synd` holds [`build_syndrome_rows`]' rows.
+    Narrow {
+        lfsr: Box<[[u64; 1]]>,
+        synd: Box<[u64]>,
+    },
+    /// Wider codes: the same LFSR over a [`WIDE`]-word register, and
+    /// syndromes by Horner.
     Wide(Box<[[u64; WIDE]]>),
 }
 
@@ -228,6 +245,33 @@ fn build_taps<F: GaloisField, const L: usize>(genpoly: &Poly<F>, nroots: usize) 
         for (row, prev) in next.iter_mut().zip(done) {
             for w in 0..L {
                 row[w] = prev[w] ^ basis[w];
+            }
+        }
+    }
+    rows.into_boxed_slice()
+}
+
+/// Builds the syndrome rows of a code with `r = n - k <= 8` check
+/// symbols: row `j * ORDER + v` packs, in byte `i`, what residue byte `v`
+/// in slot `j` adds to syndrome `i`, namely `v * alpha^((FCR+i)(r-1-j))`.
+/// A residue's syndromes are then the XOR of one row per residue byte.
+/// The rows are linear in `v`, so they are built like [`build_taps`]'.
+fn build_syndrome_rows<F: GaloisField>(nroots: usize) -> Box<[u64]> {
+    let exp = F::tables().exp;
+    let mut rows = vec![0u64; nroots * F::ORDER];
+    for (j, slot) in rows.chunks_exact_mut(F::ORDER).enumerate() {
+        let power = nroots - 1 - j;
+        for bit in 0..F::BITS as usize {
+            // Basis value 2^bit is alpha^bit (alpha = 2), so each lane is
+            // one exp lookup: alpha^(bit + (FCR+i) * power).
+            let basis = (0..nroots).fold(0u64, |acc, i| {
+                let e = (FCR as usize + i) * power % F::GROUP_ORDER;
+                acc | u64::from(exp[bit + e]) << (8 * i)
+            });
+            let v = 1usize << bit;
+            let (done, next) = slot.split_at_mut(v);
+            for (row, prev) in next.iter_mut().zip(done) {
+                *row = *prev ^ basis;
             }
         }
     }
@@ -289,6 +333,43 @@ impl ErasureSet {
     }
 }
 
+/// The corrections of one word in ascending position order, zero
+/// magnitudes dropped: a [`DecodeOutcome`] without its `Vec`.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Fixes {
+    len: usize,
+    positions: [u8; SLOTS],
+    magnitudes: [u8; SLOTS],
+}
+
+impl Fixes {
+    fn new() -> Self {
+        Self {
+            len: 0,
+            positions: [0; SLOTS],
+            magnitudes: [0; SLOTS],
+        }
+    }
+
+    fn push(&mut self, position: usize, magnitude: u8) {
+        self.positions[self.len] = position as u8;
+        self.magnitudes[self.len] = magnitude;
+        self.len += 1;
+    }
+
+    /// `(position, magnitude)` of every correction.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
+        let positions = self.positions[..self.len].iter().map(|&p| usize::from(p));
+        positions.zip(self.magnitudes[..self.len].iter().copied())
+    }
+}
+
+impl fmt::Debug for Fixes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl<F: GaloisField> ReedSolomon<F> {
     /// Creates an `RS(n, k)` code.
     ///
@@ -308,7 +389,10 @@ impl<F: GaloisField> ReedSolomon<F> {
             genpoly = genpoly.mul(&Poly::from_coeffs(vec![root, 1]));
         }
         let taps = if nroots <= 8 {
-            Taps::Narrow(build_taps(&genpoly, nroots))
+            Taps::Narrow {
+                lfsr: build_taps(&genpoly, nroots),
+                synd: build_syndrome_rows::<F>(nroots),
+            }
         } else {
             Taps::Wide(build_taps(&genpoly, nroots))
         };
@@ -372,7 +456,7 @@ impl<F: GaloisField> ReedSolomon<F> {
         // One row per field element: a symbol outside the field panics on
         // lookup, and GF(2^8)'s u8 feedback needs no bounds check.
         match &self.taps {
-            Taps::Narrow(taps) => run_lfsr(&taps[..F::ORDER], self.k, nroots, sym, check),
+            Taps::Narrow { lfsr, .. } => run_lfsr(&lfsr[..F::ORDER], self.k, nroots, sym, check),
             Taps::Wide(taps) => run_lfsr(&taps[..F::ORDER], self.k, nroots, sym, check),
         }
     }
@@ -406,14 +490,32 @@ impl<F: GaloisField> ReedSolomon<F> {
     }
 
     /// The `n - k` syndromes `S_i = c(alpha^(FCR+i))` from the residue
-    /// `R(x) = c(x) mod g(x)`: `g` vanishes at every root, so `S_i =
-    /// R(alpha^(FCR+i))`, `(n-k)^2` multiplies instead of `n(n-k)`.
-    fn residue_syndromes(&self, res: &[u8; SLOTS], synd: &mut [u8]) {
+    /// `R(x) = c(x) mod g(x)` in `res[..n-k]`: `g` vanishes at every root,
+    /// so `S_i = R(alpha^(FCR+i))`. A narrow code looks up one syndrome
+    /// row per residue byte; a wider one takes `(n-k)^2` multiplies
+    /// instead of `n(n-k)`.
+    fn residue_syndromes(&self, res: &[u8], synd: &mut [u8]) {
         let res = &res[..self.nroots()];
-        for (i, slot) in synd.iter_mut().enumerate() {
-            let x = F::alpha_pow(FCR + i as i64);
-            // The residue is in transmission order: res[0] is the highest power.
-            *slot = res.iter().fold(0, |acc, &r| F::add(F::mul(acc, x), r));
+        match &self.taps {
+            Taps::Narrow { synd: rows, .. } => {
+                // One row per field element: a byte outside the field
+                // panics on lookup, as the encoder's feedback does.
+                let packed = res
+                    .iter()
+                    .zip(rows.chunks_exact(F::ORDER))
+                    .fold(0u64, |acc, (&r, row)| acc ^ row[usize::from(r)]);
+                for (i, slot) in synd.iter_mut().enumerate() {
+                    *slot = (packed >> (8 * i)) as u8;
+                }
+            }
+            Taps::Wide(_) => {
+                for (i, slot) in synd.iter_mut().enumerate() {
+                    let x = F::alpha_pow(FCR + i as i64);
+                    // The residue is in transmission order: res[0] is the
+                    // highest power.
+                    *slot = res.iter().fold(0, |acc, &r| F::add(F::mul(acc, x), r));
+                }
+            }
         }
     }
 
@@ -558,25 +660,107 @@ impl<F: GaloisField> ReedSolomon<F> {
             // Valid codeword. Any declared erasures turned out intact.
             return Ok(DecodeOutcome::default());
         }
-        self.correct(cw, erasures, erased, &res, max_errors)
+        let fixes = self.correct(cw, erasures, erased, &res, max_errors)?;
+        let corrections = fixes
+            .iter()
+            .map(|(position, magnitude)| Correction {
+                position,
+                magnitude,
+                was_erasure: erased.contains(position),
+            })
+            .collect();
+        Ok(DecodeOutcome { corrections })
     }
 
-    /// The error path of [`decode_with_limit`](Self::decode_with_limit):
-    /// Berlekamp–Massey, Chien and Forney over fixed stack buffers, for a
-    /// word with non-zero residue `res`.
-    fn correct(
+    /// The error path of [`decode_with_limit`](Self::decode_with_limit),
+    /// for a word `cw` with non-zero residue `res[..n-k]` and checked
+    /// erasures, at most `n - k` of them. Table syndromes feed the
+    /// single-symbol solver, and every word it does not answer goes to
+    /// Berlekamp–Massey, Chien and Forney. On success the corrections are
+    /// applied to `cw`; on error `cw` is left as it was.
+    pub(crate) fn correct(
         &self,
         cw: &mut [u8],
         erasures: &[usize],
         erased: ErasureSet,
-        res: &[u8; SLOTS],
+        res: &[u8],
         max_errors: usize,
-    ) -> Result<DecodeOutcome, DecodeError> {
+    ) -> Result<Fixes, DecodeError> {
+        let nroots = self.nroots();
+        let mut synd = [0u8; SLOTS];
+        let synd = &mut synd[..nroots];
+        self.residue_syndromes(res, synd);
+        let Some((j, e)) = self.single_symbol(synd, erasures) else {
+            return self.berlekamp_massey(cw, erasures, erased, synd, max_errors);
+        };
+        // The general path on a copy must reach the same answer.
+        #[cfg(debug_assertions)]
+        let mut shadow = {
+            let mut buf = [0u8; SLOTS];
+            buf[..self.n].copy_from_slice(cw);
+            buf
+        };
+        let got = if erasures.is_empty() && max_errors == 0 {
+            Err(DecodeError::PolicyLimited {
+                needed: 1,
+                limit: 0,
+            })
+        } else {
+            // Consistent syndromes: the corrected word is a codeword.
+            cw[j] = F::add(cw[j], e);
+            let mut fixes = Fixes::new();
+            fixes.push(j, e);
+            Ok(fixes)
+        };
+        #[cfg(debug_assertions)]
+        {
+            let shadow = &mut shadow[..self.n];
+            let want = self.berlekamp_massey(shadow, erasures, erased, synd, max_errors);
+            debug_assert_eq!(got, want, "single-symbol solver vs Berlekamp–Massey");
+            debug_assert_eq!(&*cw, &*shadow, "single-symbol solver's word");
+        }
+        got
+    }
+
+    /// The closed-form decode of one bad symbol, or `None` to leave the
+    /// word to Berlekamp–Massey. An error `e` at position `j`, locator
+    /// `X = alpha^(n-1-j)`, has syndromes `S_i = e * X^(i+1)`: so when
+    /// `S_0` and `S_1` are non-zero and every `S_(i+1) = X * S_i` with `X
+    /// = S_1 / S_0`, the one error is `e = S_0 / X` at `j = n-1-log X`,
+    /// provided `j` lies inside the shortened code. It answers only with
+    /// no declared erasures or exactly `{j}`, where Berlekamp–Massey finds
+    /// the same one-root locator `1 + X x`. A code with one check symbol
+    /// has no `S_1`, so it never answers there.
+    fn single_symbol(&self, synd: &[u8], erasures: &[usize]) -> Option<(usize, u8)> {
+        let (&s0, &s1) = (synd.first()?, synd.get(1)?);
+        let x = F::div(s1, s0)?;
+        let log = F::log(x)? as usize;
+        if log >= self.n || synd.windows(2).any(|s| s[1] != F::mul(x, s[0])) {
+            return None;
+        }
+        let j = self.n - 1 - log;
+        match erasures {
+            [] => {}
+            [p] if *p == j => {}
+            _ => return None,
+        }
+        Some((j, F::div(s0, x)?))
+    }
+
+    /// Berlekamp–Massey, Chien and Forney over fixed stack buffers, for a
+    /// word with non-zero syndromes `synd`; the rest as for
+    /// [`correct`](Self::correct).
+    fn berlekamp_massey(
+        &self,
+        cw: &mut [u8],
+        erasures: &[usize],
+        erased: ErasureSet,
+        synd: &[u8],
+        max_errors: usize,
+    ) -> Result<Fixes, DecodeError> {
         let nroots = self.nroots();
         let nu = erasures.len();
         let uncorrectable = DecodeError::Uncorrectable { erasures: nu };
-        let mut synd = [0u8; SLOTS];
-        self.residue_syndromes(res, &mut synd[..nroots]);
 
         // Erasure locator Gamma(x) = prod (1 - X_j x). Every buffer holds a
         // polynomial's little-endian coefficients, zero above its degree.
@@ -696,17 +880,17 @@ impl<F: GaloisField> ReedSolomon<F> {
 
         // Apply, then verify. A consistent correction must produce a valid
         // codeword; if not, roll back and report uncorrectable.
-        let fixes = || {
+        let all = || {
             roots
                 .iter()
                 .map(|&j| usize::from(j))
                 .zip(mags.iter().copied())
         };
-        for (j, m) in fixes() {
+        for (j, m) in all() {
             cw[j] = F::add(cw[j], m);
         }
         if !self.is_valid(cw) {
-            for (j, m) in fixes() {
+            for (j, m) in all() {
                 cw[j] = F::add(cw[j], m);
             }
             return Err(uncorrectable);
@@ -714,15 +898,11 @@ impl<F: GaloisField> ReedSolomon<F> {
 
         // Chien visits positions in ascending order, so the corrections
         // already are.
-        let corrections = fixes()
-            .filter(|&(_, m)| m != 0)
-            .map(|(position, magnitude)| Correction {
-                position,
-                magnitude,
-                was_erasure: erased.contains(position),
-            })
-            .collect();
-        Ok(DecodeOutcome { corrections })
+        let mut fixes = Fixes::new();
+        for (j, m) in all().filter(|&(_, m)| m != 0) {
+            fixes.push(j, m);
+        }
+        Ok(fixes)
     }
 }
 
@@ -1214,8 +1394,11 @@ mod tests {
     /// codeword, `0..=n-k+2` errors, `0..=n-k+1` distinct erasures (some on
     /// error positions, some on intact ones) and a policy limit in
     /// `0..=t+1`. Every observable must match the reference exactly.
-    /// Returns the case's outcome class: clean, corrected, uncorrectable
-    /// or policy-limited.
+    /// Returns the case's outcome class: clean, corrected, miscorrected
+    /// (`Ok`, but not the encoded codeword), uncorrectable or
+    /// policy-limited. Miscorrections are words of more errors than the
+    /// code corrects whose syndromes look like fewer; on a one-error code
+    /// the single-symbol solver answers them.
     fn check_against_reference<F: GaloisField>(rs: &ReedSolomon<F>, seed: u64) -> usize {
         let (n, k, nroots) = (rs.n(), rs.k(), rs.nroots());
         let mut state = seed;
@@ -1227,9 +1410,10 @@ mod tests {
         let data: Vec<u8> = (0..k).map(|_| draw(sym) as u8).collect();
         let parity = rs.encode(&data).unwrap();
         assert_eq!(parity, rs.reference_encode(&data).unwrap(), "parity");
-        let mut cw = rs.encode_to_codeword(&data).unwrap();
-        assert_eq!(cw[..k], data[..]);
-        assert_eq!(cw[k..], parity[..]);
+        let encoded = rs.encode_to_codeword(&data).unwrap();
+        assert_eq!(encoded[..k], data[..]);
+        assert_eq!(encoded[k..], parity[..]);
+        let mut cw = encoded.clone();
 
         let errors = draw(nroots + 3).min(n);
         let mut error_at = Vec::new();
@@ -1267,10 +1451,11 @@ mod tests {
         );
         assert_eq!(ours, theirs, "codeword after decode");
         match got {
+            Ok(_) if ours != encoded => 2,
             Ok(out) if out.is_clean() => 0,
             Ok(_) => 1,
-            Err(DecodeError::Uncorrectable { .. }) => 2,
-            Err(DecodeError::PolicyLimited { .. }) => 3,
+            Err(DecodeError::Uncorrectable { .. }) => 3,
+            Err(DecodeError::PolicyLimited { .. }) => 4,
         }
     }
 
@@ -1291,7 +1476,7 @@ mod tests {
 
     #[test]
     fn differential_cases_reach_every_outcome() {
-        let mut seen = [0usize; 4];
+        let mut seen = [0usize; 5];
         for seed in 0..2000 {
             for (n, k) in [(18, 16), (36, 32), (72, 64), (15, 9)] {
                 seen[check_against_reference(&rs(n, k), seed)] += 1;
@@ -1300,30 +1485,53 @@ mod tests {
         assert!(seen.iter().all(|&c| c > 0), "outcome classes {seen:?}");
     }
 
-    #[test]
-    fn clean_and_single_error_words_match_reference_exhaustively() {
-        // Every position and a spread of magnitudes, with and without the
-        // position declared, on the organisations the codecs use.
-        for (n, k) in [(18, 16), (36, 32), (72, 64)] {
-            let code = rs(n, k);
-            let clean = code
-                .encode_to_codeword(&(0..k as u8).collect::<Vec<_>>())
-                .unwrap();
-            for pos in 0..n {
-                for mag in [0u8, 1, 0x80, 0xff] {
-                    for erasures in [&[][..], &[pos][..]] {
-                        let mut ours = clean.clone();
-                        ours[pos] ^= mag;
-                        let mut theirs = ours.clone();
+    /// Every position of `code` with each magnitude in `mags` (0 is the
+    /// clean word), under limits 0..=2 and the erasure sets {}, {j}, {j'}
+    /// and {j, j'} for a second position j': every result and word must
+    /// match the reference. The single-symbol solver must answer exactly
+    /// (j, e) where it applies (n-k >= 2, e != 0, erasures {} or {j}) and
+    /// decline everywhere else, including every word of a code with one
+    /// check symbol, where the reference "corrects" magnitude 1 at log S_0.
+    fn check_single_errors<F: GaloisField>(code: &ReedSolomon<F>, mags: &[u8]) {
+        let (n, k) = (code.n(), code.k());
+        let data: Vec<u8> = (0..k).map(|i| ((i * 7 + 3) % F::ORDER) as u8).collect();
+        let clean = code.encode_to_codeword(&data).unwrap();
+        for pos in 0..n {
+            let other = (pos + n / 2 + 1) % n;
+            for &mag in mags {
+                let mut word = clean.clone();
+                word[pos] ^= mag;
+                let synd = code.syndromes(&word);
+                for erasures in [&[][..], &[pos], &[other], &[pos, other]] {
+                    let solvable = mag != 0 && code.nroots() >= 2 && erasures.len() <= 1;
+                    let expect =
+                        (solvable && erasures.iter().all(|&p| p == pos)).then_some((pos, mag));
+                    assert_eq!(code.single_symbol(&synd, erasures), expect);
+                    for limit in 0..=2 {
+                        let mut ours = word.clone();
+                        let mut theirs = word.clone();
                         assert_eq!(
-                            code.decode_with_limit(&mut ours, erasures, 1),
-                            code.reference_decode_with_limit(&mut theirs, erasures, 1)
+                            code.decode_with_limit(&mut ours, erasures, limit),
+                            code.reference_decode_with_limit(&mut theirs, erasures, limit),
+                            "RS({n},{k}): error {mag:#x} at {pos}, erasures {erasures:?}, limit {limit}"
                         );
                         assert_eq!(ours, theirs);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn clean_and_single_error_words_match_reference_exhaustively() {
+        let every: Vec<u8> = (0..=255).collect();
+        let spread = [0u8, 1, 2, 0x1d, 0x53, 0x80, 0xca, 0xff];
+        check_single_errors(&rs(18, 16), &every);
+        check_single_errors(&rs(36, 32), &spread);
+        check_single_errors(&rs(72, 64), &spread);
+        check_single_errors(&rs(9, 8), &every);
+        let nibbles: Vec<u8> = (0..16).collect();
+        check_single_errors(&ReedSolomon::<Gf16>::new(15, 13).unwrap(), &nibbles);
     }
 
     #[test]
