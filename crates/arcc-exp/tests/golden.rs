@@ -99,3 +99,24 @@ fn run_all_emits_json_files() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The static artefacts — layouts, configuration and scheme tables —
+/// read no `Experiment` knob, so their JSON is pinned byte for byte: a
+/// refactor of the scheme table or the codec geometry must leave every
+/// byte in place. Regenerate after an intentional change with
+/// `ARCC_REPORT_DIR=crates/arcc-exp/tests/golden cargo run --release -p
+/// arcc-bench --bin repro_all -- fig_layouts table7_1 table7_4 scheme_zoo`.
+#[test]
+fn static_artefacts_match_their_goldens() {
+    let goldens = [
+        ("fig_layouts", include_str!("golden/fig_layouts.json")),
+        ("table7_1", include_str!("golden/table7_1.json")),
+        ("table7_4", include_str!("golden/table7_4.json")),
+        ("scheme_zoo", include_str!("golden/scheme_zoo.json")),
+    ];
+    let exp = Experiment::quick();
+    for (name, golden) in goldens {
+        let report = run(name, &exp).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.to_json(), golden, "{name} drifted from its golden");
+    }
+}
