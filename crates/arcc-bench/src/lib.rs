@@ -88,7 +88,7 @@ impl BenchGate {
 
     /// Extracts `(channels, channels_per_sec)` rungs from the hand-rolled
     /// `BENCH_*.json` format (no serde in the offline build).
-    pub fn parse_rungs(text: &str) -> Vec<(u64, f64)> {
+    fn parse_rungs(text: &str) -> Vec<(u64, f64)> {
         let mut rungs = Vec::new();
         for entry in text.split('{').skip(2) {
             let field = |key: &str| -> Option<&str> {
@@ -162,7 +162,7 @@ impl BenchGate {
 }
 
 /// Serialises a `BENCH_*.json` throughput record in the shared
-/// hand-rolled format [`BenchGate::parse_rungs`] reads back.
+/// hand-rolled format the [`BenchGate`] baseline parser reads back.
 pub fn bench_record_json(bench: &str, threads: usize, rungs: &[(u64, f64, f64)]) -> String {
     let entries: Vec<String> = rungs
         .iter()
@@ -245,6 +245,24 @@ mod tests {
         let rungs = BenchGate::parse_rungs(&json);
         assert_eq!(rungs, vec![(10_000, 20_000.0), (1_000_000, 500_000.0)]);
         assert_eq!(BenchGate::floor_for(100.0), 70.0);
+    }
+
+    #[test]
+    fn codec_rungs_name_exactly_the_registry_codecs() {
+        // The codec gate looks every registry codec up here; a missing or
+        // stray rung, or a reused id, would otherwise surface only when
+        // the gate runs.
+        let mut named: Vec<&str> = CODEC_RUNGS.iter().map(|(_, name)| *name).collect();
+        let mut registered = arcc_gf::codec::codec_names();
+        named.sort_unstable();
+        registered.sort_unstable();
+        assert_eq!(named, registered);
+        for (i, (id, name)) in CODEC_RUNGS.iter().enumerate() {
+            assert!(
+                CODEC_RUNGS[i + 1..].iter().all(|(other, _)| other != id),
+                "rung id {id} ({name}) reused"
+            );
+        }
     }
 
     #[test]

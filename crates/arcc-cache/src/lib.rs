@@ -83,18 +83,6 @@ pub struct CacheStats {
     pub second_tag_accesses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio over all lookups.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// Common interface of the two LLC designs.
 pub trait CacheModel {
     /// Looks up `line`; on a hit updates recency (and dirtiness for
@@ -666,15 +654,6 @@ mod tests {
         }
         assert_eq!(wbs.len(), 1);
         assert_eq!(wbs[0].line, 0);
-    }
-
-    #[test]
-    fn miss_ratio_math() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
-        s.hits = 3;
-        s.misses = 1;
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

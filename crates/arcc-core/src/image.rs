@@ -286,20 +286,11 @@ impl FunctionalMemory {
     }
 
     /// The codec for `mode`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`ProtectionMode::Upgraded2`] on a 2-channel image — the
-    /// page table can never hold that mode there (`convert_page` asserts
-    /// it), so this is the module's single invariant guard for the codec
-    /// lookup.
     fn codec_for(&self, mode: ProtectionMode) -> &LineCodec {
         match mode {
             ProtectionMode::Relaxed => self.scheme.relaxed(),
             ProtectionMode::Upgraded => self.scheme.upgraded(),
-            ProtectionMode::Upgraded2 => {
-                self.scheme.upgraded2().expect("upgraded2 codec configured")
-            }
+            ProtectionMode::Upgraded2 => self.scheme.upgraded2(),
         }
     }
 

@@ -10,9 +10,10 @@
 //!
 //! This crate binds the substrates together:
 //!
-//! * [`schemes`] — the chipkill scheme zoo (SECDED, commercial SCCDCD,
-//!   double chip sparing, VECC, LOT-ECC, and ARCC wrappers) with uniform
-//!   cost descriptors (Table 7.1 / Chapter 2 / Chapter 5);
+//! * [`schemes`] — the chipkill scheme table (SECDED, commercial SCCDCD,
+//!   double chip sparing, VECC, LOT-ECC, ARCC and the codec zoo): one
+//!   static registry of cost descriptors whose entries name their codecs
+//!   (Table 7.1 / Chapter 2 / Chapter 5);
 //! * [`page`] — the page table and TLB mode bits of §4.2.1;
 //! * [`image`] — a functional byte-accurate memory image where lines are
 //!   really encoded with the Reed–Solomon codec, faults corrupt device
@@ -22,7 +23,7 @@
 //! * [`system`] — the trace → LLC → memory-controller experiment driver
 //!   behind Figures 7.1–7.5;
 //! * [`lotecc`] / [`vecc`] — the recently-proposed schemes of Chapter 2,
-//!   functionally implemented, plus their ARCC application (Chapter 5).
+//!   functionally implemented.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +43,8 @@ pub use image::{FunctionalMemory, InjectedFault, ReadEvent};
 pub use page::{PageTable, ProtectionMode};
 pub use par::{default_threads, parallel_map};
 pub use schemes::{
-    find_scheme, scheme_keys, scheme_registry, ArccApplication, ArccScheme, SchemeDescriptor,
-    SchemeEntry, SchemeKind,
+    find_scheme, scheme_keys, scheme_registry, ArccScheme, SchemeDescriptor, SchemeEntry,
+    PAPER_SCHEMES,
 };
 pub use scrub::{ScrubCost, ScrubOutcome, ScrubStrategy, Scrubber};
 pub use system::{cell_seed, splitmix64, MixResult, SimConfig, SimConfigBuilder, SystemSim};

@@ -74,8 +74,8 @@ impl LotCodec {
 
     /// The paper's 18-device organisation (§5.2): 16 data devices x 4 B
     /// chunks + parity + spare; checksums live in a different line, so
-    /// every read needs a second access (see
-    /// [`SchemeKind::LotEcc18`](crate::schemes::SchemeKind)).
+    /// every read needs a second access (see the scheme table's
+    /// `"lot-ecc-18"` entry, [`find_scheme`](crate::schemes::find_scheme)).
     pub fn eighteen_device() -> Self {
         Self {
             data_devices: 16,

@@ -1,12 +1,15 @@
-//! The chipkill-correct scheme zoo with uniform cost descriptors.
+//! The chipkill scheme table: one static registry of every organisation
+//! the workspace models, with uniform cost descriptors.
 //!
-//! Chapter 2 of the paper surveys the design space; these descriptors
-//! capture each scheme's per-access costs and guarantees so that the
-//! motivation experiment, Table 7.1, and the LOT-ECC/VECC applications of
-//! Chapter 5 can all be driven from one table.
+//! ARCC is not a code of its own but an optimisation layered over existing
+//! chipkill organisations (Chapter 5), so one table feeds Table 7.1, the
+//! scheme-zoo scenarios and every fleet population's SDC capability. Each
+//! [`SchemeEntry`] holds the descriptor of the organisation fault-free
+//! pages run in, the upgraded one for adaptive schemes, and the
+//! [`codec_registry`](arcc_gf::codec::codec_registry) names of the codecs
+//! that implement them. [`PAPER_SCHEMES`] lists Table 7.1's rows.
 
 use arcc_gf::chipkill::LineCodec;
-use arcc_gf::codec::{Codec, MultiEcc, Qpc, RsChipkill, S8sc, TwoTierSecDed};
 
 pub use arcc_gf::codec::Guarantees;
 
@@ -46,146 +49,130 @@ impl SchemeDescriptor {
     }
 }
 
-/// The schemes discussed by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// 9-device SECDED ECC-DIMM (the non-chipkill reference point).
-    Secded,
-    /// Commercial single-chipkill-correct / double-chipkill-detect:
-    /// 36 devices, 4 check symbols, corrects 1 / detects 2 bad symbols.
-    Sccdcd,
-    /// Commercial double chip sparing: 36 devices, 4 check symbols of which
-    /// one acts as a spare; corrects a 2nd bad symbol if the 1st was
-    /// detected first.
-    DoubleChipSparing,
-    /// The weak 18-device code ARCC starts pages in: 2 check symbols,
-    /// correct-1 (which forfeits the detection guarantee for a 2nd bad
-    /// symbol).
-    RelaxedCk2,
-    /// VECC (ASPLOS'10): 18-device rank, in-rank detect-2, correction
-    /// symbols virtualised into data space of another rank.
-    Vecc,
-    /// LOT-ECC (ISCA'12), 9-device rank: per-device checksums for
-    /// detection/localisation + cross-device XOR for reconstruction.
-    LotEcc9,
-    /// The paper's 18-device LOT-ECC extension (§5.2) providing double chip
-    /// sparing: 16 data + parity + spare, checksums in a separate line.
-    LotEcc18,
-}
+/// 9-device SECDED ECC-DIMM (the non-chipkill reference point).
+const SECDED: SchemeDescriptor = SchemeDescriptor {
+    name: "SECDED (x8 ECC DIMM)",
+    rank_size: 9,
+    check_symbols: 1,
+    storage_overhead: 0.125,
+    reads_per_read: 1.0,
+    writes_per_write: 1.0,
+    guarantees: Guarantees {
+        correct: 0, // corrects single bits, not symbols
+        detect: 1,
+        sequential_correct: 0,
+    },
+};
 
-impl SchemeKind {
-    /// All schemes, in the order the paper introduces them.
-    pub const ALL: [SchemeKind; 7] = [
-        SchemeKind::Secded,
-        SchemeKind::Sccdcd,
-        SchemeKind::DoubleChipSparing,
-        SchemeKind::RelaxedCk2,
-        SchemeKind::Vecc,
-        SchemeKind::LotEcc9,
-        SchemeKind::LotEcc18,
-    ];
+/// Commercial single-chipkill-correct / double-chipkill-detect: 36
+/// devices, 4 check symbols, corrects 1 / detects 2 bad symbols.
+const SCCDCD: SchemeDescriptor = SchemeDescriptor {
+    name: "Commercial SCCDCD",
+    rank_size: 36,
+    check_symbols: 4,
+    storage_overhead: 0.125,
+    reads_per_read: 1.0,
+    writes_per_write: 1.0,
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 2,
+        sequential_correct: 0,
+    },
+};
 
-    /// The descriptor for this scheme.
-    pub fn descriptor(&self) -> SchemeDescriptor {
-        match self {
-            SchemeKind::Secded => SchemeDescriptor {
-                name: "SECDED (x8 ECC DIMM)",
-                rank_size: 9,
-                check_symbols: 1,
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 0, // corrects single bits, not symbols
-                    detect: 1,
-                    sequential_correct: 0,
-                },
-            },
-            SchemeKind::Sccdcd => SchemeDescriptor {
-                name: "Commercial SCCDCD",
-                rank_size: 36,
-                check_symbols: 4,
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 2,
-                    sequential_correct: 0,
-                },
-            },
-            SchemeKind::DoubleChipSparing => SchemeDescriptor {
-                name: "Double chip sparing",
-                rank_size: 36,
-                check_symbols: 4,
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 2,
-                    sequential_correct: 1,
-                },
-            },
-            SchemeKind::RelaxedCk2 => SchemeDescriptor {
-                name: "Relaxed chipkill (2 checks)",
-                rank_size: 18,
-                check_symbols: 2,
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1,
-                    sequential_correct: 0,
-                },
-            },
-            SchemeKind::Vecc => SchemeDescriptor {
-                name: "VECC",
-                rank_size: 18,
-                check_symbols: 4, // 2 in-rank + 2 virtualised
-                storage_overhead: 0.1875,
-                reads_per_read: 1.0, // error-free reads touch one rank
-                // Writes update virtualised checks; LLC caching absorbs some
-                // (paper: 36 device-accesses when they miss).
-                writes_per_write: 1.5,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 2,
-                    sequential_correct: 0,
-                },
-            },
-            SchemeKind::LotEcc9 => SchemeDescriptor {
-                name: "LOT-ECC (9 devices)",
-                rank_size: 9,
-                check_symbols: 1, // XOR parity device; checksums in-data
-                storage_overhead: 0.265,
-                reads_per_read: 1.0,
-                // ~80 % of writes need an additional checksum-line write.
-                writes_per_write: 1.8,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1, // checksum detection, weaker guarantee
-                    sequential_correct: 0,
-                },
-            },
-            SchemeKind::LotEcc18 => SchemeDescriptor {
-                name: "LOT-ECC (18 devices, double chip sparing)",
-                rank_size: 18,
-                check_symbols: 2, // parity device + spare device
-                storage_overhead: 0.265,
-                // Checksums live in a different line: extra read per read.
-                reads_per_read: 2.0,
-                writes_per_write: 2.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1,
-                    sequential_correct: 1,
-                },
-            },
-        }
-    }
-}
+/// Commercial double chip sparing: 36 devices, 4 check symbols of which
+/// one acts as a spare; corrects a 2nd bad symbol if the 1st was detected
+/// first.
+const DOUBLE_CHIP_SPARING: SchemeDescriptor = SchemeDescriptor {
+    name: "Double chip sparing",
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 2,
+        sequential_correct: 1,
+    },
+    ..SCCDCD
+};
+
+/// The weak 18-device code ARCC starts pages in: 2 check symbols,
+/// correct-1 (which forfeits the detection guarantee for a 2nd bad
+/// symbol).
+const RELAXED_CK2: SchemeDescriptor = SchemeDescriptor {
+    name: "Relaxed chipkill (2 checks)",
+    rank_size: 18,
+    check_symbols: 2,
+    storage_overhead: 0.125,
+    reads_per_read: 1.0,
+    writes_per_write: 1.0,
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 1,
+        sequential_correct: 0,
+    },
+};
+
+/// VECC (ASPLOS'10): 18-device rank, in-rank detect-2, correction symbols
+/// virtualised into data space of another rank.
+const VECC: SchemeDescriptor = SchemeDescriptor {
+    name: "VECC",
+    rank_size: 18,
+    check_symbols: 4, // 2 in-rank + 2 virtualised
+    storage_overhead: 0.1875,
+    reads_per_read: 1.0, // error-free reads touch one rank
+    // Writes update virtualised checks; LLC caching absorbs some (paper:
+    // 36 device-accesses when they miss).
+    writes_per_write: 1.5,
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 2,
+        sequential_correct: 0,
+    },
+};
+
+/// LOT-ECC (ISCA'12), 9-device rank: per-device checksums for
+/// detection/localisation + cross-device XOR for reconstruction.
+const LOT_ECC_9: SchemeDescriptor = SchemeDescriptor {
+    name: "LOT-ECC (9 devices)",
+    rank_size: 9,
+    check_symbols: 1, // XOR parity device; checksums in-data
+    storage_overhead: 0.265,
+    reads_per_read: 1.0,
+    // ~80 % of writes need an additional checksum-line write.
+    writes_per_write: 1.8,
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 1, // checksum detection, weaker guarantee
+        sequential_correct: 0,
+    },
+};
+
+/// The paper's 18-device LOT-ECC extension (§5.2) providing double chip
+/// sparing: 16 data + parity + spare, checksums in a separate line.
+const LOT_ECC_18: SchemeDescriptor = SchemeDescriptor {
+    name: "LOT-ECC (18 devices, double chip sparing)",
+    rank_size: 18,
+    check_symbols: 2, // parity device + spare device
+    storage_overhead: 0.265,
+    // Checksums live in a different line: extra read per read.
+    reads_per_read: 2.0,
+    writes_per_write: 2.0,
+    guarantees: Guarantees {
+        correct: 1,
+        detect: 1,
+        sequential_correct: 1,
+    },
+};
+
+/// Table 7.1's organisations, as registry keys in the order the paper
+/// introduces them.
+pub const PAPER_SCHEMES: [&str; 7] = [
+    "secded",
+    "sccdcd",
+    "double-chip-sparing",
+    "relaxed-ck2",
+    "vecc",
+    "lot-ecc-9",
+    "lot-ecc-18",
+];
 
 /// The ARCC optimisation applied over a base organisation: relaxed codec
 /// for fault-free pages, upgraded codec (joined codewords) for faulty ones.
@@ -193,19 +180,19 @@ impl SchemeKind {
 pub struct ArccScheme {
     relaxed: LineCodec,
     upgraded: LineCodec,
-    upgraded2: Option<LineCodec>,
+    upgraded2: LineCodec,
 }
 
 impl ArccScheme {
     /// ARCC applied to commercial chipkill (the paper's evaluation):
     /// relaxed RS(18,16) x4 codewords per 64 B line, upgraded RS(36,32) x4
-    /// per 128 B line, and the optional second-level RS(72,64) across four
-    /// channels (§5.1).
+    /// per 128 B line, and the second-level RS(72,64) across four channels
+    /// (§5.1).
     pub fn commercial() -> Self {
         Self {
             relaxed: LineCodec::relaxed_x8(),
             upgraded: LineCodec::upgraded_two_channel(),
-            upgraded2: Some(LineCodec::upgraded_four_channel()),
+            upgraded2: LineCodec::upgraded_four_channel(),
         }
     }
 
@@ -219,9 +206,9 @@ impl ArccScheme {
         &self.upgraded
     }
 
-    /// The second-level upgraded codec, when configured.
-    pub fn upgraded2(&self) -> Option<&LineCodec> {
-        self.upgraded2.as_ref()
+    /// The second-level upgraded codec.
+    pub fn upgraded2(&self) -> &LineCodec {
+        &self.upgraded2
     }
 
     /// Devices driven by a fault-free (relaxed) access.
@@ -256,94 +243,17 @@ impl Default for ArccScheme {
     }
 }
 
-/// ARCC applied to a base chipkill solution (Chapter 5): the relaxed
-/// organisation fault-free pages run in, and the upgraded organisation
-/// faulty pages escalate to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArccApplication {
-    /// The base (always-strong) scheme being optimised.
-    pub base: SchemeKind,
-    /// The weak organisation used for fault-free pages.
-    pub relaxed: SchemeDescriptor,
-    /// The strong organisation used for faulty pages.
-    pub upgraded: SchemeDescriptor,
-}
-
-impl ArccApplication {
-    /// The paper's applications:
-    ///
-    /// * commercial SCCDCD / double chip sparing → relaxed 18-device
-    ///   2-check code, upgraded = the base itself (§4);
-    /// * VECC → relaxed 9-device rank (8 data + 1 detection check, the
-    ///   correction checks virtualised), upgraded 18-device VECC (§5.2);
-    /// * LOT-ECC → relaxed 9-device LOT-ECC, upgraded 18-device LOT-ECC
-    ///   with double chip sparing (§5.2).
-    ///
-    /// Returns `None` for schemes ARCC does not apply to (SECDED and the
-    /// already-relaxed organisations).
-    pub fn of(base: SchemeKind) -> Option<Self> {
-        match base {
-            SchemeKind::Sccdcd | SchemeKind::DoubleChipSparing => Some(Self {
-                base,
-                relaxed: SchemeKind::RelaxedCk2.descriptor(),
-                upgraded: base.descriptor(),
-            }),
-            SchemeKind::Vecc => Some(Self {
-                base,
-                relaxed: SchemeDescriptor {
-                    name: "ARCC+VECC relaxed (9 devices)",
-                    rank_size: 9,
-                    check_symbols: 2, // 1 in-rank detect + 1 virtualised
-                    storage_overhead: SchemeKind::Vecc.descriptor().storage_overhead,
-                    reads_per_read: 1.0,
-                    writes_per_write: 1.5,
-                    guarantees: Guarantees {
-                        correct: 1,
-                        detect: 1,
-                        sequential_correct: 0,
-                    },
-                },
-                upgraded: SchemeKind::Vecc.descriptor(),
-            }),
-            SchemeKind::LotEcc9 | SchemeKind::LotEcc18 => Some(Self {
-                base: SchemeKind::LotEcc18,
-                relaxed: SchemeKind::LotEcc9.descriptor(),
-                upgraded: SchemeKind::LotEcc18.descriptor(),
-            }),
-            SchemeKind::Secded | SchemeKind::RelaxedCk2 => None,
-        }
-    }
-
-    /// Fault-free read-energy ratio of ARCC vs. always running the base
-    /// scheme (< 1 is a win; 0.5 for the commercial application).
-    pub fn fault_free_read_ratio(&self) -> f64 {
-        self.relaxed.relative_read_cost() / self.upgraded.relative_read_cost()
-    }
-
-    /// Energy cost multiplier of an access to an *upgraded* page relative
-    /// to a relaxed one (reads): 2x for commercial, 4x for LOT-ECC (§7.2.1).
-    pub fn upgraded_access_cost_factor(&self) -> f64 {
-        self.upgraded.relative_read_cost() / self.relaxed.relative_read_cost()
-    }
-
-    /// Storage overhead must be preserved by the upgrade — the codeword
-    /// joining property.
-    pub fn preserves_storage_overhead(&self) -> bool {
-        (self.relaxed.storage_overhead - self.upgraded.storage_overhead).abs() < 1e-9
-    }
-}
-
-/// One entry of the open scheme registry: a stable key, the descriptor
-/// of the organisation fault-free pages run in, the optional upgraded
+/// One entry of the scheme table: a stable key, the descriptor of the
+/// organisation fault-free pages run in, the optional upgraded
 /// organisation (present exactly for adaptive schemes like ARCC), and —
-/// for schemes with a functional line codec in `arcc-gf` — constructors
-/// for the [`Codec`] implementations backing the descriptors.
+/// where `arcc-gf` has them — the names of the [`Codec`] implementations
+/// backing the descriptors, resolvable with [`find_codec`].
 ///
-/// The registry replaces the closed [`SchemeKind`] enum as the way new
-/// layers identify schemes: fleet populations, SDC capability models and
-/// scenario sweeps all key off [`SchemeEntry::key`]. `SchemeKind` remains
-/// for the paper's own tables, and its descriptors are reused verbatim by
-/// the paper entries here.
+/// Fleet populations, SDC capability models and scenario sweeps all key
+/// off [`SchemeEntry::key`].
+///
+/// [`Codec`]: arcc_gf::codec::Codec
+/// [`find_codec`]: arcc_gf::codec::find_codec
 pub struct SchemeEntry {
     /// Stable registry key (`"arcc"`, `"s8sc"`, ...), used by fleet specs
     /// and scenario names; never rename one once a checkpoint refers to it.
@@ -353,10 +263,12 @@ pub struct SchemeEntry {
     /// The organisation faulty pages escalate to; `None` for static
     /// (non-adaptive) schemes.
     pub upgraded: Option<SchemeDescriptor>,
-    /// Functional relaxed-mode codec, when one exists in `arcc-gf`.
-    pub codec: Option<fn() -> Box<dyn Codec>>,
-    /// Functional upgraded-mode codec, when one exists.
-    pub upgraded_codec: Option<fn() -> Box<dyn Codec>>,
+    /// Codec-registry name of the functional relaxed-mode codec, when one
+    /// exists in `arcc-gf`.
+    pub codec: Option<&'static str>,
+    /// Codec-registry name of the functional upgraded-mode codec, when one
+    /// exists.
+    pub upgraded_codec: Option<&'static str>,
 }
 
 impl SchemeEntry {
@@ -374,195 +286,171 @@ impl SchemeEntry {
     }
 }
 
-/// The open scheme registry, constructed fresh on every call (no shared
-/// state — the deterministic parallel sweeps construct it per worker).
-/// Paper schemes reuse their [`SchemeKind`] descriptors; the zoo entries
-/// (`s8sc`, `qpc`, `multi-ecc`, `two-tier-secded`) are backed by
-/// functional codecs from [`arcc_gf::codec`].
-pub fn scheme_registry() -> Vec<SchemeEntry> {
-    vec![
-        SchemeEntry {
-            key: "arcc",
-            relaxed: SchemeKind::RelaxedCk2.descriptor(),
-            upgraded: Some(SchemeKind::Sccdcd.descriptor()),
-            codec: Some(|| Box::new(RsChipkill::arcc_relaxed())),
-            upgraded_codec: Some(|| Box::new(RsChipkill::arcc_upgraded())),
+/// A static (non-adaptive) entry.
+const fn fixed(
+    key: &'static str,
+    relaxed: SchemeDescriptor,
+    codec: Option<&'static str>,
+) -> SchemeEntry {
+    SchemeEntry {
+        key,
+        relaxed,
+        upgraded: None,
+        codec,
+        upgraded_codec: None,
+    }
+}
+
+const REGISTRY: &[SchemeEntry] = &[
+    SchemeEntry {
+        key: "arcc",
+        relaxed: RELAXED_CK2,
+        upgraded: Some(SCCDCD),
+        codec: Some("arcc-relaxed"),
+        upgraded_codec: Some("arcc-upgraded"),
+    },
+    fixed("sccdcd", SCCDCD, Some("sccdcd")),
+    fixed("relaxed-ck2", RELAXED_CK2, Some("arcc-relaxed")),
+    fixed("double-chip-sparing", DOUBLE_CHIP_SPARING, None),
+    fixed("secded", SECDED, None),
+    fixed("vecc", VECC, None),
+    fixed("lot-ecc-9", LOT_ECC_9, None),
+    fixed("lot-ecc-18", LOT_ECC_18, None),
+    // The relaxed RS(18,16) organisation under AMD's one-chip policy.
+    fixed(
+        "s8sc",
+        SchemeDescriptor {
+            name: "AMD-style chipkill S8SC",
+            ..RELAXED_CK2
         },
-        SchemeEntry {
-            key: "sccdcd",
-            relaxed: SchemeKind::Sccdcd.descriptor(),
-            upgraded: None,
-            codec: Some(|| Box::new(RsChipkill::sccdcd())),
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "relaxed-ck2",
-            relaxed: SchemeKind::RelaxedCk2.descriptor(),
-            upgraded: None,
-            codec: Some(|| Box::new(RsChipkill::arcc_relaxed())),
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "double-chip-sparing",
-            relaxed: SchemeKind::DoubleChipSparing.descriptor(),
-            upgraded: None,
-            codec: None,
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "secded",
-            relaxed: SchemeKind::Secded.descriptor(),
-            upgraded: None,
-            codec: None,
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "vecc",
-            relaxed: SchemeKind::Vecc.descriptor(),
-            upgraded: None,
-            codec: None,
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "lot-ecc-9",
-            relaxed: SchemeKind::LotEcc9.descriptor(),
-            upgraded: None,
-            codec: None,
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "lot-ecc-18",
-            relaxed: SchemeKind::LotEcc18.descriptor(),
-            upgraded: None,
-            codec: None,
-            upgraded_codec: None,
-        },
-        SchemeEntry {
-            key: "s8sc",
-            relaxed: SchemeDescriptor {
-                name: "AMD-style chipkill S8SC",
-                rank_size: 18,
-                check_symbols: 2,
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1,
-                    sequential_correct: 0,
-                },
+        Some("s8sc"),
+    ),
+    fixed(
+        "qpc",
+        SchemeDescriptor {
+            name: "QPC quad-pin correction",
+            rank_size: 18,
+            check_symbols: 8, // one RS(72,64) codeword per line
+            storage_overhead: 0.125,
+            reads_per_read: 1.0,
+            writes_per_write: 1.0,
+            guarantees: Guarantees {
+                correct: 1,
+                detect: 1,
+                sequential_correct: 0,
             },
-            upgraded: None,
-            codec: Some(|| Box::new(S8sc::new())),
-            upgraded_codec: None,
         },
-        SchemeEntry {
-            key: "qpc",
-            relaxed: SchemeDescriptor {
-                name: "QPC quad-pin correction",
-                rank_size: 18,
-                check_symbols: 8, // one RS(72,64) codeword per line
-                storage_overhead: 0.125,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1,
-                    sequential_correct: 0,
-                },
+        Some("qpc"),
+    ),
+    fixed(
+        "multi-ecc",
+        SchemeDescriptor {
+            name: "MultiECC checksum + parity",
+            rank_size: 9,
+            check_symbols: 1, // XOR parity device; checksums in-line
+            storage_overhead: 17.0 / 64.0,
+            reads_per_read: 1.0,
+            writes_per_write: 1.0, // checksums live in the same line
+            guarantees: Guarantees {
+                correct: 0, // trial decode is probabilistic
+                detect: 1,
+                sequential_correct: 0,
             },
-            upgraded: None,
-            codec: Some(|| Box::new(Qpc::new())),
-            upgraded_codec: None,
         },
-        SchemeEntry {
-            key: "multi-ecc",
-            relaxed: SchemeDescriptor {
-                name: "MultiECC checksum + parity",
-                rank_size: 9,
-                check_symbols: 1, // XOR parity device; checksums in-line
-                storage_overhead: 17.0 / 64.0,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0, // checksums live in the same line
-                guarantees: Guarantees {
-                    correct: 0, // trial decode is probabilistic
-                    detect: 1,
-                    sequential_correct: 0,
-                },
+        Some("multi-ecc"),
+    ),
+    fixed(
+        "two-tier-secded",
+        SchemeDescriptor {
+            name: "Two-tier on-die SECDED + rank RS",
+            rank_size: 18,
+            check_symbols: 2, // rank-level; on-die checks are per-device
+            storage_overhead: 26.0 / 64.0,
+            reads_per_read: 1.0,
+            writes_per_write: 1.0,
+            guarantees: Guarantees {
+                correct: 1,
+                detect: 1,
+                sequential_correct: 1,
             },
-            upgraded: None,
-            codec: Some(|| Box::new(MultiEcc::new())),
-            upgraded_codec: None,
         },
-        SchemeEntry {
-            key: "two-tier-secded",
-            relaxed: SchemeDescriptor {
-                name: "Two-tier on-die SECDED + rank RS",
-                rank_size: 18,
-                check_symbols: 2, // rank-level; on-die checks are per-device
-                storage_overhead: 26.0 / 64.0,
-                reads_per_read: 1.0,
-                writes_per_write: 1.0,
-                guarantees: Guarantees {
-                    correct: 1,
-                    detect: 1,
-                    sequential_correct: 1,
-                },
-            },
-            upgraded: None,
-            codec: Some(|| Box::new(TwoTierSecDed::new())),
-            upgraded_codec: None,
-        },
-    ]
+        Some("two-tier-secded"),
+    ),
+];
+
+/// The scheme table, in registry order: the ARCC entry, the paper's
+/// organisations, then the codec-backed competitor zoo (`s8sc`, `qpc`,
+/// `multi-ecc`, `two-tier-secded`).
+pub fn scheme_registry() -> &'static [SchemeEntry] {
+    REGISTRY
 }
 
 /// Looks up a registry entry by key.
-pub fn find_scheme(key: &str) -> Option<SchemeEntry> {
-    scheme_registry().into_iter().find(|e| e.key == key)
+pub fn find_scheme(key: &str) -> Option<&'static SchemeEntry> {
+    REGISTRY.iter().find(|e| e.key == key)
 }
 
 /// All registry keys, in registry order.
 pub fn scheme_keys() -> Vec<&'static str> {
-    scheme_registry().iter().map(|e| e.key).collect()
+    REGISTRY.iter().map(|e| e.key).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcc_gf::codec::find_codec;
 
     #[test]
     fn descriptor_table_matches_chapter_2() {
-        let sccdcd = SchemeKind::Sccdcd.descriptor();
-        assert_eq!(sccdcd.rank_size, 36);
-        assert_eq!(sccdcd.check_symbols, 4);
-        assert_eq!(sccdcd.guarantees.detect, 2);
-        assert_eq!(sccdcd.storage_overhead, 0.125);
+        assert_eq!(SCCDCD.rank_size, 36);
+        assert_eq!(SCCDCD.check_symbols, 4);
+        assert_eq!(SCCDCD.guarantees.detect, 2);
+        assert_eq!(SCCDCD.storage_overhead, 0.125);
 
-        let relaxed = SchemeKind::RelaxedCk2.descriptor();
-        assert_eq!(relaxed.rank_size, 18);
-        assert_eq!(relaxed.guarantees.detect, 1);
+        assert_eq!(RELAXED_CK2.rank_size, 18);
+        assert_eq!(RELAXED_CK2.guarantees.detect, 1);
 
-        let dcs = SchemeKind::DoubleChipSparing.descriptor();
-        assert_eq!(dcs.guarantees.sequential_correct, 1);
+        assert_eq!(DOUBLE_CHIP_SPARING.guarantees.sequential_correct, 1);
 
-        let lot9 = SchemeKind::LotEcc9.descriptor();
-        assert!((lot9.storage_overhead - 0.265).abs() < 1e-12);
-        assert!(lot9.writes_per_write > 1.5, "80% extra writes");
+        assert!((LOT_ECC_9.storage_overhead - 0.265).abs() < 1e-12);
+        const { assert!(LOT_ECC_9.writes_per_write > 1.5, "80% extra writes") };
 
-        let lot18 = SchemeKind::LotEcc18.descriptor();
-        assert_eq!(lot18.reads_per_read, 2.0, "checksum line read per read");
-        assert_eq!(lot18.guarantees.sequential_correct, 1);
+        assert_eq!(
+            LOT_ECC_18.reads_per_read, 2.0,
+            "checksum line read per read"
+        );
+        assert_eq!(LOT_ECC_18.guarantees.sequential_correct, 1);
+    }
+
+    #[test]
+    fn arcc_applications_match_chapter_5() {
+        // Commercial chipkill (§4): relaxed pages join into the SCCDCD
+        // codeword at half the fault-free read cost and the same storage.
+        let arcc = find_scheme("arcc").unwrap();
+        let (relaxed, upgraded) = (&arcc.relaxed, arcc.upgraded.as_ref().unwrap());
+        assert_eq!((relaxed, upgraded), (&RELAXED_CK2, &SCCDCD));
+        assert_eq!(
+            relaxed.relative_read_cost() / upgraded.relative_read_cost(),
+            0.5
+        );
+        assert_eq!(relaxed.storage_overhead, upgraded.storage_overhead);
+        // LOT-ECC (§5.2): 9 devices upgrade to 18 at the same storage
+        // overhead; §7.2.1: an upgraded access costs 4x a relaxed one.
+        assert_eq!(
+            LOT_ECC_18.relative_read_cost(),
+            4.0 * LOT_ECC_9.relative_read_cost()
+        );
+        assert_eq!(LOT_ECC_9.storage_overhead, LOT_ECC_18.storage_overhead);
     }
 
     #[test]
     fn relative_costs_rank_correctly() {
-        // Fault-free read cost: SECDED=LOT9 < relaxed=VECC < SCCDCD=DCS < LOT18.
-        let cost = |k: SchemeKind| k.descriptor().relative_read_cost();
-        assert!(cost(SchemeKind::Secded) < cost(SchemeKind::RelaxedCk2));
-        assert_eq!(cost(SchemeKind::RelaxedCk2), 0.5);
-        assert_eq!(cost(SchemeKind::Sccdcd), 1.0);
-        assert_eq!(cost(SchemeKind::LotEcc18), 1.0);
-        assert!(cost(SchemeKind::LotEcc9) < cost(SchemeKind::RelaxedCk2));
+        // Fault-free read cost: SECDED=LOT9 < relaxed=VECC < SCCDCD=DCS=LOT18.
+        assert!(SECDED.relative_read_cost() < RELAXED_CK2.relative_read_cost());
+        assert_eq!(RELAXED_CK2.relative_read_cost(), 0.5);
+        assert_eq!(SCCDCD.relative_read_cost(), 1.0);
+        assert_eq!(LOT_ECC_18.relative_read_cost(), 1.0);
+        assert!(LOT_ECC_9.relative_read_cost() < RELAXED_CK2.relative_read_cost());
     }
 
     #[test]
@@ -573,46 +461,21 @@ mod tests {
         assert_eq!(arcc.upgraded_devices(), 36);
         assert!((arcc.storage_overhead() - arcc.upgraded().storage_overhead()).abs() < 1e-12);
         assert!((arcc.storage_overhead() - 0.125).abs() < 1e-12);
-        let up2 = arcc.upgraded2().unwrap();
+        let up2 = arcc.upgraded2();
         assert_eq!(up2.check_symbols(), 8);
         assert!((up2.storage_overhead() - 0.125).abs() < 1e-12);
     }
 
     #[test]
     fn all_schemes_have_unique_names() {
-        use std::collections::HashSet;
-        let names: HashSet<_> = SchemeKind::ALL
+        let names: Vec<_> = PAPER_SCHEMES
             .iter()
-            .map(|k| k.descriptor().name)
+            .filter_map(|key| find_scheme(key))
+            .map(|entry| entry.relaxed.name)
             .collect();
-        assert_eq!(names.len(), SchemeKind::ALL.len());
-    }
-
-    #[test]
-    fn arcc_applications_match_chapter_5() {
-        let commercial = ArccApplication::of(SchemeKind::Sccdcd).unwrap();
-        assert_eq!(commercial.relaxed.rank_size, 18);
-        assert_eq!(commercial.upgraded.rank_size, 36);
-        assert!((commercial.fault_free_read_ratio() - 0.5).abs() < 1e-12);
-        assert!((commercial.upgraded_access_cost_factor() - 2.0).abs() < 1e-12);
-        assert!(commercial.preserves_storage_overhead());
-
-        let vecc = ArccApplication::of(SchemeKind::Vecc).unwrap();
-        assert_eq!(vecc.relaxed.rank_size, 9);
-        assert_eq!(vecc.upgraded.rank_size, 18);
-        assert!(vecc.preserves_storage_overhead());
-
-        let lot = ArccApplication::of(SchemeKind::LotEcc9).unwrap();
-        assert_eq!(lot.relaxed.rank_size, 9);
-        assert_eq!(lot.upgraded.rank_size, 18);
-        // §7.2.1: upgraded LOT-ECC access costs 4x a relaxed one.
-        assert!((lot.upgraded_access_cost_factor() - 4.0).abs() < 1e-12);
-        assert!(lot.preserves_storage_overhead());
-        // Double chip sparing is what the upgrade buys.
-        assert_eq!(lot.upgraded.guarantees.sequential_correct, 1);
-
-        assert!(ArccApplication::of(SchemeKind::Secded).is_none());
-        assert!(ArccApplication::of(SchemeKind::RelaxedCk2).is_none());
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[i + 1..].contains(name), "duplicate {name}");
+        }
     }
 
     #[test]
@@ -628,14 +491,12 @@ mod tests {
 
     #[test]
     fn registry_covers_paper_schemes_and_the_zoo() {
-        // Every SchemeKind descriptor appears under a registry key, and
-        // the zoo's codec-backed competitors are all present.
-        for kind in SchemeKind::ALL {
-            let name = kind.descriptor().name;
+        // Every Table 7.1 key resolves, and the zoo's codec-backed
+        // competitors are all present.
+        for key in PAPER_SCHEMES {
             assert!(
-                scheme_registry().iter().any(|e| e.relaxed.name == name
-                    || e.upgraded.as_ref().is_some_and(|u| u.name == name)),
-                "{name} missing from the registry"
+                find_scheme(key).is_some(),
+                "{key} missing from the registry"
             );
         }
         for key in ["s8sc", "qpc", "multi-ecc", "two-tier-secded"] {
@@ -647,12 +508,9 @@ mod tests {
 
     #[test]
     fn only_arcc_is_adaptive_and_its_modes_match_the_paper() {
-        let adaptive: Vec<_> = scheme_registry()
-            .into_iter()
-            .filter(|e| e.adaptive())
-            .collect();
+        let adaptive: Vec<_> = scheme_registry().iter().filter(|e| e.adaptive()).collect();
         assert_eq!(adaptive.len(), 1);
-        let arcc = &adaptive[0];
+        let arcc = adaptive[0];
         assert_eq!(arcc.key, "arcc");
         assert_eq!(arcc.relaxed.rank_size, 18);
         assert_eq!(arcc.upgraded.as_ref().unwrap().rank_size, 36);
@@ -665,14 +523,15 @@ mod tests {
         // The descriptor is the analytic summary of the codec: guarantees,
         // rank size and storage overhead must agree wherever both exist.
         for entry in scheme_registry() {
-            for (descriptor, ctor) in [
+            for (descriptor, name) in [
                 (Some(&entry.relaxed), entry.codec),
                 (entry.upgraded.as_ref(), entry.upgraded_codec),
             ] {
-                let (Some(descriptor), Some(ctor)) = (descriptor, ctor) else {
+                let (Some(descriptor), Some(name)) = (descriptor, name) else {
                     continue;
                 };
-                let codec = ctor();
+                let codec = find_codec(name)
+                    .unwrap_or_else(|| panic!("{}: no codec named {name:?}", entry.key));
                 assert_eq!(
                     codec.guarantees(),
                     descriptor.guarantees,

@@ -71,20 +71,6 @@ impl SimConfig {
             cfg: Self::arcc(0.0),
         }
     }
-
-    /// Sweep hook: this configuration re-seeded for sweep cell `cell`.
-    ///
-    /// Derives a deterministic per-cell trace seed via [`cell_seed`] —
-    /// the same derivation the `arcc-exp` sweep engine uses for its
-    /// Monte-Carlo cells — so sweep engines can give every cell an
-    /// independent trace while keeping results bit-identical regardless
-    /// of the order (or parallelism) in which cells execute. Every cell,
-    /// including cell 0, is reseeded.
-    pub fn for_cell(&self, cell: u64) -> Self {
-        let mut cfg = self.clone();
-        cfg.trace.seed = cell_seed(self.trace.seed, cell);
-        cfg
-    }
 }
 
 /// Builder for [`SimConfig`] (see [`SimConfig::builder`]).
@@ -180,9 +166,9 @@ pub fn splitmix64(x: u64) -> u64 {
 
 /// Deterministic seed for sweep cell `cell` under base seed `base`
 /// (splitmix64 of the golden-ratio-spread cell index). The single source
-/// of truth for per-cell seeds: [`SimConfig::for_cell`] and the
-/// `arcc-exp` sweep engine both derive from it, so a cell's results are
-/// comparable across both paths.
+/// of truth for per-cell seeds: the `arcc-exp` sweep engine and the
+/// fleet scenarios derive from it, so a cell's seed does not depend on
+/// the order (or parallelism) in which cells execute.
 pub fn cell_seed(base: u64, cell: u64) -> u64 {
     splitmix64(base.wrapping_add(cell.wrapping_mul(0x9E3779B97F4A7C15)))
 }
@@ -190,7 +176,7 @@ pub fn cell_seed(base: u64, cell: u64) -> u64 {
 /// Deterministically assigns pages to upgraded mode with probability
 /// `fraction` (splitmix64 hash), so equal fractions give equal page sets
 /// across configurations.
-pub fn page_is_upgraded(page: u64, fraction: f64) -> bool {
+fn page_is_upgraded(page: u64, fraction: f64) -> bool {
     if fraction <= 0.0 {
         return false;
     }
@@ -211,13 +197,6 @@ pub fn worst_case_power_factor(upgraded_fraction: f64) -> f64 {
 /// bandwidth drops by the same factor power rises.
 pub fn worst_case_perf_factor(upgraded_fraction: f64) -> f64 {
     1.0 / (1.0 + upgraded_fraction)
-}
-
-/// Worst-case factor for ARCC applied to LOT-ECC (§7.2.1): an upgraded
-/// access costs 4 relaxed accesses (twice the devices *and* an extra
-/// checksum read per read), so the factor is `1 + 3 * fraction`.
-pub fn worst_case_lotecc_factor(upgraded_fraction: f64) -> f64 {
-    1.0 + 3.0 * upgraded_fraction
 }
 
 /// The experiment driver.
@@ -393,21 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn for_cell_uses_the_shared_cell_seed_derivation() {
-        let cfg = SimConfig::arcc(0.0);
-        assert_eq!(cfg.for_cell(3).trace.seed, cell_seed(cfg.trace.seed, 3));
-        assert_ne!(cfg.for_cell(0).trace.seed, cfg.for_cell(1).trace.seed);
-        // Only the trace seed changes.
-        assert_eq!(cfg.for_cell(5).trace.requests, cfg.trace.requests);
-        assert_eq!(cfg.for_cell(5).upgraded_fraction, cfg.upgraded_fraction);
-    }
-
-    #[test]
     fn worst_case_factors() {
         assert_eq!(worst_case_power_factor(0.5), 1.5);
         assert!((worst_case_perf_factor(1.0) - 0.5).abs() < 1e-12);
-        assert_eq!(worst_case_lotecc_factor(1.0), 4.0);
-        assert_eq!(worst_case_lotecc_factor(0.0), 1.0);
     }
 
     #[test]

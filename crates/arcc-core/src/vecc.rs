@@ -6,8 +6,8 @@
 //! Fault-free reads touch only the 18-device rank; reads that detect an
 //! error — and writes whose correction data misses in the LLC — pay a
 //! second rank access (36 device-accesses total), which is the cost
-//! structure Chapter 2 describes and
-//! [`SchemeKind::Vecc`](crate::schemes::SchemeKind) encodes.
+//! structure Chapter 2 describes and the scheme table's `"vecc"` entry
+//! ([`find_scheme`](crate::schemes::find_scheme)) encodes.
 //!
 //! Functional model: the detection tier is the relaxed RS(18,16) codeword
 //! set used detect-only; the correction tier is the check half of an

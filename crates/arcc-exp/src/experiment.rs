@@ -4,10 +4,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use arcc_core::{MixResult, SchemeKind, SimConfig, SystemSim};
+use arcc_core::{MixResult, SimConfig, SystemSim};
 use arcc_trace::{paper_mixes, Mix, TraceConfig};
 
-use crate::sweep::{default_threads, parallel_map};
+use crate::sweep::default_threads;
 
 /// Complete determinant of a mix simulation's result: scheme (ARCC vs
 /// baseline), the mix's benchmark list, the upgraded fraction, and the
@@ -25,17 +25,12 @@ type SimKey = (bool, &'static [&'static str], u64, usize, u64);
 #[derive(Debug, Clone, Default)]
 struct SimCache(Arc<Mutex<BTreeMap<SimKey, MixResult>>>);
 
-/// Default upgraded-page fraction grid for user sweeps: fault-free plus
-/// the Table 7.4 per-fault-type fractions (column, subbank, device, lane).
-pub const DEFAULT_FRACTION_GRID: &[f64] = &[0.0, 1.0 / 32.0, 1.0 / 16.0, 0.5, 1.0];
-
 /// Typed configuration for everything the workspace can run.
 ///
 /// An `Experiment` carries the full knob set of the paper's evaluation —
-/// trace length and seed, Monte-Carlo depths, workload-mix filter, scheme
-/// selection, an upgraded-fraction grid, and the sweep worker count — and
-/// is consumed by the scenario registry ([`crate::run`]) as well as usable
-/// directly:
+/// trace length and seed, Monte-Carlo depths, workload-mix filter, and
+/// the sweep worker count — and is consumed by the scenario registry
+/// ([`crate::run`]) as well as usable directly:
 ///
 /// ```
 /// use arcc_exp::Experiment;
@@ -62,8 +57,6 @@ pub struct Experiment {
     mc_seed: u64,
     escape_trials: u64,
     mix_filter: Option<Vec<String>>,
-    schemes: Option<Vec<SchemeKind>>,
-    fractions: Vec<f64>,
     threads: Option<usize>,
     cache: SimCache,
 }
@@ -78,8 +71,6 @@ impl Default for Experiment {
             mc_seed: 0x11FE,
             escape_trials: 40_000,
             mix_filter: None,
-            schemes: None,
-            fractions: DEFAULT_FRACTION_GRID.to_vec(),
             threads: None,
             cache: SimCache::default(),
         }
@@ -88,7 +79,7 @@ impl Default for Experiment {
 
 impl Experiment {
     /// Paper-scale defaults: 120 000-request traces, 10 000 Monte-Carlo
-    /// channels, 200 000 machines, all 12 mixes, all schemes.
+    /// channels, 200 000 machines, all 12 mixes.
     pub fn new() -> Self {
         Self::default()
     }
@@ -185,18 +176,6 @@ impl Experiment {
         self
     }
 
-    /// Restricts the scheme zoo in scheme-table scenarios.
-    pub fn schemes(mut self, schemes: impl IntoIterator<Item = SchemeKind>) -> Self {
-        self.schemes = Some(schemes.into_iter().collect());
-        self
-    }
-
-    /// Sets the upgraded-page fraction grid used by [`Self::power_sweep`].
-    pub fn upgraded_fractions(mut self, fractions: &[f64]) -> Self {
-        self.fractions = fractions.to_vec();
-        self
-    }
-
     /// Caps sweep workers (default: one per available hardware thread).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -228,19 +207,6 @@ impl Experiment {
                 .filter(|m| filter.iter().any(|f| f == m.name))
                 .collect(),
         }
-    }
-
-    /// The selected schemes (the full zoo unless filtered).
-    pub fn scheme_list(&self) -> Vec<SchemeKind> {
-        match &self.schemes {
-            None => SchemeKind::ALL.to_vec(),
-            Some(s) => s.clone(),
-        }
-    }
-
-    /// The upgraded-fraction grid.
-    pub fn fraction_grid(&self) -> &[f64] {
-        &self.fractions
     }
 
     /// Channels for lifetime Monte Carlos.
@@ -309,15 +275,6 @@ impl Experiment {
             .insert(key, result.clone());
         result
     }
-
-    /// Sweeps one mix over the upgraded-fraction grid in parallel,
-    /// returning `(fraction, result)` pairs in grid order.
-    pub fn power_sweep(&self, mix: &Mix) -> Vec<(f64, MixResult)> {
-        let fracs = self.fractions.clone();
-        parallel_map(self.worker_count(), &fracs, |_, &f| {
-            (f, self.run_arcc(mix, f))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +289,6 @@ mod tests {
         assert_eq!(exp.mc_channel_count(), 10_000);
         assert_eq!(exp.mc_machine_count(), 200_000);
         assert_eq!(exp.mix_list().len(), 12);
-        assert_eq!(exp.scheme_list().len(), SchemeKind::ALL.len());
         assert!(exp.worker_count() >= 1);
     }
 
@@ -371,21 +327,5 @@ mod tests {
         let longer = exp.clone().trace_requests(4_000);
         let other = longer.run_arcc(&mix, 0.5);
         assert_ne!(first.power_mw.to_bits(), other.power_mw.to_bits());
-    }
-
-    #[test]
-    fn power_sweep_covers_grid_in_order() {
-        let exp = Experiment::new()
-            .trace_requests(2_000)
-            .upgraded_fractions(&[0.0, 1.0])
-            .mixes(["Mix1"])
-            .threads(2);
-        let mix = exp.mix_list()[0];
-        let sweep = exp.power_sweep(&mix);
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep[0].0, 0.0);
-        assert_eq!(sweep[1].0, 1.0);
-        // Fully-upgraded memory burns more power than fault-free.
-        assert!(sweep[1].1.power_mw > sweep[0].1.power_mw);
     }
 }

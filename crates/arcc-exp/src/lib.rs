@@ -7,9 +7,9 @@
 //! hand-rolled binaries:
 //!
 //! * [`Experiment`] — a builder carrying every knob (trace length and
-//!   seed, Monte-Carlo channels/machines, mix filter, scheme selection,
-//!   upgraded-fraction grid, worker count). Binaries read the `ARCC_*`
-//!   environment variables through [`Experiment::from_env`].
+//!   seed, Monte-Carlo channels/machines and seed, escape-study trials,
+//!   mix filter, worker count). Binaries read the `ARCC_*` environment
+//!   variables through [`Experiment::from_env`].
 //! * [`Scenario`] + [`registry`] — the ~13 named paper artefacts
 //!   (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`, `motivation`,
 //!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale
@@ -56,7 +56,7 @@ pub mod scenario;
 pub mod scenarios;
 pub mod sweep;
 
-pub use experiment::{Experiment, DEFAULT_FRACTION_GRID};
+pub use experiment::Experiment;
 pub use report::{Report, Table, Value};
 pub use runner::{
     default_report_dir, profile_json, repro_all_main, repro_all_main_with, run_all, run_selected,

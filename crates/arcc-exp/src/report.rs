@@ -153,7 +153,7 @@ fn format_float(f: f64) -> String {
 
 /// Escapes a CSV field per RFC 4180: quote when the field contains a
 /// comma, quote, or newline; double embedded quotes.
-pub fn csv_escape(s: &str) -> String {
+fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

@@ -4,8 +4,8 @@
 //! the Monte Carlos use every core while staying bit-identical to
 //! sequential runs.
 
+use arcc_core::find_scheme;
 use arcc_core::system::worst_case_power_factor;
-use arcc_core::SchemeKind;
 use arcc_faults::{FaultGeometry, FaultMode};
 use arcc_obs::NoopRecorder;
 use arcc_reliability::{faulty_fraction_curve, LifetimeConfig, LifetimePoint, OverheadModel};
@@ -301,10 +301,13 @@ impl Scenario for Fig7_6 {
             avgs[0] * 100.0,
             avgs[2] * 100.0
         ));
-        let lot18 = SchemeKind::LotEcc18.descriptor();
+        let lot18 = find_scheme("lot-ecc-18");
+        assert!(lot18.is_some(), "lot-ecc-18 is registered");
+        let Some(lot18) = lot18 else { return report };
+        let guarantees = lot18.relaxed.guarantees;
         report.push_note(format!(
             "Bought with it: {}+{} sequential chip correction (a 17x DUE reduction",
-            lot18.guarantees.correct, lot18.guarantees.sequential_correct
+            guarantees.correct, guarantees.sequential_correct
         ));
         report.push_note("per the paper's double chip sparing citation).");
         report

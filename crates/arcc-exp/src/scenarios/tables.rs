@@ -1,7 +1,7 @@
 //! Static-artefact scenarios: the data-layout drawings and configuration
 //! tables (no simulation, instant at any knob setting).
 
-use arcc_core::ArccScheme;
+use arcc_core::{find_scheme, ArccScheme, PAPER_SCHEMES};
 use arcc_faults::{FaultGeometry, FaultMode, FitRates};
 use arcc_gf::chipkill::LineCodec;
 use arcc_mem::SystemConfig;
@@ -73,9 +73,10 @@ impl Scenario for FigLayouts {
             "ARCC upgraded line (channels X+Y lockstep)",
             scheme.upgraded(),
         ));
-        if let Some(up2) = scheme.upgraded2() {
-            t.push_row(codec_row("ARCC doubly-upgraded line (§5.1)", up2));
-        }
+        t.push_row(codec_row(
+            "ARCC doubly-upgraded line (§5.1)",
+            scheme.upgraded2(),
+        ));
         report.push_table(t);
         report.push_meta("storage_overhead", scheme.storage_overhead());
 
@@ -110,7 +111,7 @@ impl Scenario for Table7_1 {
         "Memory configurations and chipkill scheme descriptors"
     }
 
-    fn run(&self, exp: &Experiment) -> Report {
+    fn run(&self, _exp: &Experiment) -> Report {
         let mut report = Report::new(self.name(), self.title());
 
         let mut configs = Table::new(
@@ -155,8 +156,8 @@ impl Scenario for Table7_1 {
                 "detect",
             ],
         );
-        for kind in exp.scheme_list() {
-            let d = kind.descriptor();
+        for entry in PAPER_SCHEMES.iter().filter_map(|key| find_scheme(key)) {
+            let d = &entry.relaxed;
             schemes.push_row(vec![
                 Value::from(d.name),
                 Value::from(d.rank_size),
@@ -210,5 +211,23 @@ impl Scenario for Table7_4 {
             g.ranks, g.banks
         ));
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table7_1_lists_every_paper_scheme_in_order() {
+        // `run` skips unknown keys, so a stale key would drop a row silently.
+        let report = Table7_1.run(&Experiment::quick());
+        let rows = &report.table("schemes").unwrap().rows;
+        let names: Vec<_> = rows.iter().map(|row| row[0].as_str()).collect();
+        let expected: Vec<_> = PAPER_SCHEMES
+            .iter()
+            .map(|key| find_scheme(key).map(|e| e.relaxed.name))
+            .collect();
+        assert_eq!(names, expected);
     }
 }

@@ -57,7 +57,7 @@ impl Scenario for SchemeZoo {
             ],
         );
         let registry = scheme_registry();
-        for entry in &registry {
+        for entry in registry {
             let modes: Vec<(&str, &arcc_core::SchemeDescriptor, bool)> = match &entry.upgraded {
                 Some(up) => vec![
                     ("relaxed", &entry.relaxed, entry.codec.is_some()),

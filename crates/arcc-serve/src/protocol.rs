@@ -116,7 +116,8 @@ impl Service {
     }
 
     /// Responses currently held by the memo table.
-    pub fn memo_entries(&self) -> usize {
+    #[cfg(test)]
+    fn memo_entries(&self) -> usize {
         self.memo.len()
     }
 

@@ -21,7 +21,7 @@ pub const CPU_CYCLES_PER_MEM_CYCLE: f64 = 9.0;
 
 /// Nominal loaded memory latency (in CPU cycles) used only to pace trace
 /// generation before real latencies are known.
-pub const NOMINAL_MEM_LATENCY_CPU: f64 = 180.0;
+const NOMINAL_MEM_LATENCY_CPU: f64 = 180.0;
 
 /// IPC used to pace a core's trace generation: its steady-state IPC under
 /// the nominal memory latency.

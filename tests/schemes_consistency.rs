@@ -4,22 +4,28 @@
 
 use arcc::core::lotecc::{LotCodec, LotReadOutcome};
 use arcc::core::vecc::{Vecc, VeccReadOutcome};
-use arcc::core::{ArccScheme, SchemeKind};
+use arcc::core::{find_scheme, ArccScheme, SchemeDescriptor};
 use arcc::faults::{FaultGeometry, FaultMode};
 use arcc::gf::chipkill::LineCodec;
 use arcc::reliability::OverheadModel;
 
+/// The descriptor a scheme-table key names.
+fn descriptor(key: &str) -> &'static SchemeDescriptor {
+    let entry = find_scheme(key).unwrap_or_else(|| panic!("{key} is registered"));
+    &entry.relaxed
+}
+
 #[test]
 fn descriptors_match_codecs() {
     let arcc = ArccScheme::commercial();
-    let relaxed = SchemeKind::RelaxedCk2.descriptor();
+    let relaxed = descriptor("relaxed-ck2");
     assert_eq!(relaxed.rank_size, arcc.relaxed_devices());
     assert_eq!(
         relaxed.check_symbols as usize,
         arcc.relaxed().check_symbols()
     );
 
-    let sccdcd = SchemeKind::Sccdcd.descriptor();
+    let sccdcd = descriptor("sccdcd");
     let codec = LineCodec::sccdcd_x4();
     assert_eq!(sccdcd.rank_size as usize, codec.devices());
     assert_eq!(sccdcd.check_symbols as usize, codec.check_symbols());
@@ -62,13 +68,13 @@ fn guarantee_table_is_honoured_by_the_rs_codecs() {
 
 #[test]
 fn lotecc_guarantees_match_descriptor() {
-    let lot18 = SchemeKind::LotEcc18.descriptor();
+    let lot18 = descriptor("lot-ecc-18");
     assert_eq!(lot18.guarantees.sequential_correct, 1);
     let codec = LotCodec::eighteen_device();
     assert_eq!(codec.rank_size() as u32, lot18.rank_size);
     assert!(codec.supports_sparing());
 
-    let lot9 = SchemeKind::LotEcc9.descriptor();
+    let lot9 = descriptor("lot-ecc-9");
     let codec9 = LotCodec::nine_device();
     assert_eq!(codec9.rank_size() as u32, lot9.rank_size);
     assert!(!codec9.supports_sparing());
