@@ -1,18 +1,11 @@
-//! Criterion micro-benchmarks for the line codecs, plus the
-//! `BENCH_codec.json` throughput record.
-//!
-//! The criterion groups time the Reed–Solomon primitives and every
-//! registry codec's roundtrip; after they run, a custom `main` measures
-//! encode + clean-decode lines/second per registry codec (best-of-3)
-//! and writes `BENCH_codec.json` (path overridable via
-//! `ARCC_BENCH_OUT`) — the baseline the `codec` bin's CI gate compares
-//! against.
+//! Criterion micro-benchmarks for the Reed–Solomon line-codec
+//! primitives. Every registry codec's encode + clean-decode roundtrip
+//! is the `bench codec` ladder, which writes and gates
+//! `BENCH_codec.json`.
 
-use arcc_bench::{bench_record_json, codec_rung_id, measure_codec};
 use arcc_gf::chipkill::LineCodec;
-use arcc_gf::codec::codec_registry;
 use arcc_gf::{Gf256, ReedSolomon};
-use criterion::{black_box, criterion_group, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("encode_line");
@@ -101,62 +94,5 @@ fn bench_syndromes(c: &mut Criterion) {
     });
 }
 
-fn bench_registry_roundtrip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("codec_roundtrip");
-    for codec in codec_registry() {
-        let data: Vec<u8> = (0..codec.data_bytes()).map(|i| i as u8).collect();
-        g.throughput(Throughput::Bytes(codec.data_bytes() as u64));
-        g.bench_function(codec.name(), |b| {
-            b.iter(|| {
-                let mut line = codec.encode(black_box(&data)).expect("sized payload");
-                codec.decode(&mut line, &[]).expect("clean line")
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_encode,
-    bench_decode,
-    bench_syndromes,
-    bench_registry_roundtrip
-);
-
-fn main() {
-    benches();
-
-    // `cargo bench` passes `--bench`; anything else (notably `cargo
-    // test`, which runs harness = false bench targets as smoke tests)
-    // gets a tiny ladder and no throughput record.
-    let lines: u64 = if std::env::args().any(|a| a == "--bench") {
-        20_000
-    } else {
-        let codec = arcc_gf::codec::RsChipkill::arcc_relaxed();
-        let (secs, _) = measure_codec(&codec, 200);
-        println!("codec smoke: 200 arcc-relaxed roundtrips in {secs:.3}s");
-        return;
-    };
-
-    let mut rungs = Vec::new();
-    for codec in codec_registry() {
-        let id = codec_rung_id(codec.name()).expect("every registry codec has a rung id");
-        let (secs, rate) = measure_codec(codec.as_ref(), lines);
-        println!(
-            "codec throughput: {} {lines} roundtrips in {secs:.3}s ({rate:.0} lines/sec)",
-            codec.name()
-        );
-        rungs.push((id, secs, rate));
-    }
-    let json = bench_record_json("codec", 1, &rungs);
-    // Benches run with the package as CWD; anchor the record at the
-    // workspace root where the trajectory tooling looks for it.
-    let path = std::env::var("ARCC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json").to_string()
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("codec throughput record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
+criterion_group!(benches, bench_encode, bench_decode, bench_syndromes);
+criterion_main!(benches);

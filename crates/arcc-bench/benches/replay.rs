@@ -1,18 +1,10 @@
-//! Criterion benchmarks for the trace-driven replay pipeline, plus the
-//! `BENCH_replay.json` throughput record.
-//!
-//! The criterion groups time log parsing and one replayed shard; after
-//! they run, a custom `main` measures end-to-end replay channels/second
-//! at 10k, 100k, and 1M channels (log generation and parsing excluded —
-//! the record tracks the *replay engine*, comparable to the synthetic
-//! rungs in `BENCH_fleet.json`) and writes `BENCH_replay.json` (path
-//! overridable via `ARCC_BENCH_OUT`) so replay throughput is gated in CI
-//! exactly like synthetic throughput.
+//! Criterion benchmarks for the trace-driven replay pipeline: log
+//! parsing and a small replayed fleet. The `BENCH_replay.json` record is
+//! written and gated by `bench replay`.
 
-use arcc_bench::{bench_record_json, best_of};
 use arcc_fleet::{run_replay, FleetSpec, ReplayArrivals};
 use arcc_replay::{generate_log, FaultLog};
-use criterion::{black_box, criterion_group, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn ingest(channels: u64) -> (FleetSpec, ReplayArrivals) {
     let spec = FleetSpec::baseline(channels);
@@ -42,45 +34,4 @@ fn bench_replay(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_parse, bench_replay);
-
-/// Measures one replay run end to end, returning (seconds, channels/sec).
-/// Best-of-three: the committed record is the CI gate baseline, so
-/// scheduler noise must not understate it.
-fn measure(channels: u64) -> (f64, f64) {
-    let threads = arcc_core::default_threads();
-    let (spec, arrivals) = ingest(channels);
-    let (best, stats) = best_of(3, || run_replay(threads, &spec, &arrivals).expect("replay"));
-    assert_eq!(stats.channels, channels);
-    (best, channels as f64 / best)
-}
-
-fn main() {
-    benches();
-
-    // `cargo bench` passes `--bench`; anything else (notably `cargo test`,
-    // which runs harness = false bench targets as smoke tests) gets a tiny
-    // rung and no throughput record.
-    if !std::env::args().any(|a| a == "--bench") {
-        let (secs, _) = measure(1_000);
-        println!("replay smoke: 1000 channels in {secs:.3}s");
-        return;
-    }
-
-    let sizes = [10_000u64, 100_000u64, 1_000_000u64];
-    let mut rungs = Vec::new();
-    for &channels in &sizes {
-        let (secs, rate) = measure(channels);
-        println!("replay throughput: {channels} channels in {secs:.3}s ({rate:.0} channels/sec)");
-        rungs.push((channels, secs, rate));
-    }
-    let json = bench_record_json("replay", arcc_core::default_threads(), &rungs);
-    // Benches run with the package as CWD; anchor the record at the
-    // workspace root where the trajectory tooling looks for it.
-    let path = std::env::var("ARCC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replay.json").to_string()
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("replay throughput record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
+criterion_main!(benches);

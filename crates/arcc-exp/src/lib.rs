@@ -58,9 +58,6 @@ pub mod sweep;
 
 pub use experiment::Experiment;
 pub use report::{Report, Table, Value};
-pub use runner::{
-    default_report_dir, profile_json, repro_all_main, repro_all_main_with, run_all, run_selected,
-    run_selected_profiled,
-};
+pub use runner::{repro_all_main, run_all, run_selected, run_selected_profiled};
 pub use scenario::{find, names, registry, run, ExpError, Scenario};
 pub use sweep::{cell_seed, default_threads, lifetime_curve_sharded, parallel_map, MC_CHUNK};

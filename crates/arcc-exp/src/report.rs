@@ -21,7 +21,7 @@
 
 use std::fmt;
 
-use arcc_obs::json_string;
+use arcc_obs::{json_f64, json_string};
 
 /// One typed cell of a report table.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +62,7 @@ impl Value {
             Value::Null => "null".into(),
             Value::Bool(b) => b.to_string(),
             Value::Int(i) => i.to_string(),
-            Value::Float(f) if f.is_finite() => format_float(*f),
-            Value::Float(_) => "null".into(), // NaN/inf: JSON has no spelling
+            Value::Float(f) => json_f64(*f),
             Value::Str(s) => json_string(s),
         }
     }
@@ -136,18 +135,6 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(s: String) -> Self {
         Value::Str(s)
-    }
-}
-
-/// Formats a finite float as a JSON number (shortest round-trip form).
-fn format_float(f: f64) -> String {
-    let s = format!("{f}");
-    // Rust never prints a bare integer float with a dot; JSON accepts
-    // both, but keeping ".0" marks the column as float for consumers.
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -433,11 +420,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("t", &["a", "b"]);
         t.push_row(vec![Value::Int(1)]);
-    }
-
-    #[test]
-    fn json_integer_floats_keep_a_dot() {
-        assert_eq!(format_float(2.0), "2.0");
-        assert_eq!(format_float(2.5), "2.5");
     }
 }

@@ -98,7 +98,7 @@ pub fn run_selected_profiled(
 /// its wall-clock seconds and total report rows, plus the run total.
 /// Single-line, key-sorted only by construction (registry order), and
 /// built with the same hand-rolled escaping as the reports themselves.
-pub fn profile_json(timed: &[(Report, f64)]) -> String {
+fn profile_json(timed: &[(Report, f64)]) -> String {
     let mut out = String::from("{\"scenarios\":[");
     for (i, (report, seconds)) in timed.iter().enumerate() {
         if i > 0 {
@@ -118,7 +118,7 @@ pub fn profile_json(timed: &[(Report, f64)]) -> String {
 /// Report directory: `ARCC_REPORT_DIR` if set, else `target/repro`
 /// (resolved against `CARGO_TARGET_DIR`-less workspace-root invocation,
 /// which is how `cargo run` launches the binaries).
-pub fn default_report_dir() -> PathBuf {
+fn default_report_dir() -> PathBuf {
     std::env::var_os("ARCC_REPORT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target").join("repro"))
@@ -132,23 +132,17 @@ pub fn default_report_dir() -> PathBuf {
 /// this to smoke-run `fig7_6` and `fleet_scheme_sweep` on their own); no
 /// arguments means the full registry. Knobs come from the `ARCC_*`
 /// environment variables ([`Experiment::from_env`]).
-pub fn repro_all_main() -> i32 {
-    repro_all_main_with(&WallClock::new())
-}
-
-/// [`repro_all_main`] parameterised over the timing clock (the binary
-/// passes a [`WallClock`]; tests can pass a [`ManualClock`]).
 ///
 /// A `--profile` argument (anywhere in the argument list) additionally
 /// writes `<report dir>/profile.json` — per-scenario wall-clock seconds
 /// and report row counts — so CI can archive where repro time goes.
-pub fn repro_all_main_with(clock: &dyn Clock) -> i32 {
+pub fn repro_all_main() -> i32 {
     let mut only: Vec<String> = std::env::args().skip(1).collect();
     let profile = only.iter().any(|a| a == "--profile");
     only.retain(|a| a != "--profile");
     let exp = Experiment::from_env();
     let dir = default_report_dir();
-    match run_selected_profiled(&exp, &dir, &only, clock) {
+    match run_selected_profiled(&exp, &dir, &only, &WallClock::new()) {
         Ok(timed) => {
             if profile {
                 let path = dir.join("profile.json");

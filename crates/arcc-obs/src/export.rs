@@ -30,6 +30,23 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// Renders `x` as a JSON number in its shortest round-trip form, with
+/// `.0` on integral values so the type stays visible, or `null` when
+/// `x` is not finite (JSON has no spelling for NaN or infinity) — the
+/// one float encoder behind every hand-rolled JSON writer in the
+/// workspace.
+pub fn json_f64(x: f64) -> String {
+    if !x.is_finite() {
+        return "null".to_string();
+    }
+    let s = format!("{x}");
+    if s.contains(['.', 'e', 'E']) {
+        s
+    } else {
+        format!("{s}.0")
+    }
+}
+
 /// Maps a dotted metric name onto the Prometheus name charset
 /// (`[a-zA-Z0-9_:]`); anything else becomes `_`.
 pub fn prometheus_name(name: &str) -> String {
@@ -156,5 +173,15 @@ mod tests {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
         assert_eq!(prometheus_name("a.b-c:d_e9"), "a_b_c:d_e9");
+    }
+
+    #[test]
+    fn json_f64_keeps_floats_typed() {
+        assert_eq!(json_f64(0.25), "0.25");
+        assert_eq!(json_f64(2.5), "2.5");
+        assert_eq!(json_f64(2.0), "2.0");
+        assert_eq!(json_f64(3.0), "3.0");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "null");
     }
 }

@@ -46,7 +46,7 @@ pub mod log;
 pub mod metrics;
 
 pub use clock::{elapsed_secs, Clock, ManualClock, WallClock};
-pub use export::{json_string, prometheus_name, to_json, to_prometheus};
+pub use export::{json_f64, json_string, prometheus_name, to_json, to_prometheus};
 pub use log::{log_line, LogLevel};
 pub use metrics::{
     Histogram, MetricValue, MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder,

@@ -61,9 +61,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("--seed wants a u64\n{}", usage()))?;
             }
             "--threads" => {
-                opts.threads = value("--threads")?
+                let threads: usize = value("--threads")?
                     .parse()
                     .map_err(|_| format!("--threads wants a positive count\n{}", usage()))?;
+                if threads == 0 {
+                    return Err(format!("--threads must be positive\n{}", usage()));
+                }
+                opts.threads = threads;
             }
             "--shard-channels" => {
                 let shard: u32 = value("--shard-channels")?
@@ -172,4 +176,25 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_options(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_counts_are_refused() {
+        for flag in ["--threads", "--shard-channels"] {
+            let refused = parse(&[flag, "0"]).err();
+            let message = refused.unwrap_or_else(|| panic!("{flag} 0 was accepted"));
+            let expected = format!("{flag} must be positive");
+            assert!(message.starts_with(&expected), "{message}");
+        }
+        let opts = parse(&["--threads", "3", "--shard-channels", "64"]).expect("positive counts");
+        assert_eq!((opts.threads, opts.shard_channels), (3, 64));
+    }
 }

@@ -50,7 +50,7 @@ use std::io::{BufRead, Write};
 
 use arcc_exp::{find, names, run, Experiment};
 use arcc_fleet::FleetStats;
-use arcc_obs::{json_string, Clock, ManualClock, Recorder as _, SnapshotRecorder};
+use arcc_obs::{json_f64, json_string, Clock, ManualClock, Recorder as _, SnapshotRecorder};
 
 use crate::twin::{parse_policy, policy_token, ServeError, TwinEngine, BASELINE_BRANCH};
 
@@ -582,23 +582,6 @@ pub fn render_error(error: &ServeError) -> String {
     )
 }
 
-/// Shortest round-trip decimal for a finite f64 (`null` otherwise, so
-/// the line stays valid JSON even for degenerate statistics).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // `{}` prints integral floats without a point; keep the type
-        // visible in the JSON.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,12 +831,5 @@ mod tests {
         let timed = service.handle("metrics include=timing", None);
         assert!(timed.contains("\"serve.latency_us.unknown\""), "{timed}");
         assert!(!timed.contains("frobnicate"), "{timed}");
-    }
-
-    #[test]
-    fn json_f64_keeps_floats_typed() {
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }
