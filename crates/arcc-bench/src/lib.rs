@@ -26,6 +26,10 @@
 //! and fails on a rung more than 30% below its record or present on one
 //! side only. Gating `fleet` also A/B-tests the metrics recorder:
 //! [`run_fleet_observed`] may cost at most 5% over [`run_fleet`].
+//! `bench fleet` also prints its scaling on a multi-core host: the
+//! 10M-channel rung timed again at the other thread count (all cores
+//! after a 1-thread ladder, else 1), the two rates and their ratio; that
+//! line is neither recorded nor gated.
 //! `bench replay --log FILE` measures one rung instead: that field log,
 //! replayed under its own inventory-derived spec.
 //!
@@ -138,6 +142,29 @@ fn fleet_ladder(threads: usize) -> Ladder {
         ));
     }
     ladder
+}
+
+/// The fleet ladder's top rung timed once more at the other thread count
+/// (all cores after a 1-thread ladder, else 1) beside the ladder's own
+/// `top` rung, as a printed speed-up line. `None` on a one-core host.
+/// The line is neither recorded nor gated.
+fn fleet_scaling(threads: usize, top: &Rung) -> Option<String> {
+    let cores = default_threads();
+    if cores == 1 {
+        return None;
+    }
+    let other = if threads == 1 { cores } else { 1 };
+    let spec = FleetSpec::baseline(FLEET_CHANNELS[FLEET_CHANNELS.len() - 1]);
+    let (rung, _) = time_rung(&top.id, spec.channels, || run_fleet(other, &spec));
+    let ((one, many), wide) = match threads {
+        1 => ((top.rate, rung.rate), other),
+        _ => ((rung.rate, top.rate), threads),
+    };
+    let (id, speedup) = (&top.id, many / one);
+    Some(format!(
+        "fleet scaling at {id} channels: {one:.0} ch/s at 1 thread, {many:.0} ch/s at \
+         {wide} threads, {speedup:.2}x (available_parallelism {cores})"
+    ))
 }
 
 /// One replay rung: parses `text` (timed alone, noted as MB/s), then
@@ -319,6 +346,11 @@ fn run(args: &[String]) -> Result<bool, String> {
     for (rung, note) in run.rungs.iter().zip(&notes) {
         let (id, seconds, rate) = (&rung.id, rung.seconds, rung.rate);
         println!("{id:>16}  {seconds:>10.4}  {rate:>14.0}  {note}");
+    }
+    if layer == "fleet" {
+        if let Some(line) = run.rungs.last().and_then(|top| fleet_scaling(threads, top)) {
+            println!("{line}");
+        }
     }
     if let Some(path) = record {
         std::fs::write(&path, run.to_json())

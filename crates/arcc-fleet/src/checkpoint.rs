@@ -14,12 +14,53 @@
 //! without rounding drift.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use crate::source::ReplayArrivals;
 use crate::spec::FleetSpec;
 use crate::stats::{FleetStats, PopulationStats, MODE_COUNT};
+
+/// Replaces the file at `path` with `bytes` atomically: the bytes go to
+/// a per-process `<path>.tmp.<pid>` sibling, are fsynced, and the sibling
+/// is renamed into place, followed by a best-effort fsync of the
+/// directory. Readers see the old file or the new one, never a mix.
+///
+/// The per-process tmp name matters when a supervisor restarts a run
+/// while the presumed-dead predecessor is still flushing: the writers use
+/// distinct tmp files and the last rename wins intact.
+///
+/// # Errors
+///
+/// Any filesystem error up to and including the rename. The tmp sibling
+/// is removed on every error, so a failed write leaves `path` and its
+/// directory as they were.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let replace = || {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    };
+    if let Err(e) = replace() {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // Best-effort directory fsync so the rename itself is durable; not
+    // all platforms/filesystems support syncing a directory handle, and
+    // the data is already safe, so failures are ignored.
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
 
 /// A resumable fleet-run prefix.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,43 +153,19 @@ impl FleetCheckpoint {
         }
     }
 
-    /// Writes the checkpoint to `path` atomically: the serialisation goes
-    /// to a per-process `<path>.tmp.<pid>` sibling, is fsynced, and is
-    /// renamed into place —
-    /// so a crash (process kill, OS crash, power loss) leaves either the
-    /// previous complete checkpoint or the new one, never a truncated
-    /// file. (Without the fsync, journalling filesystems may persist the
-    /// rename before the data blocks, leaving a zero-length file after
-    /// power loss; [`Self::from_text`]'s end marker would refuse it, but
-    /// resume would then demand manual cleanup.)
+    /// Writes the checkpoint to `path` atomically through
+    /// [`write_file_atomic`]: a crash (process kill, OS crash, power loss)
+    /// leaves either the previous complete checkpoint or the new one,
+    /// never a truncated file. (Without the fsync, journalling filesystems
+    /// may persist the rename before the data blocks, leaving a
+    /// zero-length file after power loss; [`Self::from_text`]'s end marker
+    /// would refuse it, but resume would then demand manual cleanup.)
     ///
     /// # Errors
     ///
-    /// Any underlying filesystem error (the temporary file is not cleaned
-    /// up on failure; the rename either happens fully or not at all).
+    /// Any underlying filesystem error; see [`write_file_atomic`].
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        use std::io::Write;
-        // Per-process tmp name: if a supervisor restarts a run while the
-        // presumed-dead predecessor is still flushing, the writers use
-        // distinct tmp files and the last atomic rename wins intact —
-        // never an interleaved, unparseable checkpoint.
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(self.to_text().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        // Best-effort directory fsync so the rename itself is durable;
-        // not all platforms/filesystems support syncing a directory
-        // handle, and the data is already safe, so failures are ignored.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_file_atomic(path, self.to_text().as_bytes())
     }
 
     /// Loads a checkpoint from `path`; `Ok(None)` when the file does not
@@ -461,8 +478,7 @@ mod tests {
             loaded.stats.channel_hours.to_bits(),
             ckpt.stats.channel_hours.to_bits()
         );
-        let tmp =
-            std::path::PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
+        let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
         assert!(!tmp.exists(), "tmp file must be renamed away");
         // Overwriting with a further-along checkpoint wins cleanly.
         let mut newer = ckpt.clone();
@@ -472,6 +488,25 @@ mod tests {
         let reloaded = FleetCheckpoint::load(&path).expect("load").expect("exists");
         assert_eq!(reloaded, newer);
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn write_atomic_onto_a_directory_fails_and_leaves_no_tmp() {
+        // Renaming a file onto a non-empty directory fails (EISDIR); the
+        // failed write must remove its tmp sibling and leave the target.
+        let path =
+            std::env::temp_dir().join(format!("arcc-fleet-{}-onto-dir.ckpt", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(path.join("occupied")).expect("block the path");
+        let ckpt = FleetCheckpoint::start(&spec());
+        assert!(ckpt.write_atomic(&path).is_err(), "the rename must fail");
+        let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
+        assert!(!tmp.exists(), "a failed write must remove its tmp file");
+        assert!(
+            path.join("occupied").is_dir(),
+            "the target must be untouched"
+        );
+        std::fs::remove_dir_all(&path).expect("cleanup");
     }
 
     #[test]

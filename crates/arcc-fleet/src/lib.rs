@@ -27,8 +27,10 @@
 //!   the queue, state table, or a logarithm; debug builds check every
 //!   pop against a shadow `BinaryHeap`, the reference `(time, seq)`
 //!   order (driven across random fleets by `tests/sched_ab.rs`);
-//! * the sharded runner ([`run_fleet`]) executes shards on the
-//!   workspace's deterministic `parallel_map`/`cell_seed` contract and
+//! * the sharded runner ([`run_fleet`]) streams shards through the
+//!   workspace's deterministic `fold_in_order`/`cell_seed` contract:
+//!   workers spawned once per run claim shards at most `4 × threads`
+//!   ahead of the fold, with no barrier between batches, and the caller
 //!   folds fixed-size [`FleetStats`] aggregates through an associative
 //!   merge in shard order — peak memory is `O(threads × shard)`,
 //!   independent of fleet size, and parallel runs are byte-identical to

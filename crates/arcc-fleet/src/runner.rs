@@ -1,13 +1,14 @@
-//! The sharded fleet runner: windowed parallel execution with a
-//! streaming, shard-ordered merge.
+//! The sharded fleet runner: shards streamed through one in-order fold.
 //!
-//! Shards execute on the workspace's deterministic [`parallel_map`]
-//! (results collected in input order), in bounded windows of
-//! `threads * WINDOW_FACTOR` shards: each window's aggregates are folded
-//! into the running total before the next window starts, so peak memory
-//! is `O(threads * shard_channels)` channel states plus `O(threads)`
-//! shard aggregates — independent of fleet size. Because the fold is
-//! always in shard order and every shard derives its RNG streams from
+//! Shards execute on the workspace's deterministic [`fold_in_order`]:
+//! workers are spawned once per span and claim shards in order, never
+//! `threads * WINDOW_FACTOR` or more past the next unfolded one, and the
+//! calling thread folds each shard's aggregate into the running total, in
+//! shard order, as soon as it lands. There is no barrier, so a slow shard
+//! holds back only the claims past that bound. Peak memory is
+//! `O(threads * shard_channels)` channel states plus `O(threads)` shard
+//! aggregates — independent of fleet size. Because the fold is always in
+//! shard order and every shard derives its RNG streams from
 //! `cell_seed(spec.seed, shard)`, a parallel run is byte-identical to a
 //! sequential one, and a resumed run byte-identical to an uninterrupted
 //! one.
@@ -17,7 +18,7 @@
 //! from an empty checkpoint, and [`extend_replay`] grows a twin's
 //! checkpoint with its log.
 
-use arcc_core::parallel_map;
+use arcc_core::par::fold_in_order;
 use arcc_obs::{MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder};
 
 use crate::checkpoint::FleetCheckpoint;
@@ -26,7 +27,8 @@ use crate::source::{ReplayArrivals, ReplayError};
 use crate::spec::FleetSpec;
 use crate::stats::FleetStats;
 
-/// Shards in flight per merge window, as a multiple of the worker count.
+/// Shards in flight (claimed but not yet folded), as a multiple of the
+/// worker count.
 const WINDOW_FACTOR: usize = 4;
 
 /// Runs one shard to completion (the unit the runner parallelises).
@@ -189,8 +191,8 @@ pub fn extend_replay(
 }
 
 /// The span loop behind every entry point: runs shards
-/// `[ckpt.shards_done, until)` (`until` clamped to the shard count)
-/// window by window and folds their stats and metrics in shard order, so
+/// `[ckpt.shards_done, until)` (`until` clamped to the shard count) on
+/// [`fold_in_order`] and folds their stats and metrics in shard order, so
 /// neither depends on `threads` or on how a run is split into spans.
 fn run_span(
     threads: usize,
@@ -200,24 +202,22 @@ fn run_span(
     until: u64,
     rec: &mut dyn Recorder,
 ) -> FleetCheckpoint {
-    let until = until.min(spec.shard_count());
-    let window = (threads.max(1) * WINDOW_FACTOR) as u64;
-    while ckpt.shards_done < until {
-        let hi = (ckpt.shards_done + window).min(until);
-        let shards: Vec<u64> = (ckpt.shards_done..hi).collect();
-        let results = parallel_map(threads, &shards, |_, &shard| {
-            match arrivals {
-                Some(arrivals) => ShardEngine::new_replay(spec, shard, arrivals),
-                None => ShardEngine::new(spec, shard),
-            }
-            .run()
-        });
-        for (stats, metrics) in &results {
-            ckpt.stats.merge(stats);
-            metrics.record_into(rec);
+    let first = ckpt.shards_done;
+    let count = until.min(spec.shard_count()).saturating_sub(first) as usize;
+    let ahead = threads.max(1) * WINDOW_FACTOR;
+    let run = |i: usize| {
+        let shard = first + i as u64;
+        match arrivals {
+            Some(arrivals) => ShardEngine::new_replay(spec, shard, arrivals),
+            None => ShardEngine::new(spec, shard),
         }
-        ckpt.shards_done = hi;
-    }
+        .run()
+    };
+    fold_in_order(threads, count, ahead, run, |(stats, metrics)| {
+        ckpt.stats.merge(&stats);
+        metrics.record_into(rec);
+        ckpt.shards_done += 1;
+    });
     ckpt
 }
 

@@ -23,10 +23,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use arcc_exp::ExpError;
+use arcc_fleet::checkpoint::write_file_atomic;
 use arcc_fleet::{
     extend_replay, run_shard_replay, FleetCheckpoint, FleetSpec, FleetStats, OperatorPolicy,
     ReplayArrivals, ReplayError, DEFAULT_SHARD_CHANNELS,
@@ -818,25 +818,10 @@ fn branch_file(name: &str) -> String {
     format!("branch-{name}.ckpt")
 }
 
-/// Atomic text write (tmp + fsync + rename + best-effort dir sync), the
-/// same discipline as [`FleetCheckpoint::write_atomic`], for the
-/// service's own state files.
+/// [`write_file_atomic`] for the service's own state files, with the
+/// path in the error.
 fn write_atomic_text(path: &Path, text: &str) -> Result<(), ServeError> {
-    let io_err = |e: std::io::Error| ServeError::State {
+    write_file_atomic(path, text.as_bytes()).map_err(|e| ServeError::State {
         detail: format!("cannot write {}: {e}", path.display()),
-    };
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(text.as_bytes()).map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    })
 }

@@ -139,6 +139,25 @@ fn state_dir(name: &str) -> PathBuf {
 }
 
 #[test]
+fn failed_state_writes_leave_no_tmp_files() {
+    // Renaming onto a non-empty directory fails, so blocking a state file
+    // with one fails the ingest; the failed atomic write must remove its
+    // tmp sibling. The segment goes through the service's text writer,
+    // the branch checkpoint through `FleetCheckpoint::write_atomic`.
+    let (_, segments) = sample();
+    let branch = format!("branch-{BASELINE_BRANCH}.ckpt");
+    for (name, blocked) in [("segment", "segment-00000.log"), ("branch", &branch)] {
+        let dir = state_dir(&format!("blocked-{name}"));
+        let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+        std::fs::create_dir_all(dir.join(blocked).join("occupied")).expect("block");
+        assert!(engine.ingest(&segments[0]).is_err(), "{blocked} is blocked");
+        let tmp = dir.join(format!("{blocked}.tmp.{}", std::process::id()));
+        assert!(!tmp.exists(), "{} must be removed", tmp.display());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn reopened_state_appends_segments_without_renumbering() {
     let (_, segments) = sample();
     let dir = state_dir("append");
