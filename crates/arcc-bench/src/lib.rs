@@ -28,8 +28,10 @@
 //! [`run_fleet_observed`] may cost at most 5% over [`run_fleet`].
 //! `bench fleet` also prints its scaling on a multi-core host: the
 //! 10M-channel rung timed again at the other thread count (all cores
-//! after a 1-thread ladder, else 1), the two rates and their ratio; that
-//! line is neither recorded nor gated.
+//! after a 1-thread ladder, else 1), the two rates and their ratio. Then
+//! it prints the engine's fault-path cost: nanoseconds per fault of a
+//! fault-heavy fleet (100k channels at 8x field rates) on 1 thread. Both
+//! lines are neither recorded nor gated.
 //! `bench replay --log FILE` measures one rung instead: that field log,
 //! replayed under its own inventory-derived spec.
 //!
@@ -43,7 +45,7 @@ mod record;
 use std::path::{Path, PathBuf};
 
 use arcc_core::default_threads;
-use arcc_fleet::{run_fleet, run_fleet_observed, run_replay, FleetSpec};
+use arcc_fleet::{run_fleet, run_fleet_observed, run_replay, DimmPopulation, FleetSpec};
 use arcc_gf::codec::codec_registry;
 use arcc_obs::{elapsed_secs, Clock, WallClock};
 use arcc_replay::{generate_log, FaultLog};
@@ -67,6 +69,11 @@ const SERVE_SEGMENTS: usize = 8;
 const OBS_AB_CHANNELS: u64 = 100_000;
 /// Fractional cost the enabled recorder may add before the A/B fails.
 const OBS_AB_TOLERANCE: f64 = 0.05;
+/// Channels and field-rate multiplier of the fault-path line: at 8x
+/// rates a channel sees about two faults, so per-fault work, not the
+/// fault-free channels' bypass, dominates the run.
+const FAULT_PATH_CHANNELS: u64 = 100_000;
+const FAULT_PATH_RATES: f64 = 8.0;
 
 /// Wall-clock seconds spent in `f`, plus its result, read through the
 /// [`arcc_obs::Clock`] abstraction so the only raw `Instant` reads in
@@ -165,6 +172,23 @@ fn fleet_scaling(threads: usize, top: &Rung) -> Option<String> {
         "fleet scaling at {id} channels: {one:.0} ch/s at 1 thread, {many:.0} ch/s at \
          {wide} threads, {speedup:.2}x (available_parallelism {cores})"
     ))
+}
+
+/// The fault path's cost as a printed line: nanoseconds per fault of a
+/// 1-thread run of a fault-heavy fleet, best of 3, counted by the run's
+/// own `FleetStats::faults`. The line is neither recorded nor gated.
+fn fleet_fault_path() -> String {
+    let spec = FleetSpec::baseline(FAULT_PATH_CHANNELS)
+        .populations(vec![
+            DimmPopulation::paper("hot").rate_multiplier(FAULT_PATH_RATES)
+        ]);
+    let (seconds, stats) = best_of_3(|| run_fleet(1, &spec));
+    let ns_per_fault = seconds * 1e9 / stats.faults.max(1) as f64;
+    format!(
+        "fleet fault path at {FAULT_PATH_CHANNELS} channels, {FAULT_PATH_RATES}x rates: \
+         {ns_per_fault:.0} ns per fault at 1 thread ({} faults)",
+        stats.faults
+    )
 }
 
 /// One replay rung: parses `text` (timed alone, noted as MB/s), then
@@ -351,6 +375,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         if let Some(line) = run.rungs.last().and_then(|top| fleet_scaling(threads, top)) {
             println!("{line}");
         }
+        println!("{}", fleet_fault_path());
     }
     if let Some(path) = record {
         std::fs::write(&path, run.to_json())

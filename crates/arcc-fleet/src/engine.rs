@@ -1,9 +1,9 @@
 //! The per-shard discrete-event engine.
 //!
 //! One [`ShardEngine`] owns a slice of the fleet's channels and a single
-//! time-ordered event queue, a calendar queue keyed on scrub epochs
-//! (debug builds check its every pop against a shadow `BinaryHeap`).
-//! Three event kinds drive a channel
+//! time-ordered event queue, a calendar queue keyed on scrub epochs and
+//! swept through an occupancy bitmap (debug builds check its every pop
+//! against a shadow `BinaryHeap`). Three event kinds drive a channel
 //! through its service life:
 //!
 //! * **fault arrivals** — drawn lazily, one exponential gap at a time
@@ -11,12 +11,13 @@
 //!   is ever materialised. Arrival processing classifies the fault
 //!   against the channel's *active* fault set with exactly the
 //!   `arcc-reliability` SDC-model predicates (undetected relaxed-codeword
-//!   overlap or upgraded triple overlap ⇒ SDC, other overlap ⇒ DUE);
+//!   overlap or upgraded triple overlap ⇒ SDC, other overlap ⇒ DUE),
+//!   which walk the active set in place instead of collecting it;
 //! * **scrub detections** — scheduled at the first scrub tick after each
 //!   arrival ([`arcc_reliability::detection_time`]). Detection cures a
 //!   transient fault (write-back) — and *compacts it out of the active
 //!   list on the spot*, which is why detections reference faults by
-//!   stable per-channel id rather than index — or upgrades the pages a
+//!   stable per-channel id rather than position — or upgrades the pages a
 //!   permanent fault touches, streaming the upgraded-page mass into the
 //!   shard's power-epoch histogram;
 //! * **replacements** — scheduled by the operator policy on a DUE and
@@ -31,7 +32,16 @@
 //! one uniform draw against that precomputed threshold — no logarithm, no
 //! channel state, no queue traffic. Only event-bearing channels get a
 //! `ChannelState` slot, and queued events address those sparse slots
-//! directly.
+//! directly. Each channel's population comes from cumulative weight
+//! bounds built once per shard ([`FleetSpec::population_picker`]).
+//!
+//! The fault path allocates nothing in steady state. A channel's active
+//! faults are an insertion-ordered list through one shard-wide slab with
+//! a free list (the private `slab` module), so the only heap traffic left is the
+//! amortised growth of the slab and of the calendar's arena and drain
+//! stack; `tests/alloc_count.rs` counts it. The calendar is sized from the
+//! population mix's weight-averaged fault rate, the expected event count,
+//! not from its hottest population's.
 //!
 //! Determinism: every channel owns its own RNG stream
 //! (`cell_seed(shard_seed, channel_index)`), so results are independent
@@ -51,12 +61,13 @@
 
 use arcc_core::cell_seed;
 use arcc_faults::montecarlo::FaultSampler;
-use arcc_faults::{exp_interarrival, exp_interarrival_from_u, FaultEvent, HOURS_PER_YEAR};
+use arcc_faults::{exp_interarrival, exp_interarrival_from_u, HOURS_PER_YEAR};
 use arcc_reliability::{active_at, arrival_is_sdc, detection_time, SchemeCapability};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::sched::{BucketQueue, EventKind, QueuedEvent};
+use crate::slab::{FaultList, FaultSlab};
 use crate::source::ReplayArrivals;
 use crate::spec::{FleetSpec, OperatorPolicy};
 use crate::stats::FleetStats;
@@ -106,20 +117,12 @@ impl EngineMetrics {
     }
 }
 
-/// One fault currently resident in a channel.
-#[derive(Debug, Clone)]
-struct ActiveFault {
-    /// Stable per-channel id; queued detections reference this, so the
-    /// list is free to compact (cleared transients are removed outright).
-    id: u32,
-    event: FaultEvent,
-}
-
 /// Live state of one *event-bearing* channel slot — channels whose first
 /// arrival falls past the horizon never allocate one. O(1) in fleet size
-/// and horizon: an RNG, a handful of flags, and the active fault list,
-/// which stays bounded by the channel's *permanent* fault count because
-/// cleared transients are compacted away at their detection scrub.
+/// and horizon: an RNG, a handful of flags, and the ends of the active
+/// fault list in the shard's slab, which stays bounded by the channel's
+/// *permanent* fault count because cleared transients are compacted away
+/// at their detection scrub.
 #[derive(Debug)]
 struct ChannelState {
     rng: StdRng,
@@ -129,7 +132,7 @@ struct ChannelState {
     generation: u32,
     /// Next stable fault id to hand out.
     next_fault_id: u32,
-    faults: Vec<ActiveFault>,
+    faults: FaultList,
     /// Product of `(1 - affected_fraction)` over detected permanent
     /// faults: `1 - not_upgraded` is the channel's upgraded page mass.
     not_upgraded: f64,
@@ -152,7 +155,7 @@ impl ChannelState {
             population,
             generation: 0,
             next_fault_id: 0,
-            faults: Vec::new(),
+            faults: FaultList::EMPTY,
             not_upgraded: 1.0,
             sdc: false,
             had_fault: false,
@@ -179,12 +182,11 @@ pub struct ShardEngine<'a> {
     /// Sparse channel states: only channels with at least one in-horizon
     /// event own a slot; queued events address slots directly.
     states: Vec<ChannelState>,
+    /// Every channel's active faults.
+    slab: FaultSlab,
     queue: BucketQueue,
     seq: u64,
     spares_left: u32,
-    /// High-water mark of any channel's active-fault list (compaction
-    /// regression guard; observable via [`Self::run_with_peak`] in tests).
-    peak_active_faults: usize,
     /// Observed-arrival source; `None` draws arrivals synthetically.
     replay: Option<&'a ReplayArrivals>,
     stats: FleetStats,
@@ -237,11 +239,18 @@ impl<'a> ShardEngine<'a> {
             })
             .collect();
         // Sizing hints only (never affect results): expected in-horizon
-        // faults — the observed count in replay mode, the hottest
-        // population's Poisson expectation otherwise — times the events
-        // each fault schedules (detections are folded, not queued, under
-        // the no-repair policy).
-        let max_rate = rates.iter().cloned().fold(0.0f64, f64::max);
+        // faults — the observed count in replay mode, the Poisson
+        // expectation at the mix's weight-averaged rate otherwise — times
+        // the events each fault schedules (detections are folded, not
+        // queued, under the no-repair policy).
+        let total_weight: f64 = spec.populations.iter().map(|p| p.weight).sum();
+        let mean_rate = spec
+            .populations
+            .iter()
+            .zip(&rates)
+            .map(|(p, r)| p.weight * r)
+            .sum::<f64>()
+            / total_weight;
         let per_fault_events = if matches!(spec.policy, OperatorPolicy::None) {
             1.3
         } else {
@@ -249,7 +258,7 @@ impl<'a> ShardEngine<'a> {
         };
         let expected_faults = match replay {
             Some(r) => r.events_in_range(first_channel, shard_channels as u64) as f64,
-            None => max_rate * horizon_h * shard_channels as f64,
+            None => mean_rate * horizon_h * shard_channels as f64,
         };
         let events_hint = (per_fault_events * expected_faults).ceil() as usize;
         let queue = BucketQueue::new(horizon_h, spec.bucket_width_hours(), events_hint);
@@ -262,12 +271,12 @@ impl<'a> ShardEngine<'a> {
             rates,
             shard_channels,
             states: Vec::new(),
+            slab: FaultSlab::new(),
             queue,
             seq: 0,
             spares_left: spec
                 .policy
                 .spares_for_range(first_channel, shard_channels as u64),
-            peak_active_faults: 0,
             replay,
             stats: FleetStats::empty(spec.epochs(), spec.populations.len()),
             metrics: EngineMetrics::default(),
@@ -281,6 +290,7 @@ impl<'a> ShardEngine<'a> {
             .states
             .reserve((shard_channels as f64 * max_first_u * 1.1) as usize + 8);
         let mut pop_counts = vec![0u64; spec.populations.len()];
+        let picker = spec.population_picker();
         // Replay mode never draws from a channel's RNG (payloads and
         // arrival times all come from the log), so slots share clones of
         // one placeholder stream instead of paying a full seed schedule
@@ -311,7 +321,7 @@ impl<'a> ShardEngine<'a> {
                 engine.schedule(t, slot, 0, EventKind::Fault);
                 continue;
             }
-            let population = spec.population_for(global);
+            let population = picker.pick(global);
             pop_counts[population] += 1;
             let rate = engine.rates[population];
             if rate <= 0.0 {
@@ -369,11 +379,12 @@ impl<'a> ShardEngine<'a> {
     }
 
     /// Test observability: like [`Self::run`], but also reports the
-    /// active-fault-list high-water mark (the compaction guard).
+    /// slab's high-water mark, the shard's peak count of simultaneously
+    /// active faults (the compaction guard).
     #[cfg(test)]
     fn run_with_peak(mut self) -> (FleetStats, usize) {
         self.drain();
-        let peak = self.peak_active_faults;
+        let peak = self.slab.high_water();
         (self.finalize(), peak)
     }
 
@@ -427,11 +438,9 @@ impl<'a> ShardEngine<'a> {
         // bounded by the permanent count. Under repair policies the
         // detection event itself removes the transient.
         if matches!(self.policy, OperatorPolicy::None) {
-            let before = state.faults.len();
-            state
-                .faults
-                .retain(|a| !a.event.transient || active_at(&a.event, t, scrub));
-            self.metrics.compactions += (before - state.faults.len()) as u64;
+            self.metrics.compactions += self.slab.retain(&mut state.faults, |a| {
+                !a.transient || active_at(a, t, scrub)
+            });
         }
 
         // Classify against active earlier faults — the arcc-reliability
@@ -442,15 +451,13 @@ impl<'a> ShardEngine<'a> {
         // replacements match `run_sdc_monte_carlo`'s bookkeeping exactly.
         let mut due = false;
         if !state.sdc {
-            let overlapping: Vec<&FaultEvent> = state
-                .faults
-                .iter()
-                .map(|a| &a.event)
+            let overlapping = self
+                .slab
+                .iter(state.faults)
                 .filter(|a| active_at(a, t, scrub))
-                .filter(|a| a.codeword_overlap(&fault, false))
-                .collect();
-            if !overlapping.is_empty() {
-                if arrival_is_sdc(&self.caps[pop], &overlapping, &fault, scrub) {
+                .filter(|a| a.codeword_overlap(&fault, false));
+            if overlapping.clone().next().is_some() {
+                if arrival_is_sdc(&self.caps[pop], overlapping, &fault, scrub) {
                     state.sdc = true;
                     self.stats.sdc_channels += 1;
                     self.stats.populations[pop].sdc_channels += 1;
@@ -473,11 +480,7 @@ impl<'a> ShardEngine<'a> {
         let fault_transient = fault.transient;
         let fault_mode = fault.mode;
         state.next_fault_id += 1;
-        state.faults.push(ActiveFault {
-            id: fault_id,
-            event: fault,
-        });
-        self.peak_active_faults = self.peak_active_faults.max(state.faults.len());
+        self.slab.push(&mut state.faults, fault_id, fault);
         let detect_at = detection_time(t, scrub);
         let next = match replay {
             // The next observed arrival, if any; `INFINITY` is filtered by
@@ -541,20 +544,21 @@ impl<'a> ShardEngine<'a> {
     fn on_detection(&mut self, slot: u32, t: f64, fault_id: u32) {
         let state = &mut self.states[slot as usize];
         let pop = state.population as usize;
-        // Stable-id lookup: compaction may have shifted indices, but an
-        // id disappears only with its own detection (or a generation
+        // Stable-id lookup: compaction may have dropped other faults, but
+        // an id disappears only with its own detection (or a generation
         // bump, filtered before dispatch), so this finds the fault.
-        let Some(idx) = state.faults.iter().position(|a| a.id == fault_id) else {
+        let Some(found) = self.slab.find(state.faults, fault_id) else {
             return;
         };
         self.stats.detections += 1;
-        if state.faults[idx].event.transient {
+        let event = *self.slab.event(found);
+        if event.transient {
             // The scrub's corrected write-back cures it; the page was
             // never permanently damaged, so no upgrade — and the entry is
             // compacted away on the spot (this detection *is* the scrub
             // boundary), keeping the active list bounded by the
             // channel's permanent fault count.
-            state.faults.remove(idx);
+            self.slab.remove(&mut state.faults, found);
             self.metrics.compactions += 1;
             self.stats.transient_cleared += 1;
             return;
@@ -567,7 +571,7 @@ impl<'a> ShardEngine<'a> {
         }
         let frac = self.samplers[pop]
             .geometry()
-            .affected_page_fraction(state.faults[idx].event.mode);
+            .affected_page_fraction(event.mode);
         let before = 1.0 - state.not_upgraded;
         state.not_upgraded *= 1.0 - frac;
         let delta = (1.0 - state.not_upgraded) - before;
@@ -597,7 +601,7 @@ impl<'a> ShardEngine<'a> {
         }
         let state = &mut self.states[slot as usize];
         state.generation += 1;
-        state.faults.clear();
+        self.slab.clear(&mut state.faults);
         state.not_upgraded = 1.0;
         let generation = state.generation;
         let rate = self.rates[pop];
@@ -675,7 +679,7 @@ impl<'a> ShardEngine<'a> {
                 *acc += self.shard_channels as f64 * (hi - lo);
             }
         }
-        for state in std::mem::take(&mut self.states) {
+        for state in &self.states {
             if state.retired {
                 continue;
             }
@@ -886,6 +890,30 @@ mod tests {
         // The arrival streams themselves are scheme-independent.
         assert_eq!(arcc.faults, sccdcd.faults);
         assert_eq!(arcc.faults, multi_ecc.faults);
+    }
+
+    #[test]
+    fn calendar_is_sized_from_the_mix_weighted_rate() {
+        // The 60/30/10 cold/warm/hot mix (1x/2x/4x rates, the hot one
+        // scrubbed every 2 hours) under a 20-per-10k spare pool: 4096
+        // channels expect ~1,700 faults and ~5,400 events, so the calendar
+        // gets ~2 buckets per expected event. Sized from the hot
+        // population's rate alone it had 27,222, about 8 per event.
+        let spec = FleetSpec::baseline(2_500_000)
+            .populations(vec![
+                DimmPopulation::paper("cold_1x").weight(0.6).cores(4),
+                DimmPopulation::paper("warm_2x")
+                    .weight(0.3)
+                    .rate_multiplier(2.0)
+                    .cores(8),
+                DimmPopulation::paper("hot_4x")
+                    .weight(0.1)
+                    .rate_multiplier(4.0)
+                    .scrub_interval_h(2.0)
+                    .cores(16),
+            ])
+            .policy(OperatorPolicy::SparePool { spares_per_10k: 20 });
+        assert_eq!(ShardEngine::new(&spec, 0).queue.buckets(), 10_890);
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub mod checkpoint;
 pub mod engine;
 pub mod runner;
 mod sched;
+mod slab;
 pub mod source;
 pub mod spec;
 pub mod stats;
@@ -93,5 +94,8 @@ pub use runner::{
     run_until,
 };
 pub use source::{ReplayArrivals, ReplayError};
-pub use spec::{DimmPopulation, FleetSpec, OperatorPolicy, DEFAULT_SCHEME, DEFAULT_SHARD_CHANNELS};
+pub use spec::{
+    DimmPopulation, FleetSpec, OperatorPolicy, PopulationPicker, DEFAULT_SCHEME,
+    DEFAULT_SHARD_CHANNELS,
+};
 pub use stats::{FleetStats, PopulationStats, MODE_COUNT};

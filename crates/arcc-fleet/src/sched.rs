@@ -9,12 +9,15 @@
 //! [`BucketQueue`] is a calendar queue: pushes are O(1) appends into
 //! coarse time buckets (width = the smallest scrub interval, so every
 //! scrub tick's detection batch lands at the head of its own bucket),
-//! and a bucket is sorted only when the sweep reaches it. Correctness
-//! does not depend on bucket boundaries being exact: the bucket index is
-//! a *monotone* function of time (float truncation of `t * inv_width` is
-//! monotone), so an event mis-rounded across a boundary still sorts
-//! correctly — it is merged into the live drain stack if its bucket has
-//! already been taken.
+//! and a bucket is sorted only when the sweep reaches it. An occupancy
+//! bitmap, one bit per bucket, lets the sweep jump straight to the next
+//! non-empty bucket with `trailing_zeros`, 64 buckets per word, so a
+//! calendar with several buckets per event costs nothing to skip.
+//! Correctness does not depend on bucket boundaries being exact: the
+//! bucket index is a *monotone* function of time (float truncation of
+//! `t * inv_width` is monotone), so an event mis-rounded across a
+//! boundary still sorts correctly — it is merged into the live drain
+//! stack if its bucket has already been taken.
 //!
 //! A `BinaryHeap` is the reference for that order. In debug builds the
 //! queue also pushes every event into a shadow heap and asserts that each
@@ -100,7 +103,7 @@ const EMPTY: u32 = u32::MAX;
 
 /// A calendar queue: coarse time buckets swept in order, each sorted
 /// lazily when the sweep reaches it. Buckets are intrusive chains
-/// through one push-only arena — three flat allocations total, no
+/// through one push-only arena — four flat allocations total, no
 /// per-bucket `Vec`s (allocator traffic is what made a naive calendar no
 /// faster than the heap).
 ///
@@ -108,7 +111,9 @@ const EMPTY: u32 = u32::MAX;
 /// * `stack` holds the still-pending events of every bucket below
 ///   `draining`, sorted descending on `(time_h, seq)` (next event last);
 /// * `heads[b]` for `b >= draining` chains that bucket's future events
-///   through `arena` in reverse push order;
+///   through `arena` in reverse push order, and bit `b` of `occupied` is
+///   set exactly when that chain is non-empty; every bit below
+///   `draining` is clear;
 /// * simulation time never runs backwards, so a push always lands at or
 ///   after the last popped event — into a bucket `>= draining`, or
 ///   merged into `stack` when its (monotone) bucket was already taken.
@@ -120,6 +125,9 @@ pub(crate) struct BucketQueue {
     inv_width: f64,
     /// Head arena index of each bucket's chain (`EMPTY` = none).
     heads: Vec<u32>,
+    /// Bit `b % 64` of word `b / 64` is set while bucket `b` holds
+    /// events the sweep has not taken.
+    occupied: Vec<u64>,
     /// Push-only event storage: `(event, next index in chain)`.
     arena: Vec<(QueuedEvent, u32)>,
     /// Next bucket index the sweep will take.
@@ -152,6 +160,7 @@ impl BucketQueue {
             // One spare bucket so horizon-adjacent rounding stays in
             // range even before the `min` clamp.
             heads: vec![EMPTY; count + 1],
+            occupied: vec![0; (count + 1).div_ceil(64)],
             arena: Vec::with_capacity(events_hint.min(1 << 16)),
             draining: 0,
             stack: Vec::new(),
@@ -184,7 +193,15 @@ impl BucketQueue {
             let idx = self.arena.len() as u32;
             self.arena.push((ev, self.heads[b]));
             self.heads[b] = idx;
+            self.occupied[b / 64] |= 1 << (b % 64);
         }
+    }
+
+    /// Calendar buckets covering the horizon, the spare last one not
+    /// counted.
+    #[cfg(test)]
+    pub fn buckets(&self) -> usize {
+        self.heads.len() - 1
     }
 
     /// Pending event count (the engine's queue-occupancy metric).
@@ -215,21 +232,28 @@ impl BucketQueue {
         if self.len == 0 {
             return None;
         }
-        while self.stack.is_empty() {
-            // `len > 0` guarantees a non-empty bucket ahead of the sweep.
-            let mut idx = self.heads[self.draining];
-            self.draining += 1;
-            if idx != EMPTY {
-                while idx != EMPTY {
-                    let (ev, next) = self.arena[idx as usize];
-                    self.stack.push(ev);
-                    idx = next;
-                }
-                // `QueuedEvent::cmp` is inverted for the max-heap (Greater
-                // = fires earlier), so plain ascending sort yields the
-                // descending stack: next event to fire at the end.
-                self.stack.sort_unstable();
+        if self.stack.is_empty() {
+            // `len > 0` guarantees a non-empty bucket ahead of the sweep,
+            // and no bit below `draining` is set, so the lowest set bit
+            // from `draining`'s word on is the next bucket to take.
+            let mut w = self.draining / 64;
+            while self.occupied[w] == 0 {
+                w += 1;
             }
+            let word = self.occupied[w];
+            let b = w * 64 + word.trailing_zeros() as usize;
+            self.occupied[w] = word & (word - 1);
+            self.draining = b + 1;
+            let mut idx = self.heads[b];
+            while idx != EMPTY {
+                let (ev, next) = self.arena[idx as usize];
+                self.stack.push(ev);
+                idx = next;
+            }
+            // `QueuedEvent::cmp` is inverted for the max-heap (Greater =
+            // fires earlier), so plain ascending sort yields the
+            // descending stack: next event to fire at the end.
+            self.stack.sort_unstable();
         }
         self.len -= 1;
         self.stack.pop()
@@ -253,41 +277,66 @@ mod tests {
         }
     }
 
+    /// What one [`ab_trace`] exercised of the calendar's edge paths.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Pushes that landed in the spare last bucket.
+        spare_pushes: u32,
+        /// Pushes into an already-swept bucket, merged into the stack.
+        stack_merges: u32,
+        /// Most bitmap words one sweep step crossed.
+        max_words_swept: usize,
+    }
+
     /// Replays a time-forward push/pop trace (pushes only at or after the
     /// last popped time, like the engine) against a `BinaryHeap` and
     /// demands identical pop sequences — the same check as the debug-build
-    /// shadow, made explicitly so release test runs make it too.
-    fn ab_trace(width_h: f64, seed: u64) {
-        let horizon = 100.0;
+    /// shadow, made explicitly so release test runs make it too. The
+    /// calendar covers `[0, horizon)` in buckets of `width_h` (widened for
+    /// `events_hint`); some pushes land up to two widths past the horizon,
+    /// in the spare last bucket, which the engine only reaches by
+    /// rounding.
+    fn ab_trace(horizon: f64, width_h: f64, events_hint: usize, seed: u64) -> Coverage {
+        let limit = horizon + 2.0 * width_h;
         let mut heap: BinaryHeap<QueuedEvent> = BinaryHeap::new();
-        let mut bucket = BucketQueue::new(horizon, width_h, 64);
+        let mut bucket = BucketQueue::new(horizon, width_h, events_hint);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<QueuedEvent>,
-                    bucket: &mut BucketQueue,
-                    seq: &mut u64,
-                    t: f64| {
-            if t >= horizon {
+        let mut cover = Coverage::default();
+        let mut push = |heap: &mut BinaryHeap<QueuedEvent>,
+                        bucket: &mut BucketQueue,
+                        seq: &mut u64,
+                        t: f64| {
+            if t >= limit {
                 return;
             }
+            let b = bucket.bucket_of(t);
+            cover.spare_pushes += u32::from(b == bucket.heads.len() - 1);
+            cover.stack_merges += u32::from(b < bucket.draining);
             let e = ev(t, *seq);
             *seq += 1;
             heap.push(e);
             bucket.push(e);
         };
-        for _ in 0..64 {
+        for i in 0..64 {
             let t = rng.gen_range(0.0..horizon);
-            // Mix in exact bucket-boundary times (scrub-tick detections).
+            // Mix in exact bucket-boundary times (scrub-tick detections)
+            // and a few times past the horizon.
             let t = if rng.gen_bool(0.3) {
                 (t / width_h).floor() * width_h
+            } else if i % 16 == 0 {
+                horizon + rng.gen_range(0.0..width_h)
             } else {
                 t
             };
             push(&mut heap, &mut bucket, &mut seq, t);
         }
+        let mut max_words_swept = 0;
         loop {
+            let word_before = bucket.draining / 64;
             let a = heap.pop();
             let b = bucket.pop();
+            max_words_swept = max_words_swept.max(bucket.draining / 64 - word_before);
             match (a, b) {
                 (None, None) => break,
                 (Some(a), Some(b)) => {
@@ -314,17 +363,92 @@ mod tests {
                 (a, b) => panic!("queues disagree on length: heap={a:?} bucket={b:?}"),
             }
         }
+        Coverage {
+            max_words_swept,
+            ..cover
+        }
     }
 
     #[test]
     fn bucket_pops_in_heap_order_across_widths() {
-        // Dyadic, non-dyadic, tiny, and wider-than-horizon widths; the
-        // non-dyadic ones exercise boundary rounding in bucket_of.
-        for (i, width) in [4.0, 3.0, 0.7, 17.3, 250.0].iter().enumerate() {
+        // `(horizon, width, events hint)`: dyadic, non-dyadic, tiny and
+        // wider-than-horizon widths (the non-dyadic ones exercise boundary
+        // rounding in bucket_of); exactly one bitmap word with the spare
+        // bucket as its last bit, and one more bucket, so the spare opens a
+        // second word; and 10,000 sparse buckets, where the sweep crosses
+        // runs of empty words. Most bucket counts, spare included, are not
+        // multiples of 64.
+        let calendars = [
+            (100.0, 4.0, 64),
+            (100.0, 3.0, 64),
+            (100.0, 0.7, 64),
+            (100.0, 17.3, 64),
+            (100.0, 250.0, 64),
+            (63.0, 1.0, 64),
+            (64.0, 1.0, 64),
+            (100.0, 0.01, 100_000),
+        ];
+        let mut total = Coverage::default();
+        for (i, &(horizon, width, hint)) in calendars.iter().enumerate() {
             for seed in 0..8u64 {
-                ab_trace(*width, seed * 31 + i as u64);
+                let cover = ab_trace(horizon, width, hint, seed * 31 + i as u64);
+                total.spare_pushes += cover.spare_pushes;
+                total.stack_merges += cover.stack_merges;
+                total.max_words_swept = total.max_words_swept.max(cover.max_words_swept);
             }
         }
+        assert!(total.spare_pushes > 0, "no push reached the spare bucket");
+        assert!(total.stack_merges > 0, "no push met a swept bucket");
+        assert!(
+            total.max_words_swept >= 2,
+            "no sweep crossed an empty bitmap word: {total:?}"
+        );
+    }
+
+    #[test]
+    fn sweep_jumps_empty_words_to_the_spare_bucket() {
+        // 6,400 one-hour buckets plus the spare: 6,401 bits in 101 words.
+        let mut q = BucketQueue::new(6400.0, 1.0, 4000);
+        assert_eq!((q.heads.len(), q.occupied.len()), (6401, 101));
+        for (s, t) in [0.5, 200.5, 6399.5, 6400.0, 7000.0].into_iter().enumerate() {
+            q.push(ev(t, s as u64));
+        }
+        // Each pop that empties the stack takes the next occupied bucket,
+        // however many empty words lie between.
+        for (seq, draining) in [(0, 1), (1, 201), (2, 6400), (3, 6401)] {
+            assert_eq!(q.pop().map(|e| e.seq), Some(seq));
+            assert_eq!(q.draining, draining);
+        }
+        // The spare bucket has been swept: a later push past the horizon
+        // merges into the stack ahead of the one still pending there.
+        q.push(ev(6500.0, 5));
+        assert_eq!(q.pop().map(|e| e.seq), Some(5));
+        assert_eq!(q.pop().map(|e| e.seq), Some(4));
+        assert!(q.pop().is_none());
+        assert!(q.occupied.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn pushes_into_swept_buckets_merge_into_the_stack() {
+        let mut q = BucketQueue::new(100.0, 4.0, 16);
+        q.push(ev(8.5, 0));
+        q.push(ev(9.0, 1));
+        q.push(ev(20.0, 2));
+        // Taking bucket 2 moves 9.0 onto the stack.
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!(q.draining, 3);
+        // Same-bucket pushes at or after the last pop merge in order.
+        q.push(ev(8.7, 3));
+        q.push(ev(8.5, 4));
+        assert_eq!(q.pop().map(|e| e.seq), Some(4));
+        assert_eq!(q.pop().map(|e| e.seq), Some(3));
+        assert_eq!(q.pop().map(|e| e.seq), Some(1));
+        // With the stack empty, a push into the swept bucket still pops
+        // before the next occupied bucket.
+        q.push(ev(9.5, 5));
+        assert_eq!(q.pop().map(|e| e.seq), Some(5));
+        assert_eq!(q.pop().map(|e| e.seq), Some(2));
+        assert!(q.pop().is_none());
     }
 
     #[test]

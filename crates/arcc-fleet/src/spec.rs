@@ -202,6 +202,30 @@ impl OperatorPolicy {
     }
 }
 
+/// A spec's channel-to-population assignment
+/// ([`FleetSpec::population_picker`]): each channel's hashed global id
+/// against the populations' cumulative normalised weights.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PopulationPicker {
+    seed: u64,
+    /// `bounds[i]`: the running sum of normalised weights through
+    /// population `i`, accumulated in population order.
+    bounds: Vec<f64>,
+}
+
+impl PopulationPicker {
+    /// The population of global channel `channel_id`.
+    pub fn pick(&self, channel_id: u64) -> usize {
+        let last = self.bounds.len() - 1;
+        if last == 0 {
+            return 0;
+        }
+        let u = splitmix64(self.seed ^ channel_id.wrapping_mul(0x9E3779B97F4A7C15)) as f64
+            / u64::MAX as f64;
+        self.bounds.iter().position(|&b| u < b).unwrap_or(last)
+    }
+}
+
 /// Complete description of one fleet simulation.
 ///
 /// ```
@@ -323,21 +347,29 @@ impl FleetSpec {
     /// Deterministically assigns a channel to a population by hashing its
     /// global id against the cumulative population weights — independent
     /// of shard size, so resharding a fleet never reshuffles hardware.
+    /// Builds the bounds for this one call; a loop over channels builds
+    /// one [`Self::population_picker`] and asks it instead.
     pub fn population_for(&self, channel_id: u64) -> usize {
-        if self.populations.len() == 1 {
-            return 0;
-        }
+        self.population_picker().pick(channel_id)
+    }
+
+    /// The channel-to-population assignment of [`Self::population_for`],
+    /// with the cumulative weight bounds computed once.
+    pub fn population_picker(&self) -> PopulationPicker {
         let total: f64 = self.populations.iter().map(|p| p.weight).sum();
-        let u = splitmix64(self.seed ^ channel_id.wrapping_mul(0x9E3779B97F4A7C15)) as f64
-            / u64::MAX as f64;
         let mut acc = 0.0;
-        for (i, p) in self.populations.iter().enumerate() {
-            acc += p.weight / total;
-            if u < acc {
-                return i;
-            }
+        let bounds = self
+            .populations
+            .iter()
+            .map(|p| {
+                acc += p.weight / total;
+                acc
+            })
+            .collect();
+        PopulationPicker {
+            seed: self.seed,
+            bounds,
         }
-        self.populations.len() - 1
     }
 
     /// Order-sensitive fingerprint of every knob (all of them affect

@@ -110,7 +110,11 @@ pub fn active_at(f: &FaultEvent, t: f64, scrub_h: f64) -> bool {
 /// 36-device codeword (detects 2, not 3). This predicate is the single
 /// source of truth shared by [`run_sdc_monte_carlo`] and the
 /// `arcc-fleet` event engine, so their golden agreement is structural.
-pub fn arcc_arrival_is_sdc(overlapping: &[&FaultEvent], b: &FaultEvent, scrub_h: f64) -> bool {
+pub fn arcc_arrival_is_sdc<'a, I>(overlapping: I, b: &FaultEvent, scrub_h: f64) -> bool
+where
+    I: IntoIterator<Item = &'a FaultEvent>,
+    I::IntoIter: Clone,
+{
     arrival_is_sdc(&SchemeCapability::arcc(), overlapping, b, scrub_h)
 }
 
@@ -171,30 +175,31 @@ impl SchemeCapability {
 /// or enough faults — detected or not — in the full-width codeword to
 /// exhaust `upgraded_detect`. A static scheme has a single mode, so only
 /// the first route exists, without the undetected filter.
-pub fn arrival_is_sdc(
+///
+/// `overlapping` is walked as a cloneable iterator, once per candidate
+/// subset the predicates need, so classifying an arrival allocates
+/// nothing.
+pub fn arrival_is_sdc<'a, I>(
     cap: &SchemeCapability,
-    overlapping: &[&FaultEvent],
+    overlapping: I,
     b: &FaultEvent,
     scrub_h: f64,
-) -> bool {
+) -> bool
+where
+    I: IntoIterator<Item = &'a FaultEvent>,
+    I::IntoIter: Clone,
+{
+    let overlapping = overlapping.into_iter();
     if cap.adaptive {
-        let undetected: Vec<&FaultEvent> = overlapping
-            .iter()
-            .copied()
-            .filter(|a| {
-                b.time_h < detection_time(a.time_h, scrub_h)
-                    && a.codeword_overlap(b, cap.relaxed_half_width)
-            })
-            .collect();
-        completes_overlap(&undetected, b, cap.relaxed_detect)
+        let undetected = overlapping.clone().filter(|a| {
+            b.time_h < detection_time(a.time_h, scrub_h)
+                && a.codeword_overlap(b, cap.relaxed_half_width)
+        });
+        completes_overlap(undetected, b, cap.relaxed_detect)
             || completes_overlap(overlapping, b, cap.upgraded_detect)
     } else if cap.relaxed_half_width {
-        let in_half: Vec<&FaultEvent> = overlapping
-            .iter()
-            .copied()
-            .filter(|a| a.codeword_overlap(b, true))
-            .collect();
-        completes_overlap(&in_half, b, cap.relaxed_detect)
+        let in_half = overlapping.filter(|a| a.codeword_overlap(b, true));
+        completes_overlap(in_half, b, cap.relaxed_detect)
     } else {
         completes_overlap(overlapping, b, cap.relaxed_detect)
     }
@@ -209,51 +214,69 @@ pub fn arrival_is_sdc(
 /// classic [`triple_overlap`], and `detect == 0` (a scheme with no
 /// detection guarantee, like MultiECC's probabilistic trial decode)
 /// escapes on any arrival.
-pub fn completes_overlap(candidates: &[&FaultEvent], b: &FaultEvent, detect: u32) -> bool {
+pub fn completes_overlap<'a, I>(candidates: I, b: &FaultEvent, detect: u32) -> bool
+where
+    I: IntoIterator<Item = &'a FaultEvent>,
+    I::IntoIter: Clone,
+{
+    let mut candidates = candidates.into_iter();
     match detect {
         0 => true,
-        1 => !candidates.is_empty(),
+        1 => candidates.next().is_some(),
         2 => triple_overlap(candidates, b),
-        k => {
-            let mut chosen: Vec<&FaultEvent> = Vec::with_capacity(k as usize);
-            k_overlap_search(candidates, 0, &mut chosen, &b.set, k as usize)
-        }
+        k => k_overlap_search(candidates, None, &b.set, k as usize),
     }
+}
+
+/// One fault chosen by [`k_overlap_search`], linked to the ones chosen
+/// before it: the chosen set lives on the recursion's stack frames.
+struct Chosen<'c> {
+    fault: &'c FaultEvent,
+    prev: Option<&'c Chosen<'c>>,
 }
 
 /// Recursive common-intersection search for `completes_overlap` at
 /// `detect >= 3`: extend `chosen` (pairwise distinct devices, pairwise
-/// rank-compatible) while narrowing `common` (seeded with `b`'s own set)
-/// until `need` faults share a location with `b`.
-fn k_overlap_search<'a>(
-    candidates: &[&'a FaultEvent],
-    start: usize,
-    chosen: &mut Vec<&'a FaultEvent>,
+/// rank-compatible) with the faults `candidates` still yields, while
+/// narrowing `common` (seeded with `b`'s own set), until `need` faults
+/// share a location with `b`.
+fn k_overlap_search<'a, I>(
+    mut candidates: I,
+    chosen: Option<&Chosen<'_>>,
     common: &arcc_faults::AddressSet,
     need: usize,
-) -> bool {
+) -> bool
+where
+    I: Iterator<Item = &'a FaultEvent> + Clone,
+{
     if need == 0 {
         return true;
     }
-    for i in start..candidates.len() {
-        let c = candidates[i];
-        if chosen.iter().any(|x| x.device_pos == c.device_pos) {
-            continue;
+    while let Some(c) = candidates.next() {
+        let mut compatible = true;
+        let mut link = chosen;
+        while let Some(x) = link {
+            let rank_ok = match (x.fault.rank, c.rank) {
+                (Some(r1), Some(r2)) => r1 == r2,
+                _ => true,
+            };
+            if x.fault.device_pos == c.device_pos || !rank_ok {
+                compatible = false;
+                break;
+            }
+            link = x.prev;
         }
-        let rank_ok = chosen.iter().all(|x| match (x.rank, c.rank) {
-            (Some(r1), Some(r2)) => r1 == r2,
-            _ => true,
-        });
-        if !rank_ok {
+        if !compatible {
             continue;
         }
         let Some(next) = common.intersection(&c.set) else {
             continue;
         };
-        chosen.push(c);
-        let hit = k_overlap_search(candidates, i + 1, chosen, &next, need - 1);
-        chosen.pop();
-        if hit {
+        let with_c = Chosen {
+            fault: c,
+            prev: chosen,
+        };
+        if k_overlap_search(candidates.clone(), Some(&with_c), &next, need - 1) {
             return true;
         }
     }
@@ -286,18 +309,17 @@ pub fn run_sdc_monte_carlo(cfg: &SdcConfig) -> SdcResult {
         for (bi, b) in faults.iter().enumerate() {
             let prior = &faults[..bi];
             // Active earlier faults that share a full-width codeword with b.
-            let overlapping: Vec<&FaultEvent> = prior
+            let overlapping = prior
                 .iter()
                 .filter(|a| active_at(a, b.time_h, cfg.scrub_interval_h))
-                .filter(|a| a.codeword_overlap(b, false))
-                .collect();
-            if overlapping.is_empty() {
+                .filter(|a| a.codeword_overlap(b, false));
+            if overlapping.clone().next().is_none() {
                 continue;
             }
 
             // --- ARCC accounting -----------------------------------------
             if !arcc_sdc {
-                if arcc_arrival_is_sdc(&overlapping, b, cfg.scrub_interval_h) {
+                if arcc_arrival_is_sdc(overlapping.clone(), b, cfg.scrub_interval_h) {
                     arcc_sdc = true;
                 } else {
                     result.arcc_due_events += 1;
@@ -306,7 +328,7 @@ pub fn run_sdc_monte_carlo(cfg: &SdcConfig) -> SdcResult {
 
             // --- SCCDCD accounting ---------------------------------------
             if !sccdcd_sdc {
-                if triple_overlap(&overlapping, b) {
+                if triple_overlap(overlapping, b) {
                     sccdcd_sdc = true;
                 } else {
                     result.sccdcd_due_events += 1;
@@ -326,9 +348,14 @@ pub fn run_sdc_monte_carlo(cfg: &SdcConfig) -> SdcResult {
 /// `b` all intersecting at a common location in one 36-device codeword?
 /// (Public so the `arcc-fleet` event engine counts upgraded-page escapes
 /// with the very same predicate.)
-pub fn triple_overlap(overlapping: &[&FaultEvent], b: &FaultEvent) -> bool {
-    for (i, a1) in overlapping.iter().enumerate() {
-        for a2 in &overlapping[i + 1..] {
+pub fn triple_overlap<'a, I>(overlapping: I, b: &FaultEvent) -> bool
+where
+    I: IntoIterator<Item = &'a FaultEvent>,
+    I::IntoIter: Clone,
+{
+    let mut rest = overlapping.into_iter();
+    while let Some(a1) = rest.next() {
+        for a2 in rest.clone() {
             if a1.device_pos == a2.device_pos {
                 continue;
             }
@@ -458,9 +485,9 @@ mod tests {
                 }
                 let legacy = overlapping.iter().any(|a| {
                     b.time_h < detection_time(a.time_h, scrub) && a.codeword_overlap(b, true)
-                }) || triple_overlap(&overlapping, b);
+                }) || triple_overlap(overlapping.iter().copied(), b);
                 assert_eq!(
-                    arcc_arrival_is_sdc(&overlapping, b, scrub),
+                    arcc_arrival_is_sdc(overlapping.iter().copied(), b, scrub),
                     legacy,
                     "wrapper diverged at arrival {bi}"
                 );
@@ -499,7 +526,8 @@ mod tests {
                     continue;
                 }
                 for (i, cap) in caps.iter().enumerate() {
-                    sdc[i] += u64::from(arrival_is_sdc(cap, &overlapping, b, scrub));
+                    let overlapping = overlapping.iter().copied();
+                    sdc[i] += u64::from(arrival_is_sdc(cap, overlapping, b, scrub));
                 }
             }
         }
@@ -526,17 +554,18 @@ mod tests {
         };
         let (a1, a2, a3, b) = (f(0), f(1), f(2), f(3));
         let cands = [&a1, &a2, &a3];
-        assert!(completes_overlap(&[], &b, 0), "detect-0 escapes on arrival");
-        assert!(!completes_overlap(&[], &b, 1));
-        assert!(completes_overlap(&cands[..1], &b, 1));
-        assert!(!completes_overlap(&cands[..1], &b, 2));
-        assert!(completes_overlap(&cands[..2], &b, 2));
+        let first = |n: usize| cands[..n].iter().copied();
+        assert!(completes_overlap([], &b, 0), "detect-0 escapes on arrival");
+        assert!(!completes_overlap([], &b, 1));
+        assert!(completes_overlap(first(1), &b, 1));
+        assert!(!completes_overlap(first(1), &b, 2));
+        assert!(completes_overlap(first(2), &b, 2));
         // detect-3 needs three co-located earlier faults on distinct devices.
-        assert!(!completes_overlap(&cands[..2], &b, 3));
-        assert!(completes_overlap(&cands, &b, 3));
+        assert!(!completes_overlap(first(2), &b, 3));
+        assert!(completes_overlap(cands, &b, 3));
         // Same device twice does not count twice.
         let dup = [&a1, &a1, &a2];
-        assert!(!completes_overlap(&dup, &b, 3));
+        assert!(!completes_overlap(dup, &b, 3));
     }
 
     #[test]
@@ -562,17 +591,166 @@ mod tests {
             ..base
         };
         // Mixed ranks can never meet in one codeword.
-        assert!(!completes_overlap(
-            &[&same_rank, &other_rank, &third],
-            &b,
-            3
-        ));
-        assert!(completes_overlap(&[&same_rank, &base, &third], &b, 3));
+        assert!(!completes_overlap([&same_rank, &other_rank, &third], &b, 3));
+        assert!(completes_overlap([&same_rank, &base, &third], &b, 3));
         // Disjoint banks cannot share a location.
         let mut bank0 = same_rank;
         bank0.set.banks = DimSel::One(0);
         let mut bank1 = third;
         bank1.set.banks = DimSel::One(1);
-        assert!(!completes_overlap(&[&bank0, &bank1, &base], &b, 3));
+        assert!(!completes_overlap([&bank0, &bank1, &base], &b, 3));
+    }
+
+    /// The slice-and-`Vec` predicates the iterator forms replaced, kept as
+    /// the reference they are checked against.
+    mod slice_reference {
+        use super::*;
+
+        pub fn arrival_is_sdc(
+            cap: &SchemeCapability,
+            overlapping: &[&FaultEvent],
+            b: &FaultEvent,
+            scrub_h: f64,
+        ) -> bool {
+            if cap.adaptive {
+                let undetected: Vec<&FaultEvent> = overlapping
+                    .iter()
+                    .copied()
+                    .filter(|a| {
+                        b.time_h < detection_time(a.time_h, scrub_h)
+                            && a.codeword_overlap(b, cap.relaxed_half_width)
+                    })
+                    .collect();
+                completes_overlap(&undetected, b, cap.relaxed_detect)
+                    || completes_overlap(overlapping, b, cap.upgraded_detect)
+            } else if cap.relaxed_half_width {
+                let in_half: Vec<&FaultEvent> = overlapping
+                    .iter()
+                    .copied()
+                    .filter(|a| a.codeword_overlap(b, true))
+                    .collect();
+                completes_overlap(&in_half, b, cap.relaxed_detect)
+            } else {
+                completes_overlap(overlapping, b, cap.relaxed_detect)
+            }
+        }
+
+        pub fn completes_overlap(candidates: &[&FaultEvent], b: &FaultEvent, detect: u32) -> bool {
+            match detect {
+                0 => true,
+                1 => !candidates.is_empty(),
+                2 => triple_overlap(candidates, b),
+                k => {
+                    let mut chosen: Vec<&FaultEvent> = Vec::with_capacity(k as usize);
+                    k_overlap_search(candidates, 0, &mut chosen, &b.set, k as usize)
+                }
+            }
+        }
+
+        fn triple_overlap(overlapping: &[&FaultEvent], b: &FaultEvent) -> bool {
+            for (i, a1) in overlapping.iter().enumerate() {
+                for a2 in &overlapping[i + 1..] {
+                    if a1.device_pos == a2.device_pos {
+                        continue;
+                    }
+                    let rank_ok = match (a1.rank, a2.rank) {
+                        (Some(r1), Some(r2)) => r1 == r2,
+                        _ => true,
+                    };
+                    if !rank_ok {
+                        continue;
+                    }
+                    if let Some(common) = a1.set.intersection(&a2.set) {
+                        if common.intersects(&b.set) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        }
+
+        fn k_overlap_search<'a>(
+            candidates: &[&'a FaultEvent],
+            start: usize,
+            chosen: &mut Vec<&'a FaultEvent>,
+            common: &arcc_faults::AddressSet,
+            need: usize,
+        ) -> bool {
+            if need == 0 {
+                return true;
+            }
+            for i in start..candidates.len() {
+                let c = candidates[i];
+                if chosen.iter().any(|x| x.device_pos == c.device_pos) {
+                    continue;
+                }
+                let rank_ok = chosen.iter().all(|x| match (x.rank, c.rank) {
+                    (Some(r1), Some(r2)) => r1 == r2,
+                    _ => true,
+                });
+                if !rank_ok {
+                    continue;
+                }
+                let Some(next) = common.intersection(&c.set) else {
+                    continue;
+                };
+                chosen.push(c);
+                let hit = k_overlap_search(candidates, i + 1, chosen, &next, need - 1);
+                chosen.pop();
+                if hit {
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
+    /// The allocation-free iterator predicates give the slice reference's
+    /// verdict on every overlapped arrival of sampled histories, for every
+    /// detection strength the k-overlap search handles and both code
+    /// widths, adaptive and static.
+    #[test]
+    fn iterator_predicates_match_the_slice_reference() {
+        let geometry = FaultGeometry::paper_channel();
+        let sampler = FaultSampler::new(geometry, FitRates::sridharan_sc12().scaled(200.0));
+        let mut rng = StdRng::seed_from_u64(0x5EF);
+        let scrub = 4.0;
+        let mut caps = vec![SchemeCapability::arcc()];
+        for detect in 0..=5 {
+            caps.push(SchemeCapability::static_code(detect, true));
+            caps.push(SchemeCapability::static_code(detect, false));
+            caps.push(SchemeCapability {
+                relaxed_detect: detect,
+                upgraded_detect: detect + 1,
+                relaxed_half_width: detect % 2 == 0,
+                adaptive: true,
+            });
+        }
+        let (mut checked, mut escapes) = (0u32, 0u32);
+        for _ in 0..600 {
+            let faults = sampler.sample_lifetime(&mut rng, 7.0 * HOURS_PER_YEAR);
+            for (bi, b) in faults.iter().enumerate() {
+                let overlapping: Vec<&FaultEvent> = faults[..bi]
+                    .iter()
+                    .filter(|a| active_at(a, b.time_h, scrub))
+                    .filter(|a| a.codeword_overlap(b, false))
+                    .collect();
+                for cap in &caps {
+                    let want = slice_reference::arrival_is_sdc(cap, &overlapping, b, scrub);
+                    let got = arrival_is_sdc(cap, overlapping.iter().copied(), b, scrub);
+                    assert_eq!(got, want, "{cap:?} diverged at arrival {bi}");
+                    escapes += u32::from(got);
+                }
+                for detect in 0..=5 {
+                    let want = slice_reference::completes_overlap(&overlapping, b, detect);
+                    let got = completes_overlap(overlapping.iter().copied(), b, detect);
+                    assert_eq!(got, want, "detect-{detect} diverged at arrival {bi}");
+                }
+                checked += u32::from(!overlapping.is_empty());
+            }
+        }
+        assert!(checked > 500, "too few overlapped arrivals: {checked}");
+        assert!(escapes > 0, "no predicate ever fired");
     }
 }

@@ -62,12 +62,13 @@ pub fn generate_log(spec: &FleetSpec) -> FaultLog {
         faults: Vec::new(),
         id_index: Vec::new(),
     };
+    let picker = spec.population_picker();
     for shard in 0..spec.shard_count() {
         let shard_seed = cell_seed(spec.seed, shard);
         let first_channel = shard * spec.shard_channels as u64;
         for c in 0..spec.shard_size(shard) {
             let global = first_channel + c as u64;
-            let population = spec.population_for(global);
+            let population = picker.pick(global);
             let dimm = log.dimms.len() as u32;
             log.dimms.push(LogDimm {
                 id: format!("ch{global:08}"),
