@@ -37,11 +37,11 @@
 //!
 //! The fault path allocates nothing in steady state. A channel's active
 //! faults are an insertion-ordered list through one shard-wide slab with
-//! a free list (the private `slab` module), so the only heap traffic left is the
-//! amortised growth of the slab and of the calendar's arena and drain
-//! stack; `tests/alloc_count.rs` counts it. The calendar is sized from the
-//! population mix's weight-averaged fault rate, the expected event count,
-//! not from its hottest population's.
+//! a free list (the private `slab` module), so the only heap traffic
+//! left is the amortised growth of the slab and of the calendar's arena
+//! and drain stack; `tests/alloc_count.rs` counts it. The calendar is
+//! sized from the population mix's weight-averaged fault rate, the
+//! expected event count, not from its hottest population's.
 //!
 //! Determinism: every channel owns its own RNG stream
 //! (`cell_seed(shard_seed, channel_index)`), so results are independent
@@ -551,8 +551,9 @@ impl<'a> ShardEngine<'a> {
             return;
         };
         self.stats.detections += 1;
-        let event = *self.slab.event(found);
-        if event.transient {
+        let event = self.slab.event(found);
+        let (transient, mode) = (event.transient, event.mode);
+        if transient {
             // The scrub's corrected write-back cures it; the page was
             // never permanently damaged, so no upgrade — and the entry is
             // compacted away on the spot (this detection *is* the scrub
@@ -569,9 +570,7 @@ impl<'a> ShardEngine<'a> {
         if !self.caps[pop].adaptive {
             return;
         }
-        let frac = self.samplers[pop]
-            .geometry()
-            .affected_page_fraction(event.mode);
+        let frac = self.samplers[pop].geometry().affected_page_fraction(mode);
         let before = 1.0 - state.not_upgraded;
         state.not_upgraded *= 1.0 - frac;
         let delta = (1.0 - state.not_upgraded) - before;

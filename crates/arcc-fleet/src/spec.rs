@@ -453,6 +453,51 @@ mod tests {
         }
     }
 
+    /// The per-call assignment the picker replaced: re-sums the weights
+    /// and divides on every call. Kept as the reference the picker must
+    /// reproduce channel for channel.
+    fn reference_population_for(spec: &FleetSpec, channel_id: u64) -> usize {
+        if spec.populations.len() == 1 {
+            return 0;
+        }
+        let total: f64 = spec.populations.iter().map(|p| p.weight).sum();
+        let u = splitmix64(spec.seed ^ channel_id.wrapping_mul(0x9E3779B97F4A7C15)) as f64
+            / u64::MAX as f64;
+        let mut acc = 0.0;
+        for (i, p) in spec.populations.iter().enumerate() {
+            acc += p.weight / total;
+            if u < acc {
+                return i;
+            }
+        }
+        spec.populations.len() - 1
+    }
+
+    #[test]
+    fn picker_matches_the_per_call_reference() {
+        let mixes: [&[f64]; 4] = [
+            &[1.0],
+            &[0.6, 0.3, 0.1],
+            &[3.0, 1.0],
+            &[0.1, 0.2, 0.3, 1e-9, 7.7],
+        ];
+        for (k, weights) in mixes.into_iter().enumerate() {
+            let populations = weights
+                .iter()
+                .map(|&w| DimmPopulation::paper("p").weight(w))
+                .collect();
+            let spec = FleetSpec::baseline(0)
+                .populations(populations)
+                .seed(0xB0B + k as u64);
+            let picker = spec.population_picker();
+            for c in (0..50_000u64).chain([u64::MAX - 1, u64::MAX]) {
+                let want = reference_population_for(&spec, c);
+                assert_eq!(picker.pick(c), want, "mix {k}, channel {c}");
+                assert_eq!(spec.population_for(c), want, "mix {k}, channel {c}");
+            }
+        }
+    }
+
     #[test]
     fn spare_pool_provisioning_is_floor_exact_and_shard_invariant() {
         let p = OperatorPolicy::SparePool { spares_per_10k: 50 };
