@@ -261,6 +261,10 @@ impl<'a> ShardEngine<'a> {
             None => mean_rate * horizon_h * shard_channels as f64,
         };
         let events_hint = (per_fault_events * expected_faults).ceil() as usize;
+        // The shard's live faults never outnumber its arrivals, so a slab
+        // sized for the expected arrivals rarely grows (each growth copies
+        // every node).
+        let slab = FaultSlab::with_capacity(expected_faults.ceil() as usize);
         let queue = BucketQueue::new(horizon_h, spec.bucket_width_hours(), events_hint);
         let mut engine = Self {
             horizon_h,
@@ -271,7 +275,7 @@ impl<'a> ShardEngine<'a> {
             rates,
             shard_channels,
             states: Vec::new(),
-            slab: FaultSlab::new(),
+            slab,
             queue,
             seq: 0,
             spares_left: spec

@@ -18,11 +18,13 @@
 //!   gap at a time ([`arcc_faults::exp_interarrival`]), scrub detections
 //!   upgrade pages at exactly the `arcc-reliability` scrub ticks, and
 //!   policy replacements are granted in detection order — **O(1) memory
-//!   per in-flight channel**, no fault vectors;
+//!   per in-flight channel**, no fault vectors: active faults live in one
+//!   shard-wide slab, so an arrival allocates nothing in steady state;
 //! * the queue is a **calendar/bucket queue keyed on scrub epochs**,
-//!   one bucket per smallest scrub interval, and channels whose first
-//!   lazily-drawn arrival falls past the horizon — at field rates, the
-//!   overwhelming majority — are dispatched with one uniform draw
+//!   one bucket per smallest scrub interval (widened to about two per
+//!   expected event), swept through an occupancy bitmap, and channels
+//!   whose first lazily-drawn arrival falls past the horizon — at field
+//!   rates, the overwhelming majority — are dispatched with one uniform draw
 //!   against a precomputed `1 - exp(-rate·H)` threshold and never touch
 //!   the queue, state table, or a logarithm; debug builds check every
 //!   pop against a shadow `BinaryHeap`, the reference `(time, seq)`

@@ -4,10 +4,11 @@
 //! Every event-bearing channel keeps its active faults as a singly linked
 //! list, in insertion order, through one shard-wide `Vec` of nodes. A
 //! removed node goes onto a free list and is reused by the next push, so
-//! the slab only ever grows to the shard's peak count of simultaneously
-//! active faults. After that, arrivals, detections and replacements
-//! allocate nothing, and dropping the engine frees one buffer instead of
-//! one per channel.
+//! the slab never holds more nodes than the shard's peak count of
+//! simultaneously active faults, and the engine reserves room for the
+//! shard's expected arrivals up front. Arrivals, detections and
+//! replacements then allocate nothing, and dropping the engine frees one
+//! buffer instead of one per channel.
 
 use arcc_faults::FaultEvent;
 
@@ -58,10 +59,11 @@ pub(crate) struct FaultSlab {
 }
 
 impl FaultSlab {
-    /// An empty slab.
-    pub(crate) fn new() -> Self {
+    /// An empty slab with room for `capacity` simultaneously active
+    /// faults before it grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(capacity),
             free: NIL,
         }
     }
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn lists_keep_insertion_order_and_reuse_freed_nodes() {
-        let mut slab = FaultSlab::new();
+        let mut slab = FaultSlab::with_capacity(0);
         let (mut a, mut b) = (FaultList::EMPTY, FaultList::EMPTY);
         for i in 0..4 {
             slab.push(&mut a, i, fault(i as f64));
@@ -252,7 +254,7 @@ mod tests {
 
     #[test]
     fn emptied_lists_accept_new_faults() {
-        let mut slab = FaultSlab::new();
+        let mut slab = FaultSlab::with_capacity(0);
         let mut list = FaultList::EMPTY;
         slab.push(&mut list, 0, fault(1.0));
         assert_eq!(slab.retain(&mut list, |_| false), 1);

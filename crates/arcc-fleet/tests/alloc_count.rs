@@ -105,12 +105,12 @@ fn arrivals_allocate_nothing_in_steady_state() {
             large_stats.faults >= 3 * small_stats.faults,
             "{name}: the large shard needs about 4x the arrivals"
         );
-        // Buffer growth only: a few dozen allocations for thousands of
+        // Buffer growth only: a handful of allocations for thousands of
         // arrivals, however many channels carry them. (The engine this
         // replaced made one per event-bearing channel and one or two per
         // overlapping arrival: 2,340 here on the small shard.)
         assert!(
-            small <= 32,
+            small <= 16,
             "{name}: {small} allocations for {} arrivals",
             small_stats.faults
         );
