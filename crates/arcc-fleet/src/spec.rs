@@ -205,7 +205,7 @@ impl OperatorPolicy {
 /// A spec's channel-to-population assignment
 /// ([`FleetSpec::population_picker`]): each channel's hashed global id
 /// against the populations' cumulative normalised weights.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PopulationPicker {
     seed: u64,
     /// `bounds[i]`: the running sum of normalised weights through
