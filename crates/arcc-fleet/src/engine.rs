@@ -263,8 +263,9 @@ impl<'a> ShardEngine<'a> {
         let events_hint = (per_fault_events * expected_faults).ceil() as usize;
         // The shard's live faults never outnumber its arrivals, so a slab
         // sized for the expected arrivals rarely grows (each growth copies
-        // every node).
-        let slab = FaultSlab::with_capacity(expected_faults.ceil() as usize);
+        // every node). Capped like the calendar arena's reservation, so an
+        // extreme rate cannot reserve unbounded memory up front.
+        let slab = FaultSlab::with_capacity((expected_faults.ceil() as usize).min(1 << 16));
         let queue = BucketQueue::new(horizon_h, spec.bucket_width_hours(), events_hint);
         let mut engine = Self {
             horizon_h,
