@@ -60,6 +60,11 @@ pub fn exp_interarrival_from_u(u: f64, rate_per_hour: f64) -> f64 {
 pub struct FaultSampler {
     geometry: FaultGeometry,
     rates: FitRates,
+    /// `rates.total_fit()`, summed once.
+    total_fit: f64,
+    /// Each mode's FIT, in [`FaultMode::ALL`] order: the ladder
+    /// [`Self::mode_for_pick`] walks.
+    ladder: [f64; FaultMode::ALL.len()],
     // Precomputed location distributions (bit-identical to `gen_range`
     // on the same ranges; hoists the rejection-zone modulos out of the
     // per-fault hot path).
@@ -76,6 +81,8 @@ impl FaultSampler {
         Self {
             geometry,
             rates,
+            total_fit: rates.total_fit(),
+            ladder: FaultMode::ALL.map(|m| rates.fit(m)),
             dist_bank: UniformInt::new(0, geometry.banks),
             dist_row: UniformInt::new(0, geometry.rows),
             dist_col: UniformInt::new(0, geometry.cols),
@@ -103,7 +110,7 @@ impl FaultSampler {
     /// `devices * total_fit * 1e-9`. This is the rate the event-driven
     /// fleet engine feeds back into [`exp_interarrival`].
     pub fn channel_rate_per_hour(&self) -> f64 {
-        self.geometry.total_devices() as f64 * self.rates.total_fit() * 1e-9
+        self.geometry.total_devices() as f64 * self.total_fit * 1e-9
     }
 
     /// Samples every fault arriving in `[0, hours)` for one channel,
@@ -134,8 +141,7 @@ impl FaultSampler {
     /// to the *final* mode — it is the tail of the CDF — rather than
     /// silently falling back to a default first mode.
     pub fn mode_for_pick(&self, mut pick: f64) -> FaultMode {
-        for m in FaultMode::ALL {
-            let r = self.rates.fit(m);
+        for (m, r) in FaultMode::ALL.into_iter().zip(self.ladder) {
             if pick < r {
                 return m;
             }
@@ -146,8 +152,7 @@ impl FaultSampler {
 
     /// Draws the mode and location of one fault arriving at `time_h`.
     pub fn draw_fault<R: Rng + ?Sized>(&self, rng: &mut R, time_h: f64) -> FaultEvent {
-        let total = self.rates.total_fit();
-        let mode = self.mode_for_pick(rng.gen_range(0.0..total));
+        let mode = self.mode_for_pick(rng.gen_range(0.0..self.total_fit));
         let g = &self.geometry;
         let bank = self.dist_bank.sample(rng);
         let row = self.dist_row.sample(rng);

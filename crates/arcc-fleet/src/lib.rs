@@ -95,7 +95,7 @@ pub use runner::{
     extend_replay, run_fleet, run_fleet_observed, run_replay, run_shard, run_shard_replay,
     run_until,
 };
-pub use source::{ReplayArrivals, ReplayError};
+pub use source::{ArrivalCsr, ReplayArrivals, ReplayError};
 pub use spec::{
     DimmPopulation, FleetSpec, OperatorPolicy, PopulationPicker, DEFAULT_SCHEME,
     DEFAULT_SHARD_CHANNELS,

@@ -225,6 +225,7 @@ fn run_span(
 mod tests {
     use super::*;
     use crate::checkpoint::PersistError;
+    use crate::source::ArrivalCsr;
     use crate::spec::DimmPopulation;
     use std::path::{Path, PathBuf};
 
@@ -414,7 +415,9 @@ mod tests {
         let mut shard_runs = Vec::new();
         for seg in [seg_a, seg_b, seg_c] {
             let n = seg.len();
-            arrivals.extend(vec![0; n], seg).expect("extend arrivals");
+            arrivals
+                .extend(vec![0; n], ArrivalCsr::from_streams(seg))
+                .expect("extend arrivals");
             let spec = spec_for(arrivals.channels());
             ckpt = extend_replay(2, &spec, &arrivals, ckpt).expect("extend replay");
             shard_runs.push(ckpt.shards_done);

@@ -191,6 +191,124 @@ fn fold_channel(h: u64, population: u32, stream: &[FaultEvent]) -> u64 {
     h
 }
 
+/// A batch of channels' arrivals in one flat CSR layout: channel `c`'s
+/// events are `events[ends[c - 1]..ends[c]]` (from 0 for channel 0), in
+/// the order they were added. This is what [`ReplayArrivals::extend`]
+/// folds into the set; building one costs two allocations however many
+/// channels it covers. Time order is checked by the set, not here.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ArrivalCsr {
+    /// Where each channel's events end in `events`.
+    ends: Vec<usize>,
+    /// Every event, grouped by channel.
+    events: Vec<FaultEvent>,
+}
+
+impl ArrivalCsr {
+    /// Groups `(channel, event)` pairs over `channels` channels by a
+    /// counting sort: one pass counts each channel's events, a second
+    /// places them, so every channel keeps its events in `tagged` order.
+    ///
+    /// # Panics
+    ///
+    /// When a channel index is `channels` or more.
+    pub fn group(channels: usize, tagged: &[(u32, FaultEvent)]) -> Self {
+        let mut ends = vec![0usize; channels];
+        for &(c, _) in tagged {
+            ends[c as usize] += 1;
+        }
+        // Each channel's start, then, as its events land, its end.
+        let mut start = 0;
+        for slot in &mut ends {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut events = match tagged.first() {
+            Some(&(_, ev)) => vec![ev; tagged.len()],
+            None => Vec::new(),
+        };
+        for &(c, ev) in tagged {
+            let slot = &mut ends[c as usize];
+            events[*slot] = ev;
+            *slot += 1;
+        }
+        Self { ends, events }
+    }
+
+    /// One event list per channel, laid end to end.
+    pub fn from_streams(per_channel: Vec<Vec<FaultEvent>>) -> Self {
+        let total = per_channel.iter().map(Vec::len).sum();
+        let mut events = Vec::with_capacity(total);
+        let ends = per_channel
+            .into_iter()
+            .map(|stream| {
+                events.extend(stream);
+                events.len()
+            })
+            .collect();
+        Self { ends, events }
+    }
+
+    /// Channels the batch covers.
+    fn channels(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `channel`'s events, in the order they were added.
+    fn stream(&self, channel: usize) -> &[FaultEvent] {
+        let start = match channel {
+            0 => 0,
+            c => self.ends[c - 1],
+        };
+        &self.events[start..self.ends[channel]]
+    }
+}
+
+/// Checks one channel's stream: finite, non-negative, non-decreasing
+/// times.
+fn check_stream(channel: usize, stream: &[FaultEvent]) -> Result<(), ReplayError> {
+    let mut last = 0.0f64;
+    for ev in stream {
+        if !ev.time_h.is_finite() || ev.time_h < 0.0 {
+            return Err(ReplayError::BadTime {
+                channel: channel as u64,
+                time_h: ev.time_h,
+            });
+        }
+        if ev.time_h < last {
+            return Err(ReplayError::UnsortedArrivals {
+                channel: channel as u64,
+            });
+        }
+        last = ev.time_h;
+    }
+    Ok(())
+}
+
+/// Appends `tail` to `head`, taking over `tail`'s buffer when `head` is
+/// empty.
+fn append<T: Copy>(head: &mut Vec<T>, tail: Vec<T>) {
+    if head.is_empty() {
+        *head = tail;
+    } else {
+        head.extend_from_slice(&tail);
+    }
+}
+
+impl Default for ReplayArrivals {
+    /// The set covering zero channels, ready to [extend](Self::extend).
+    fn default() -> Self {
+        Self {
+            populations: Vec::new(),
+            offsets: vec![0],
+            events: Vec::new(),
+            rolling: vec![splitmix64(FINGERPRINT_V2)],
+            max_population: None,
+        }
+    }
+}
+
 impl ReplayArrivals {
     /// Builds the arrival set from one event list per channel
     /// (`populations[c]` is channel `c`'s population index).
@@ -206,92 +324,58 @@ impl ReplayArrivals {
         populations: Vec<u32>,
         per_channel: Vec<Vec<FaultEvent>>,
     ) -> Result<Self, ReplayError> {
-        Self::build(splitmix64(FINGERPRINT_V2), populations, per_channel)
+        let mut set = Self::default();
+        set.extend(populations, ArrivalCsr::from_streams(per_channel))?;
+        Ok(set)
     }
 
-    /// [`Self::new`] with the rolling fingerprint starting from `start`,
-    /// the final state of the set being extended.
-    fn build(
-        start: u64,
-        populations: Vec<u32>,
-        per_channel: Vec<Vec<FaultEvent>>,
-    ) -> Result<Self, ReplayError> {
-        if populations.len() != per_channel.len() {
-            return Err(ReplayError::LengthMismatch {
-                populations: populations.len(),
-                channels: per_channel.len(),
-            });
-        }
-        let total: usize = per_channel.iter().map(Vec::len).sum();
-        if u32::try_from(total).is_err() {
-            return Err(ReplayError::TooManyEvents {
-                events: total as u64,
-            });
-        }
-        let mut offsets = Vec::with_capacity(per_channel.len() + 1);
-        let mut events = Vec::with_capacity(total);
-        let mut rolling = Vec::with_capacity(per_channel.len() + 1);
-        offsets.push(0u32);
-        rolling.push(start);
-        for (c, (stream, &population)) in per_channel.into_iter().zip(&populations).enumerate() {
-            let mut last = 0.0f64;
-            for ev in &stream {
-                if !ev.time_h.is_finite() || ev.time_h < 0.0 {
-                    return Err(ReplayError::BadTime {
-                        channel: c as u64,
-                        time_h: ev.time_h,
-                    });
-                }
-                if ev.time_h < last {
-                    return Err(ReplayError::UnsortedArrivals { channel: c as u64 });
-                }
-                last = ev.time_h;
-            }
-            rolling.push(fold_channel(rolling[c], population, &stream));
-            events.extend(stream);
-            offsets.push(events.len() as u32);
-        }
-        let max_population = populations.iter().copied().max();
-        Ok(Self {
-            populations,
-            offsets,
-            events,
-            rolling,
-            max_population,
-        })
-    }
-
-    /// Appends additional arrival slices to the set: the new channels are
-    /// numbered after the existing ones, so an extended set is a strict
-    /// CSR superset of the old one and every
+    /// Appends a batch of channels to the set: the new channels are
+    /// numbered after the existing ones (`populations[c]` is batch channel
+    /// `c`'s population index), so an extended set is a strict CSR
+    /// superset of the old one and every
     /// [prefix fingerprint](Self::fingerprint_prefix) over the old
     /// channels is unchanged. This is the ingestion primitive of the
-    /// digital-twin service: new fault-log segments arrive as slices and
-    /// the accumulated set only ever grows.
+    /// digital-twin service: new fault-log segments arrive as batches and
+    /// the accumulated set only ever grows. The batch is checked, then
+    /// folded straight into the set's columns.
     ///
     /// # Errors
     ///
-    /// As for [`Self::new`], applied to the appended slices alone —
-    /// except [`ReplayError::TooManyEvents`], which caps the *combined*
+    /// As for [`Self::new`], applied to the batch alone (channel ids in
+    /// errors count from the batch's first channel) — except
+    /// [`ReplayError::TooManyEvents`], which also caps the *combined*
     /// set. Every error leaves the set unchanged, so a long-lived
     /// service can refuse a segment and keep serving.
-    pub fn extend(
-        &mut self,
-        populations: Vec<u32>,
-        per_channel: Vec<Vec<FaultEvent>>,
-    ) -> Result<(), ReplayError> {
-        let segment = Self::build(self.rolling_state(), populations, per_channel)?;
-        let base = self.events.len();
-        let combined = base as u64 + segment.events.len() as u64;
+    pub fn extend(&mut self, populations: Vec<u32>, batch: ArrivalCsr) -> Result<(), ReplayError> {
+        if populations.len() != batch.channels() {
+            return Err(ReplayError::LengthMismatch {
+                populations: populations.len(),
+                channels: batch.channels(),
+            });
+        }
+        let added = batch.events.len() as u64;
+        if u32::try_from(added).is_err() {
+            return Err(ReplayError::TooManyEvents { events: added });
+        }
+        for c in 0..batch.channels() {
+            check_stream(c, batch.stream(c))?;
+        }
+        let combined = self.total_events() + added;
         if u32::try_from(combined).is_err() {
             return Err(ReplayError::TooManyEvents { events: combined });
         }
-        self.populations.extend(segment.populations);
+        let base = self.events.len();
+        let mut h = self.rolling_state();
+        self.rolling.reserve(populations.len());
+        for (c, &population) in populations.iter().enumerate() {
+            h = fold_channel(h, population, batch.stream(c));
+            self.rolling.push(h);
+        }
         self.offsets
-            .extend(segment.offsets.iter().skip(1).map(|&o| o + base as u32));
-        self.events.extend(segment.events);
-        self.rolling.extend(&segment.rolling[1..]);
-        self.max_population = self.max_population.max(segment.max_population);
+            .extend(batch.ends.iter().map(|&end| (base + end) as u32));
+        append(&mut self.events, batch.events);
+        self.max_population = self.max_population.max(populations.iter().copied().max());
+        append(&mut self.populations, populations);
         Ok(())
     }
 
@@ -499,7 +583,10 @@ mod tests {
         // names the first offending channel of the grown set.
         let mut grown = ok.clone();
         grown
-            .extend(vec![0, 3, 2], vec![vec![], vec![], vec![]])
+            .extend(
+                vec![0, 3, 2],
+                ArrivalCsr::from_streams(vec![vec![], vec![], vec![]]),
+            )
             .unwrap();
         let spec2 = FleetSpec::baseline(5).populations(vec![
             crate::spec::DimmPopulation::paper("a"),
@@ -522,7 +609,10 @@ mod tests {
         let mut grown = ReplayArrivals::new(vec![0, 1], vec![vec![ev(1.0)], vec![]]).unwrap();
         let before = grown.clone();
         grown
-            .extend(vec![0, 1], vec![vec![ev(2.0), ev(3.0)], vec![ev(0.5)]])
+            .extend(
+                vec![0, 1],
+                ArrivalCsr::from_streams(vec![vec![ev(2.0), ev(3.0)], vec![ev(0.5)]]),
+            )
             .expect("extend");
         // The grown set is indistinguishable from building it in one shot.
         let oneshot = ReplayArrivals::new(
@@ -559,10 +649,43 @@ mod tests {
         // Malformed segments are refused without mutating the set.
         let snapshot = grown.clone();
         assert_eq!(
-            grown.extend(vec![0], vec![vec![ev(5.0), ev(4.0)]]),
+            grown.extend(
+                vec![0],
+                ArrivalCsr::from_streams(vec![vec![ev(5.0), ev(4.0)]])
+            ),
             Err(ReplayError::UnsortedArrivals { channel: 0 })
         );
+        assert_eq!(
+            grown.extend(vec![0, 1], ArrivalCsr::from_streams(vec![vec![]])),
+            Err(ReplayError::LengthMismatch {
+                populations: 2,
+                channels: 1
+            })
+        );
         assert_eq!(grown, snapshot);
+    }
+
+    #[test]
+    fn grouping_keeps_each_channels_events_in_tagged_order() {
+        let (a, b, c, d) = (ev(1.0), ev(2.0), ev(3.0), ev(4.0));
+        // Channel 2's events arrive interleaved with channel 0's, and
+        // channel 1 has none.
+        let tagged = [(2, a), (0, b), (2, c), (0, d), (3, a)];
+        let csr = ArrivalCsr::group(4, &tagged);
+        assert_eq!(csr.channels(), 4);
+        assert_eq!(csr.stream(0), &[b, d]);
+        assert_eq!(csr.stream(1), &[]);
+        assert_eq!(csr.stream(2), &[a, c]);
+        assert_eq!(csr.stream(3), &[a]);
+        assert_eq!(
+            csr,
+            ArrivalCsr::from_streams(vec![vec![b, d], vec![], vec![a, c], vec![a]])
+        );
+        assert_eq!(
+            ArrivalCsr::group(2, &[]),
+            ArrivalCsr::from_streams(vec![vec![], vec![]])
+        );
+        assert_eq!(ArrivalCsr::group(0, &[]), ArrivalCsr::default());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! segment through `ReplayArrivals::extend` must equal the set built in
 //! one `ReplayArrivals::new` call, rolling fingerprint states included,
 //! and every prefix fingerprint must equal the fingerprint of a set built
-//! from that prefix alone.
+//! from that prefix alone. Segments grouped from interleaved
+//! `(channel, event)` pairs by `ArrivalCsr::group` equal those laid out
+//! from per-channel lists.
 
 use arcc_faults::montecarlo::FaultSampler;
 use arcc_faults::{FaultEvent, FaultGeometry, FitRates};
-use arcc_fleet::ReplayArrivals;
+use arcc_fleet::{ArrivalCsr, ReplayArrivals};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,8 +50,22 @@ proptest! {
         let mut grown = ReplayArrivals::new(Vec::new(), Vec::new()).expect("empty");
         let mut start = 0;
         for end in bounds {
+            let segment = &per_channel[start..end];
+            // The segment's events tagged with their channel, round robin
+            // across channels, so every channel's events are interleaved
+            // with the others'.
+            let mut tagged = Vec::new();
+            for i in 0..segment.iter().map(Vec::len).max().unwrap_or(0) {
+                for (c, stream) in segment.iter().enumerate() {
+                    if let Some(&ev) = stream.get(i) {
+                        tagged.push((c as u32, ev));
+                    }
+                }
+            }
+            let batch = ArrivalCsr::group(segment.len(), &tagged);
+            prop_assert_eq!(&batch, &ArrivalCsr::from_streams(segment.to_vec()));
             grown
-                .extend(populations[start..end].to_vec(), per_channel[start..end].to_vec())
+                .extend(populations[start..end].to_vec(), batch)
                 .expect("extend");
             start = end;
         }

@@ -14,8 +14,8 @@
 use arcc_core::splitmix64;
 use arcc_faults::{AddressSet, DimSel, FaultEvent, FaultMode};
 use arcc_fleet::{
-    extend_replay, run_fleet, run_replay, run_until, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy, ReplayArrivals, ReplayError,
+    extend_replay, run_fleet, run_replay, run_until, ArrivalCsr, DimmPopulation, FleetCheckpoint,
+    FleetSpec, OperatorPolicy, ReplayArrivals, ReplayError,
 };
 use arcc_obs::NoopRecorder;
 
@@ -226,7 +226,9 @@ fn v1_stamped_replay_checkpoints_are_refused_not_resumed() {
     assert_eq!(twin.shards_done, 2);
     twin.fingerprint = v1;
     let mut grown = arrivals.clone();
-    grown.extend(vec![1], vec![vec![]]).expect("grow");
+    grown
+        .extend(vec![1], ArrivalCsr::from_streams(vec![vec![]]))
+        .expect("grow");
     let grown_spec = pinned_spec(5);
     assert_eq!(
         extend_replay(1, &grown_spec, &grown, twin),

@@ -33,9 +33,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use arcc_faults::{AddressSet, DimSel, FaultEvent, FaultGeometry, FaultMode, HOURS_PER_YEAR};
-use arcc_fleet::{DimmPopulation, FleetSpec, ReplayArrivals, ReplayError};
+use arcc_fleet::{ArrivalCsr, DimmPopulation, FleetSpec, ReplayArrivals, ReplayError};
 
 /// The version header every log starts with.
 pub const LOG_HEADER: &str = "arcc-fault-log v1";
@@ -145,19 +146,121 @@ pub struct LogClass {
     pub cores: u32,
 }
 
-/// One inventory entry: a DIMM (memory channel) and its class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogDimm {
-    /// Unique id token.
-    pub id: String,
-    /// Index into [`FaultLog::classes`].
-    pub class: u32,
+/// The DIMM (memory channel) inventory of a [`FaultLog`], stored by
+/// column: every id back to back in one string with the offset where each
+/// ends, and each DIMM's class. Row `k` is the DIMM declared `k`-th, which
+/// is also the channel id a replay run assigns it. Rows are only ever
+/// appended, so an id never changes once written.
+///
+/// Equality and `Debug` see the `(id, class)` rows only.
+#[derive(Clone, Default)]
+pub struct DimmTable {
+    /// Every id, back to back, in row order.
+    ids: String,
+    /// Where each row's id ends in `ids`.
+    ends: Vec<usize>,
+    /// Each row's index into [`FaultLog::classes`].
+    classes: Vec<u32>,
+    /// Row indices sorted by id (ties by row): what
+    /// [`FaultLog::append_segment`] checks a segment's ids against. It
+    /// covers the rows the table held when that method last ran, which
+    /// rebuilds it whenever it is shorter than the table.
+    pub(crate) id_index: Vec<u32>,
+}
+
+impl DimmTable {
+    /// Appends a DIMM: its id token and its index into
+    /// [`FaultLog::classes`].
+    pub fn push(&mut self, id: &str, class: u32) {
+        self.ids.push_str(id);
+        self.ends.push(self.ids.len());
+        self.classes.push(class);
+    }
+
+    /// DIMMs in the table.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the table holds no DIMM.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where row `k`'s id starts in `ids`.
+    fn start(&self, k: usize) -> usize {
+        match k {
+            0 => 0,
+            k => self.ends[k - 1],
+        }
+    }
+
+    /// Row `k`'s id.
+    ///
+    /// # Panics
+    ///
+    /// When `k` is [`Self::len`] or more.
+    pub fn id(&self, k: usize) -> &str {
+        &self.ids[self.start(k)..self.ends[k]]
+    }
+
+    /// Every row's class index, in row order.
+    pub fn classes(&self) -> &[u32] {
+        &self.classes
+    }
+
+    /// The `(id, class)` rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, u32)> + '_ {
+        (0..self.len()).map(|k| (self.id(k), self.classes[k]))
+    }
+
+    /// Appends every row of `other`, its ids in one copy.
+    pub(crate) fn append(&mut self, other: &DimmTable) {
+        let base = self.ids.len();
+        self.ids.push_str(&other.ids);
+        self.ends.extend(other.ends.iter().map(|&end| base + end));
+        self.classes.extend_from_slice(&other.classes);
+    }
+
+    /// The rows in `rows`, as a table of their own.
+    pub(crate) fn slice(&self, rows: Range<usize>) -> DimmTable {
+        let start = self.start(rows.start);
+        let ends = &self.ends[rows.clone()];
+        let end = ends.last().map_or(start, |&end| end);
+        DimmTable {
+            ids: self.ids[start..end].to_string(),
+            ends: ends.iter().map(|&end| end - start).collect(),
+            classes: self.classes[rows].to_vec(),
+            id_index: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for DimmTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.ends == other.ends && self.ids == other.ids && self.classes == other.classes
+    }
+}
+
+impl fmt::Debug for DimmTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<(S, u32)> for DimmTable {
+    /// A table of `(id, class)` rows, in order.
+    fn from_iter<I: IntoIterator<Item = (S, u32)>>(rows: I) -> Self {
+        let mut table = DimmTable::default();
+        for (id, class) in rows {
+            table.push(id.as_ref(), class);
+        }
+        table
+    }
 }
 
 /// A parsed (and therefore validated) fleet fault log.
-///
-/// Equality compares the four public fields only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultLog {
     /// Observation horizon in years.
     pub years: f64,
@@ -165,25 +268,10 @@ pub struct FaultLog {
     pub classes: Vec<LogClass>,
     /// Inventory, in declaration order — the declaration index *is* the
     /// channel id a replay run assigns the DIMM.
-    pub dimms: Vec<LogDimm>,
+    pub dimms: DimmTable,
     /// Observed faults as `(dimm index, event)` in file order; per-DIMM
     /// times are non-decreasing (the validator enforces it).
     pub faults: Vec<(u32, FaultEvent)>,
-    /// Indices into `dimms`, sorted by id: what
-    /// [`FaultLog::append_segment`] checks a segment's ids against. That
-    /// method rebuilds it whenever its length disagrees with `dimms`, so
-    /// a log built or grown through the public fields needs no upkeep;
-    /// an id edited in place, though, leaves it stale.
-    pub(crate) id_index: Vec<u32>,
-}
-
-impl PartialEq for FaultLog {
-    fn eq(&self, other: &Self) -> bool {
-        self.years == other.years
-            && self.classes == other.classes
-            && self.dimms == other.dimms
-            && self.faults == other.faults
-    }
 }
 
 /// Typed errors of the strict log parser/validator.
@@ -315,11 +403,41 @@ impl fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-fn sel_token(sel: &DimSel) -> String {
-    match sel {
-        DimSel::All => "*".to_string(),
-        DimSel::Half(k) => format!("h{k}"),
-        DimSel::One(k) => k.to_string(),
+impl fmt::Display for FaultLog {
+    /// The `arcc-fault-log v1` text of the log: see [`FaultLog::to_text`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{LOG_HEADER}")?;
+        writeln!(f, "years {}", self.years)?;
+        for c in &self.classes {
+            writeln!(f, "class {} {} {}", c.name, c.scrub_interval_h, c.cores)?;
+        }
+        for (id, class) in self.dimms.iter() {
+            writeln!(f, "dimm {id} {}", self.classes[class as usize].name)?;
+        }
+        for (dimm, ev) in &self.faults {
+            write!(
+                f,
+                "fault {} {} {} {}",
+                self.dimms.id(*dimm as usize),
+                ev.time_h,
+                MODE_TOKENS[ev.mode as usize],
+                if ev.transient { "T" } else { "P" }
+            )?;
+            match ev.rank {
+                Some(rank) => write!(f, " {rank}")?,
+                None => f.write_str(" *")?,
+            }
+            write!(f, " {}", ev.device_pos)?;
+            for sel in [&ev.set.banks, &ev.set.rows, &ev.set.cols] {
+                match sel {
+                    DimSel::All => f.write_str(" *")?,
+                    DimSel::Half(k) => write!(f, " h{k}")?,
+                    DimSel::One(k) => write!(f, " {k}")?,
+                }
+            }
+            f.write_str("\n")?;
+        }
+        f.write_str("end\n")
     }
 }
 
@@ -369,7 +487,7 @@ impl FaultLog {
     pub fn class_fault_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.classes.len()];
         for (dimm, _) in &self.faults {
-            counts[self.dimms[*dimm as usize].class as usize] += 1;
+            counts[self.dimms.classes()[*dimm as usize] as usize] += 1;
         }
         counts
     }
@@ -377,8 +495,8 @@ impl FaultLog {
     /// DIMMs per class, indexed like [`Self::classes`].
     pub fn class_dimm_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.classes.len()];
-        for d in &self.dimms {
-            counts[d.class as usize] += 1;
+        for &class in self.dimms.classes() {
+            counts[class as usize] += 1;
         }
         counts
     }
@@ -393,43 +511,16 @@ impl FaultLog {
     /// the column dimension) serialise without error but are *rejected*
     /// by the strict parser on the way back in, by design: the parser,
     /// not the writer, is the format's gatekeeper.
+    ///
+    /// The text is written straight into one `String`: no line allocates
+    /// a buffer of its own.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(LOG_HEADER);
-        out.push('\n');
-        out.push_str(&format!("years {}\n", self.years));
-        for c in &self.classes {
-            out.push_str(&format!(
-                "class {} {} {}\n",
-                c.name, c.scrub_interval_h, c.cores
-            ));
-        }
-        for d in &self.dimms {
-            out.push_str(&format!(
-                "dimm {} {}\n",
-                d.id, self.classes[d.class as usize].name
-            ));
-        }
-        for (dimm, ev) in &self.faults {
-            let mode = MODE_TOKENS[ev.mode as usize];
-            let rank = ev.rank.map_or_else(|| "*".to_string(), |r| r.to_string());
-            out.push_str(&format!(
-                "fault {} {} {mode} {} {rank} {} {} {} {}\n",
-                self.dimms[*dimm as usize].id,
-                ev.time_h,
-                if ev.transient { "T" } else { "P" },
-                ev.device_pos,
-                sel_token(&ev.set.banks),
-                sel_token(&ev.set.rows),
-                sel_token(&ev.set.cols),
-            ));
-        }
-        out.push_str("end\n");
-        out
+        self.to_string()
     }
 
-    /// Parses and validates a log, in one pass over the text that
-    /// allocates per line only the `String`s the log keeps.
+    /// Parses and validates a log, in one pass over the text. Nothing is
+    /// allocated per line: ids are copied into the inventory's one id
+    /// string, and the log's buffers grow by doubling.
     ///
     /// # Errors
     ///
@@ -454,9 +545,8 @@ impl FaultLog {
         let mut log = FaultLog {
             years: 0.0,
             classes: Vec::new(),
-            dimms: Vec::new(),
+            dimms: DimmTable::default(),
             faults: Vec::new(),
-            id_index: Vec::new(),
         };
         // Name-to-index maps over slices of `text`. Ids come from the
         // network, so they keep the default (DoS-resistant) hasher. The id
@@ -561,10 +651,7 @@ impl FaultLog {
                     };
                     slot.insert(log.dimms.len() as u32);
                     last_time.push(0.0);
-                    log.dimms.push(LogDimm {
-                        id: f[1].to_string(),
-                        class,
-                    });
+                    log.dimms.push(f[1], class);
                 }
                 "fault" => {
                     if !seen_years {
@@ -725,20 +812,29 @@ impl FaultLog {
 
     /// The log's arrival streams in the engine's [`ReplayArrivals`]
     /// layout: DIMM declaration order is channel order, class index is
-    /// population index.
+    /// population index. The faults are grouped by DIMM in one
+    /// [`ArrivalCsr`] and folded into an empty set, the path
+    /// [`Self::append_segment`]'s batches take.
     ///
     /// # Errors
     ///
-    /// Propagates [`ReplayError`] from the arrival-set constructor (a
+    /// Propagates [`ReplayError`] from [`ReplayArrivals::extend`] (a
     /// parsed log always satisfies its invariants; hand-built logs may
     /// not).
+    ///
+    /// # Panics
+    ///
+    /// When a fault names a DIMM index past the inventory, which no
+    /// parsed log does.
     pub fn arrivals(&self) -> Result<ReplayArrivals, ReplayError> {
-        let populations: Vec<u32> = self.dimms.iter().map(|d| d.class).collect();
-        let mut per_channel: Vec<Vec<FaultEvent>> = vec![Vec::new(); self.dimms.len()];
-        for (dimm, ev) in &self.faults {
-            per_channel[*dimm as usize].push(*ev);
-        }
-        ReplayArrivals::new(populations, per_channel)
+        let mut arrivals = ReplayArrivals::default();
+        arrivals.extend(self.dimms.classes().to_vec(), self.arrival_batch())?;
+        Ok(arrivals)
+    }
+
+    /// The faults grouped by DIMM, in file order within a DIMM.
+    pub(crate) fn arrival_batch(&self) -> ArrivalCsr {
+        ArrivalCsr::group(self.dimms.len(), &self.faults)
     }
 
     /// A [`FleetSpec`] describing this log's fleet for a replay run:
@@ -777,7 +873,8 @@ impl FaultLog {
 /// The line-by-line parser this module's scanner replaced, kept as the
 /// oracle of the differential test in `tests`. It is the old code
 /// verbatim, except that its three eager `ok_or` error values are built
-/// lazily (`ok_or_else`), which changes no result.
+/// lazily (`ok_or_else`), which changes no result, and that it pushes its
+/// DIMMs into the columnar [`DimmTable`].
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -792,9 +889,8 @@ mod reference {
         let mut log = FaultLog {
             years: 0.0,
             classes: Vec::new(),
-            dimms: Vec::new(),
+            dimms: DimmTable::default(),
             faults: Vec::new(),
-            id_index: Vec::new(),
         };
         let mut class_index: HashMap<String, u32> = HashMap::new();
         let mut dimm_index: HashMap<String, u32> = HashMap::new();
@@ -873,7 +969,7 @@ mod reference {
                             })?;
                     dimm_index.insert(id.clone(), log.dimms.len() as u32);
                     last_time.push(0.0);
-                    log.dimms.push(LogDimm { id, class });
+                    log.dimms.push(&id, class);
                 }
                 "fault" => {
                     if !seen_years {
@@ -1115,7 +1211,7 @@ mod tests {
         fn scanner_matches_reference_on_mutated_segment(seed in any::<u64>(), edits in 1usize..5) {
             let segment = generated_segment(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let id = &segment.dimms[rng.gen_range(0..segment.dimms.len())].id;
+            let id = segment.dimms.id(rng.gen_range(0..segment.dimms.len()));
             assert_parsers_agree(&mutate(&segment.to_text(), id, edits, &mut rng));
         }
     }
@@ -1136,16 +1232,7 @@ mod tests {
                     cores: 16,
                 },
             ],
-            dimms: vec![
-                LogDimm {
-                    id: "a0".to_string(),
-                    class: 0,
-                },
-                LogDimm {
-                    id: "b1".to_string(),
-                    class: 1,
-                },
-            ],
+            dimms: [("a0", 0), ("b1", 1)].into_iter().collect(),
             faults: vec![
                 (
                     1,
@@ -1170,8 +1257,29 @@ mod tests {
                     },
                 ),
             ],
-            id_index: Vec::new(),
         }
+    }
+
+    #[test]
+    fn dimm_table_rows_share_one_id_string() {
+        let mut table: DimmTable = [("a0", 0), ("bb1", 1)].into_iter().collect();
+        table.push("c", 1);
+        assert_eq!(table.len(), 3);
+        assert_eq!((table.id(0), table.id(1), table.id(2)), ("a0", "bb1", "c"));
+        assert_eq!(table.classes(), [0, 1, 1]);
+        assert_eq!(format!("{table:?}"), r#"[("a0", 0), ("bb1", 1), ("c", 1)]"#);
+        // Slices are tables of their own, and appending them rebuilds the
+        // table at every cut.
+        assert_eq!(table.slice(1..2).iter().collect::<Vec<_>>(), [("bb1", 1)]);
+        for cut in 0..=3 {
+            let mut rebuilt = table.slice(0..cut);
+            rebuilt.append(&table.slice(cut..3));
+            assert_eq!(rebuilt, table, "cut at {cut}");
+        }
+        // Equality ignores the sorted id index.
+        let mut indexed = table.clone();
+        indexed.id_index = vec![0, 1, 2];
+        assert_eq!(indexed, table);
     }
 
     #[test]
@@ -1233,13 +1341,7 @@ mod tests {
         let log = FaultLog::parse(text).expect("parse");
         assert_eq!(log.years, 7.0);
         assert_eq!(log.classes[0].cores, 4);
-        assert_eq!(
-            log.dimms[0],
-            LogDimm {
-                id: "d".to_string(),
-                class: 0
-            }
-        );
+        assert_eq!(log.dimms.iter().collect::<Vec<_>>(), [("d", 0)]);
         assert_eq!(log.faults[0].1.time_h, 1000.0);
         assert_eq!(log.faults[0].1.device_pos, 3);
         assert_parsers_agree(text);

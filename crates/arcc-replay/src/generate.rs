@@ -13,6 +13,8 @@
 //! tolerance. It is also the fixture factory for fitter validation:
 //! generate from known multipliers, fit, compare.
 
+use std::fmt::Write as _;
+
 use arcc_core::cell_seed;
 use arcc_faults::montecarlo::FaultSampler;
 use arcc_faults::{exp_interarrival, exp_interarrival_from_u, FaultEvent};
@@ -20,7 +22,7 @@ use arcc_fleet::FleetSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::format::{FaultLog, LogClass, LogDimm};
+use crate::format::{DimmTable, FaultLog, LogClass};
 
 /// Generates the observed-fault log of one synthetic run of `spec`:
 /// every channel becomes an inventory DIMM (`ch<global id>`, class = its
@@ -58,11 +60,13 @@ pub fn generate_log(spec: &FleetSpec) -> FaultLog {
     let mut log = FaultLog {
         years: spec.years,
         classes,
-        dimms: Vec::with_capacity(spec.channels as usize),
+        dimms: DimmTable::default(),
         faults: Vec::new(),
-        id_index: Vec::new(),
     };
     let picker = spec.population_picker();
+    // Each id is formatted here, then copied into the inventory's id
+    // string: no DIMM allocates.
+    let mut id = String::new();
     for shard in 0..spec.shard_count() {
         let shard_seed = cell_seed(spec.seed, shard);
         let first_channel = shard * spec.shard_channels as u64;
@@ -70,10 +74,10 @@ pub fn generate_log(spec: &FleetSpec) -> FaultLog {
             let global = first_channel + c as u64;
             let population = picker.pick(global);
             let dimm = log.dimms.len() as u32;
-            log.dimms.push(LogDimm {
-                id: format!("ch{global:08}"),
-                class: population as u32,
-            });
+            id.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(id, "ch{global:08}");
+            log.dimms.push(&id, population as u32);
             let rate = rates[population];
             if rate <= 0.0 {
                 continue;
@@ -115,8 +119,9 @@ mod tests {
             "generator must emit exactly the arrivals the engine processes"
         );
         // Inventory classes mirror the population assignment.
-        for (i, d) in log.dimms.iter().enumerate() {
-            assert_eq!(d.class as usize, spec.population_for(i as u64));
+        for (i, (id, class)) in log.dimms.iter().enumerate() {
+            assert_eq!(id, format!("ch{i:08}"));
+            assert_eq!(class as usize, spec.population_for(i as u64));
         }
         // Serialised and reparsed, the log survives intact.
         let parsed = FaultLog::parse(&log.to_text()).expect("round trip");

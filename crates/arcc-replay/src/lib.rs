@@ -70,10 +70,10 @@ pub mod generate;
 pub mod segment;
 
 pub use fit::{fit_spec, ClassFit, FitResult};
-pub use format::{FaultLog, LogClass, LogDimm, LogError, LOG_HEADER};
+pub use format::{DimmTable, FaultLog, LogClass, LogError, LOG_HEADER};
 pub use generate::generate_log;
 pub use segment::SegmentError;
 
 // Re-exported so downstream code can name the replay types without a
 // direct arcc-fleet dependency.
-pub use arcc_fleet::{FleetSpec, ReplayArrivals, ReplayError};
+pub use arcc_fleet::{ArrivalCsr, FleetSpec, ReplayArrivals, ReplayError};

@@ -15,9 +15,9 @@
 
 use std::fmt;
 
-use arcc_faults::FaultEvent;
+use arcc_fleet::ArrivalCsr;
 
-use crate::format::{FaultLog, LogDimm, LogError};
+use crate::format::{DimmTable, FaultLog, LogError};
 
 /// Typed errors merging a segment into an accumulated log.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,24 +87,24 @@ impl FaultLog {
     /// When `channels` is zero.
     pub fn split_channels(&self, channels: usize) -> Vec<FaultLog> {
         assert!(channels > 0, "segments must hold at least one channel");
-        let mut segments = Vec::new();
-        for (seg, dimms) in self.dimms.chunks(channels).enumerate() {
-            let first = (seg * channels) as u32;
-            // Faults are stored in file order, but segment membership is
-            // by DIMM index, so scan the whole list per segment.
-            let faults = self
-                .faults
-                .iter()
-                .filter(|(d, _)| (*d >= first) && ((*d - first) as usize) < dimms.len())
-                .map(|(d, ev)| (d - first, *ev))
-                .collect();
-            segments.push(FaultLog {
+        let dimms = self.dimms.len();
+        let mut segments: Vec<FaultLog> = (0..dimms)
+            .step_by(channels)
+            .map(|first| FaultLog {
                 years: self.years,
                 classes: self.classes.clone(),
-                dimms: dimms.to_vec(),
-                faults,
-                id_index: Vec::new(),
-            });
+                dimms: self.dimms.slice(first..dimms.min(first + channels)),
+                faults: Vec::new(),
+            })
+            .collect();
+        // One pass in file order: each fault joins its DIMM's segment.
+        for &(dimm, ev) in &self.faults {
+            let dimm = dimm as usize;
+            if dimm < dimms {
+                segments[dimm / channels]
+                    .faults
+                    .push(((dimm % channels) as u32, ev));
+            }
         }
         segments
     }
@@ -120,44 +120,44 @@ impl FaultLog {
     ///
     /// [`SegmentError::Parse`] when `text` fails the strict v1 parser,
     /// otherwise as for [`FaultLog::append_segment`].
-    #[allow(clippy::type_complexity)]
     pub fn ingest_segment(
         &mut self,
         text: &str,
         rec: &mut dyn arcc_obs::Recorder,
-    ) -> Result<(Vec<u32>, Vec<Vec<FaultEvent>>), SegmentError> {
+    ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
         let (segment, lines) = FaultLog::parse_counted(text).map_err(SegmentError::Parse)?;
-        let slices = self.append_segment(&segment)?;
+        let appended = self.append_segment(&segment)?;
         rec.counter_add("replay.parse.lines", lines as u64);
         rec.counter_add("replay.parse.classes", segment.classes.len() as u64);
         rec.counter_add("replay.parse.dimms", segment.dimms.len() as u64);
         rec.counter_add("replay.parse.faults", segment.faults.len() as u64);
         rec.counter_add("replay.ingest.segments", 1);
-        Ok(slices)
+        Ok(appended)
     }
 
     /// Appends a segment to the accumulated log: validates the segment
     /// contract (same horizon, identical class table, globally unique
     /// DIMM ids), renumbers the segment's DIMMs after the existing
-    /// inventory, and returns the appended slices in the
+    /// inventory, and returns what
     /// [`ReplayArrivals::extend`](arcc_fleet::ReplayArrivals::extend)
-    /// layout — one population index and one time-ordered event list per
-    /// new channel. On error the log is unchanged.
+    /// takes — one population index per new channel, and the segment's
+    /// faults grouped by channel in one [`ArrivalCsr`]. On error the log
+    /// is unchanged.
     ///
     /// The id check costs O(s·log n) comparisons for an s-DIMM segment
     /// and an n-DIMM log: the segment's ids are sorted, then looked up
-    /// in the log's persistent id index and merged into it.
+    /// in the log's persistent id index and merged into it. The
+    /// segment's ids join the log's in one copy of their bytes.
     ///
     /// # Errors
     ///
     /// A [`SegmentError`] naming the violated contract clause. Of several
     /// repeated ids, the one named is the first in segment order that
     /// the log, or an earlier DIMM of the segment, already declares.
-    #[allow(clippy::type_complexity)]
     pub fn append_segment(
         &mut self,
         segment: &FaultLog,
-    ) -> Result<(Vec<u32>, Vec<Vec<FaultEvent>>), SegmentError> {
+    ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
         if segment.years.to_bits() != self.years.to_bits() {
             return Err(SegmentError::YearsMismatch {
                 expected: self.years,
@@ -188,58 +188,52 @@ impl FaultLog {
                 });
             }
         }
-        if self.id_index.len() != self.dimms.len() {
-            self.id_index = sorted_by_id(&self.dimms);
+        if self.dimms.id_index.len() != self.dimms.len() {
+            self.dimms.id_index = sorted_by_id(&self.dimms);
         }
         // The segment's ids in sorted order, each with the index slot it
         // would take. Slots only grow along the sorted ids, so each search
         // starts at the previous slot. A repeat within the segment sorts
         // right after its first declaration.
-        let mut order = sorted_by_id(&segment.dimms);
+        let (log, ids) = (&self.dimms, &segment.dimms);
+        let mut order = sorted_by_id(ids);
         let mut slots = Vec::with_capacity(order.len());
         let mut repeated: Option<u32> = None;
         let mut slot = 0;
         for (k, &d) in order.iter().enumerate() {
-            let id = segment.dimms[d as usize].id.as_str();
-            slot +=
-                self.id_index[slot..].partition_point(|&i| self.dimms[i as usize].id.as_str() < id);
-            let known = self
+            let id = ids.id(d as usize);
+            slot += log.id_index[slot..].partition_point(|&i| log.id(i as usize) < id);
+            let known = log
                 .id_index
                 .get(slot)
-                .is_some_and(|&i| self.dimms[i as usize].id == id);
-            let again = k > 0 && segment.dimms[order[k - 1] as usize].id == id;
+                .is_some_and(|&i| log.id(i as usize) == id);
+            let again = k > 0 && ids.id(order[k - 1] as usize) == id;
             if known || again {
                 repeated = Some(repeated.map_or(d, |r| r.min(d)));
             }
             slots.push(slot);
         }
         if let Some(d) = repeated {
-            let id = segment.dimms[d as usize].id.clone();
+            let id = ids.id(d as usize).to_string();
             return Err(SegmentError::DuplicateDimm { id });
         }
-        let populations: Vec<u32> = segment.dimms.iter().map(|d| d.class).collect();
-        let mut per_channel: Vec<Vec<FaultEvent>> = vec![Vec::new(); segment.dimms.len()];
-        for (dimm, ev) in &segment.faults {
-            per_channel[*dimm as usize].push(*ev);
-        }
+        let batch = segment.arrival_batch();
         let base = self.dimms.len() as u32;
         for d in &mut order {
             *d += base;
         }
-        insert_sorted(&mut self.id_index, &slots, &order);
-        self.dimms.extend(segment.dimms.iter().cloned());
+        insert_sorted(&mut self.dimms.id_index, &slots, &order);
+        self.dimms.append(&segment.dimms);
         self.faults
             .extend(segment.faults.iter().map(|(d, ev)| (d + base, *ev)));
-        Ok((populations, per_channel))
+        Ok((segment.dimms.classes().to_vec(), batch))
     }
 }
 
-/// Indices into `dimms`, sorted by id (ties by index).
-fn sorted_by_id(dimms: &[LogDimm]) -> Vec<u32> {
+/// Rows of `dimms`, sorted by id (ties by row).
+fn sorted_by_id(dimms: &DimmTable) -> Vec<u32> {
     let mut order: Vec<u32> = (0..dimms.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        (dimms[a as usize].id.as_str(), a).cmp(&(dimms[b as usize].id.as_str(), b))
-    });
+    order.sort_unstable_by(|&a, &b| (dimms.id(a as usize), a).cmp(&(dimms.id(b as usize), b)));
     order
 }
 
@@ -272,6 +266,14 @@ mod tests {
         generate_log(&spec)
     }
 
+    /// `dimms` with row `k`'s id replaced by `id`: ids are never edited
+    /// in place, so this builds a new table.
+    fn with_id(dimms: &DimmTable, k: usize, id: &str) -> DimmTable {
+        (dimms.iter().enumerate())
+            .map(|(i, (old, class))| (if i == k { id } else { old }, class))
+            .collect()
+    }
+
     #[test]
     fn split_then_append_reproduces_the_log() {
         let log = sample_log();
@@ -287,13 +289,30 @@ mod tests {
                 *seg
             );
         }
-        // ...and appending them in order rebuilds the original exactly.
-        let mut rebuilt = segments[0].clone();
-        for seg in &segments[1..] {
-            rebuilt.append_segment(seg).expect("append");
+        // ...and appending them in order rebuilds the original exactly,
+        // in segments of 16 channels and of one.
+        for (channels, count) in [(16, 3), (1, 40)] {
+            let segments = log.split_channels(channels);
+            assert_eq!(segments.len(), count);
+            let mut rebuilt = segments[0].clone();
+            for seg in &segments[1..] {
+                rebuilt.append_segment(seg).expect("append");
+            }
+            assert_eq!(rebuilt, log);
+            assert_eq!(rebuilt.to_text(), log.to_text());
         }
-        assert_eq!(rebuilt, log);
-        assert_eq!(rebuilt.to_text(), log.to_text());
+        // A one-channel segment holds exactly its DIMM's faults, in file
+        // order.
+        let one = log.split_channels(1);
+        for (d, seg) in one.iter().enumerate() {
+            let own: Vec<_> = log
+                .faults
+                .iter()
+                .filter(|(dimm, _)| *dimm as usize == d)
+                .map(|&(_, ev)| (0, ev))
+                .collect();
+            assert_eq!(seg.faults, own, "dimm {d}");
+        }
     }
 
     #[test]
@@ -380,14 +399,17 @@ mod tests {
         // Segments whose ids sort before, between and after the ids the
         // log already holds.
         let mut renamed = log.clone();
-        for (i, d) in renamed.dimms.iter_mut().enumerate() {
-            d.id = match i / 10 {
-                0 => format!("m{i:02}"),
-                1 => format!("a{i:02}"),
-                2 => format!("m{:02}x", i - 20),
-                _ => format!("z{i:02}"),
-            };
-        }
+        renamed.dimms = (log.dimms.iter().enumerate())
+            .map(|(i, (_, class))| {
+                let id = match i / 10 {
+                    0 => format!("m{i:02}"),
+                    1 => format!("a{i:02}"),
+                    2 => format!("m{:02}x", i - 20),
+                    _ => format!("z{i:02}"),
+                };
+                (id, class)
+            })
+            .collect();
         let parts = renamed.split_channels(10);
         let mut acc = parts[0].clone();
         for part in &parts[1..3] {
@@ -397,15 +419,15 @@ mod tests {
         let dup = |id: &str| Err(SegmentError::DuplicateDimm { id: id.to_string() });
         // The last id of a segment repeats the last id of a later one.
         let mut last = parts[3].clone();
-        last.dimms[9].id = parts[2].dimms[9].id.clone();
+        last.dimms = with_id(&last.dimms, 9, parts[2].dimms.id(9));
         assert_eq!(acc.append_segment(&last), dup("m09x"));
         // Every ingested segment is refused at its first id...
         for part in &parts[..3] {
-            assert_eq!(acc.append_segment(part), dup(&part.dimms[0].id));
+            assert_eq!(acc.append_segment(part), dup(part.dimms.id(0)));
         }
         // ...and a segment repeating one of its own ids at the repeat.
         let mut twice = parts[3].clone();
-        twice.dimms[6].id = twice.dimms[2].id.clone();
+        twice.dimms = with_id(&twice.dimms, 6, twice.dimms.id(2));
         assert_eq!(acc.append_segment(&twice), dup("z32"));
         assert_eq!(acc, snapshot, "failed appends must not mutate the log");
         acc.append_segment(&parts[3])

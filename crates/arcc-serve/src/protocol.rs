@@ -41,6 +41,9 @@
 //! (observable as `memo_hits` in `status`). Any state mutation —
 //! `ingest`, `fork`, or a `whatif` that had to fork — clears the table,
 //! so a cached response is always exactly what recomputing would print.
+//! An `ingest` that fails clears it too, unless the segment itself was
+//! refused: a failure after the segment was absorbed (a branch extension
+//! or a durable write) has already moved the engine.
 //! `status` is deliberately not memoised: it reports the counters the
 //! memo table itself advances. `metrics` likewise — its snapshot *is*
 //! the record of work done, memo hits included.
@@ -225,8 +228,14 @@ impl Service {
                 let payload = payload.ok_or_else(|| ServeError::Protocol {
                     detail: "ingest needs its payload framed by lines=<n>".to_string(),
                 })?;
-                let summary = self.engine.ingest(payload)?;
-                self.memo.clear();
+                let ingested = self.engine.ingest(payload);
+                // Only a refused segment leaves the engine untouched; an
+                // ingest that fails after absorbing its segment has moved
+                // it, so memoised answers are stale either way.
+                if !matches!(ingested, Err(ServeError::Segment(_))) {
+                    self.memo.clear();
+                }
+                let summary = ingested?;
                 Ok(format!(
                     "{{\"ok\":true,\"cmd\":\"ingest\",\"segment_channels\":{},\
                      \"segment_events\":{},\"channels\":{},\"events\":{},\

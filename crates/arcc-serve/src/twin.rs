@@ -287,7 +287,7 @@ impl TwinEngine {
             state_dir: None,
             segments_persisted: 0,
             log: None,
-            arrivals: empty_arrivals(),
+            arrivals: ReplayArrivals::default(),
             branches: BTreeMap::new(),
             counters: Counters::default(),
             obs: SnapshotRecorder::new(),
@@ -640,8 +640,8 @@ impl TwinEngine {
                 self.arrivals = arrivals;
             }
             Some(log) => {
-                let (populations, per_channel) = log.ingest_segment(text, &mut self.obs)?;
-                self.arrivals.extend(populations, per_channel)?;
+                let (populations, batch) = log.ingest_segment(text, &mut self.obs)?;
+                self.arrivals.extend(populations, batch)?;
             }
         }
         Ok(())
@@ -789,16 +789,6 @@ impl TwinEngine {
             .expect("branch")
             .ckpt
             .fingerprint ^= 1;
-    }
-}
-
-/// An arrival set covering zero channels (infallible by construction).
-fn empty_arrivals() -> ReplayArrivals {
-    match ReplayArrivals::new(Vec::new(), Vec::new()) {
-        Ok(a) => a,
-        // new() only fails on mismatched or malformed inputs; two empty
-        // vectors are neither.
-        Err(_) => unreachable!("empty arrival set is always valid"),
     }
 }
 

@@ -158,6 +158,40 @@ fn failed_state_writes_leave_no_tmp_files() {
 }
 
 #[test]
+fn an_ingest_that_fails_after_absorbing_its_segment_drops_memoised_replies() {
+    // Blocking the second segment file fails that ingest after the
+    // segment was absorbed and every branch extended: the engine has
+    // moved, so the reply memoised before it must not be served again.
+    let (_, segments) = sample();
+    let ingest = |service: &mut Service, seg: &str| {
+        let reply = service.handle(&format!("ingest lines={}", seg.lines().count()), Some(seg));
+        reply.starts_with("{\"ok\":true")
+    };
+    let query = "query-stats branch=baseline";
+    let dir = state_dir("stale-memo");
+    let mut service = Service::new(TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh"));
+    assert!(ingest(&mut service, &segments[0]));
+    let before = service.handle(query, None);
+    std::fs::create_dir_all(dir.join("segment-00001.log").join("occupied")).expect("block");
+    assert!(
+        !ingest(&mut service, &segments[1]),
+        "segment-00001.log is blocked"
+    );
+    assert_eq!(service.engine().channels(), 170, "the segment was absorbed");
+    let hits = service.engine().counters().memo_hits;
+    let after = service.handle(query, None);
+    assert_eq!(service.engine().counters().memo_hits, hits, "a memo hit");
+    assert_ne!(after, before);
+    // The reply is the stats of an engine that took both segments.
+    let mut fresh = Service::new(TwinEngine::new(2, SEED).shard_channels(SHARD));
+    for seg in &segments[..2] {
+        assert!(ingest(&mut fresh, seg));
+    }
+    assert_eq!(after, fresh.handle(query, None));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn reopened_state_appends_segments_without_renumbering() {
     let (_, segments) = sample();
     let dir = state_dir("append");
