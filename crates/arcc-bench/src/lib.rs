@@ -30,8 +30,12 @@
 //! 10M-channel rung timed again at the other thread count (all cores
 //! after a 1-thread ladder, else 1), the two rates and their ratio. Then
 //! it prints the engine's fault-path cost: nanoseconds per fault of a
-//! fault-heavy fleet (100k channels at 8x field rates) on 1 thread. Both
-//! lines are neither recorded nor gated.
+//! fault-heavy fleet (100k channels at 8x field rates) on 1 thread.
+//! `bench serve` likewise prints its reopen scaling on a multi-core host:
+//! the 400k rung's segments ingested once into a temporary state
+//! directory, then `TwinEngine::open` of it timed at 1 thread and at
+//! the other thread count (all cores after a 1-thread ladder), best of 3
+//! each. These lines are neither recorded nor gated.
 //! `bench replay --log FILE` measures one rung instead: that field log,
 //! replayed under its own inventory-derived spec.
 //!
@@ -64,6 +68,9 @@ const FLEET_CHANNELS: [u64; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
 const REPLAY_CHANNELS: [u64; 3] = [10_000, 100_000, 1_000_000];
 const SERVE_CHANNELS: [u64; 3] = [20_000, 100_000, 400_000];
 const SERVE_SEGMENTS: usize = 8;
+/// Seed and checkpoint granularity of the serve ladder's twins.
+const SERVE_SEED: u64 = 0x5E21;
+const SERVE_SHARD: u32 = 4096;
 /// Channels of the recorder A/B: large enough that per-event work
 /// dominates set-up, small enough to stay cheap in CI.
 const OBS_AB_CHANNELS: u64 = 100_000;
@@ -236,16 +243,19 @@ fn read(path: &Path) -> Result<String, String> {
 
 /// Channels per second ingested through the twin service, end to end
 /// (parse, arrival extension, checkpoint extension); the note times the
-/// what-if ladder over the ingested fleet.
-fn serve_ladder(threads: usize) -> Result<Ladder, String> {
+/// what-if ladder over the ingested fleet. Also returns the top rung's
+/// segment texts.
+fn serve_ladder(threads: usize) -> Result<(Ladder, Vec<String>), String> {
     let mut ladder = Vec::new();
+    let mut top = Vec::new();
     for channels in SERVE_CHANNELS {
         let log = generate_log(&FleetSpec::baseline(channels));
         let per_segment = (log.dimms.len() / SERVE_SEGMENTS).max(1);
         let split = log.split_channels(per_segment);
         let segments: Vec<String> = split.iter().map(|s| s.to_text()).collect();
         let (rung, service) = time_rung(channels, channels, || {
-            let mut service = Service::new(TwinEngine::new(threads, 0x5E21).shard_channels(4096));
+            let mut service =
+                Service::new(TwinEngine::new(threads, SERVE_SEED).shard_channels(SERVE_SHARD));
             for text in &segments {
                 let request = format!("ingest lines={}", text.lines().count());
                 let reply = service.handle(&request, Some(text));
@@ -275,8 +285,55 @@ fn serve_ladder(threads: usize) -> Result<Ladder, String> {
         let (cold, warm, memo) = (cold * 1e3, warm * 1e3, memo * 1e3);
         let note = format!("what-if cold {cold:.1} ms, warm {warm:.1} ms, memo {memo:.3} ms");
         ladder.push((rung, note));
+        top = segments;
     }
-    Ok(ladder)
+    Ok((ladder, top))
+}
+
+/// Reopen scaling as a printed line: `segments` ingested once into a
+/// temporary state directory, then `TwinEngine::open` of it timed best of
+/// 3 at 1 thread and at the other thread count (`threads`, or all cores
+/// after a 1-thread ladder). The directory is removed afterwards. `None`
+/// on a one-core host. The line is neither recorded nor gated.
+fn serve_reopen_scaling(threads: usize, segments: &[String]) -> Result<Option<String>, String> {
+    let cores = default_threads();
+    if cores == 1 {
+        return Ok(None);
+    }
+    let wide = if threads == 1 { cores } else { threads };
+    let dir = std::env::temp_dir().join(format!("arcc-bench-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let timed = timed_reopens(&dir, wide, segments);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (channels, one, many) = timed?;
+    let (n, speedup) = (segments.len(), one / many);
+    let (one, many) = (one * 1e3, many * 1e3);
+    Ok(Some(format!(
+        "serve reopen at {channels} channels, {n} segments: {one:.1} ms at 1 thread, \
+         {many:.1} ms at {wide} threads, {speedup:.2}x (available_parallelism {cores})"
+    )))
+}
+
+/// Ingests `segments` into a durable twin at `dir`, then times reopening
+/// it, best of 3, at 1 and at `wide` threads: the channel count and the
+/// two times in seconds.
+fn timed_reopens(dir: &Path, wide: usize, segments: &[String]) -> Result<(u64, f64, f64), String> {
+    let open = |threads| TwinEngine::open(threads, SERVE_SEED, SERVE_SHARD, dir);
+    let mut engine = open(wide).map_err(|e| e.to_string())?;
+    for text in segments {
+        engine
+            .ingest(text)
+            .map_err(|e| format!("ingest refused: {e}"))?;
+    }
+    let channels = engine.channels();
+    drop(engine);
+    let reopen = |threads| {
+        let (seconds, reopened) = best_of_3(|| open(threads).map(|e| e.channels()));
+        let reopened = reopened.map_err(|e| format!("reopen refused: {e}"))?;
+        assert_eq!(reopened, channels, "the reopen must replay every segment");
+        Ok::<_, String>(seconds)
+    };
+    Ok((channels, reopen(1)?, reopen(wide)?))
 }
 
 /// A/B-tests the metrics recorder: best-of-3 plain against best-of-3
@@ -346,6 +403,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     let threads = baseline
         .as_ref()
         .map_or_else(default_threads, |(b, _)| b.threads);
+    let mut serve_segments = Vec::new();
     let (threads, ladder) = match (layer.as_str(), log) {
         ("codec", _) => (1, codec_ladder()),
         ("fleet", _) => (threads, fleet_ladder(threads)),
@@ -354,7 +412,11 @@ fn run(args: &[String]) -> Result<bool, String> {
             (threads, vec![rung])
         }
         ("replay", None) => (threads, replay_ladder(threads)?),
-        _ => (threads, serve_ladder(threads)?),
+        _ => {
+            let (ladder, top) = serve_ladder(threads)?;
+            serve_segments = top;
+            (threads, ladder)
+        }
     };
     let unit = if layer == "codec" { "lines/s" } else { "ch/s" };
     let (rungs, notes): (Vec<Rung>, Vec<String>) = ladder.into_iter().unzip();
@@ -376,6 +438,11 @@ fn run(args: &[String]) -> Result<bool, String> {
             println!("{line}");
         }
         println!("{}", fleet_fault_path());
+    }
+    if layer == "serve" {
+        if let Some(line) = serve_reopen_scaling(threads, &serve_segments)? {
+            println!("{line}");
+        }
     }
     if let Some(path) = record {
         std::fs::write(&path, run.to_json())

@@ -11,7 +11,8 @@
 //! * one scheduler, [`fold_in_order`], hands every result to a single
 //!   folder on the calling thread strictly in index order, so the fold is
 //!   bit-identical no matter how many workers ran or how the OS scheduled
-//!   them. [`parallel_map`] is that fold pushing into a `Vec`.
+//!   them, and so is the first error it stops at. [`parallel_map`] is
+//!   that fold pushing into a `Vec`.
 //!
 //! `arcc-exp` re-exports these for experiment sweeps; `arcc-fleet` streams
 //! its sharded event-driven runner through [`fold_in_order`], so "parallel
@@ -19,6 +20,7 @@
 //! construction.
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -44,14 +46,18 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let mut out = Vec::with_capacity(items.len());
+    let push = |r| {
+        out.push(r);
+        Ok::<(), Infallible>(())
+    };
     let count = items.len();
-    fold_in_order(threads, count, count, |i| f(i, &items[i]), |r| out.push(r));
+    let Ok(()) = fold_in_order(threads, count, count, |i| f(i, &items[i]), push);
     out
 }
 
 /// Runs `work` over the indices `0..count` on up to `threads` workers and
 /// passes every result to `fold` on the calling thread, strictly in index
-/// order.
+/// order, until `fold` returns an error.
 ///
 /// Workers are spawned once per call and claim indices in order. None
 /// claims an index `ahead` or more past the next unfolded one, so at most
@@ -59,27 +65,41 @@ where
 /// slow item holds back only the claims past that bound, never workers
 /// already running. `fold` never leaves the calling thread, so it may
 /// capture state that is not `Send`. With one worker — `threads`, `count`
-/// or `ahead` below 2 — the call is a plain loop: no thread is spawned
-/// and no lock is taken.
+/// or `ahead` below 2 — the call is a plain loop,
+/// `for i in 0..count { fold(work(i))? }`: no thread is spawned and no
+/// lock is taken.
+///
+/// # Errors
+///
+/// The first error `fold` returns, which ends the call: no further index
+/// is claimed, and results of items still running are dropped once they
+/// finish. Since results are folded in index order, the error does not
+/// depend on `threads`.
 ///
 /// # Panics
 ///
 /// A panic in `work` stops further claims and is re-raised from this call,
 /// with its own payload, once every worker has stopped. A panic in `fold`
 /// stops the workers the same way before it propagates.
-pub fn fold_in_order<R, W, F>(threads: usize, count: usize, ahead: usize, work: W, mut fold: F)
+pub fn fold_in_order<R, E, W, F>(
+    threads: usize,
+    count: usize,
+    ahead: usize,
+    work: W,
+    mut fold: F,
+) -> Result<(), E>
 where
     R: Send,
     W: Fn(usize) -> R + Sync,
-    F: FnMut(R),
+    F: FnMut(R) -> Result<(), E>,
 {
     let ahead = ahead.clamp(1, count.max(1));
     let threads = threads.clamp(1, ahead);
     if threads == 1 {
         for i in 0..count {
-            fold(work(i));
+            fold(work(i))?;
         }
-        return;
+        return Ok(());
     }
     let shared = Shared {
         window: Mutex::new(Window {
@@ -92,22 +112,24 @@ where
         claimable: Condvar::new(),
         filled: Condvar::new(),
     };
-    std::thread::scope(|scope| {
+    let folded = std::thread::scope(|scope| {
         let _stop = StopOnDrop(&shared);
         for _ in 0..threads {
             scope.spawn(|| shared.worker(count, ahead, &work));
         }
         for i in 0..count {
             let Some(result) = shared.next_result(i, ahead) else {
-                return;
+                return Ok(());
             };
-            fold(result);
+            fold(result)?;
         }
+        Ok(())
     });
     let window = shared.window.into_inner();
     if let Some(payload) = window.unwrap_or_else(PoisonError::into_inner).panic {
         resume_unwind(payload);
     }
+    folded
 }
 
 /// The claim window of one [`fold_in_order`] call, guarded by one lock.
@@ -119,8 +141,8 @@ struct Window<R> {
     /// Finished results not yet folded, each at `index % ahead`; claimed
     /// indices lie in `folded..folded + ahead`, so they never share a slot.
     ready: Vec<Option<R>>,
-    /// Set when an item panicked or the caller left its fold loop: no
-    /// further index is claimed.
+    /// Set when an item panicked or the caller left its fold loop (done,
+    /// stopped by an error, or unwinding): no further index is claimed.
     stop: bool,
     /// The payload of the first item that panicked.
     panic: Option<Box<dyn Any + Send>>,
@@ -205,9 +227,9 @@ impl<R> Shared<R> {
     }
 }
 
-/// Stops the workers when the caller leaves its fold loop — done, or
-/// unwinding from a panic in `fold` — so none waits for a claim that can
-/// no longer fit.
+/// Stops the workers when the caller leaves its fold loop — done, stopped
+/// by an error from `fold`, or unwinding from a panic in it — so none
+/// waits for a claim that can no longer fit.
 struct StopOnDrop<'a, R>(&'a Shared<R>);
 
 impl<R> Drop for StopOnDrop<'_, R> {
@@ -269,8 +291,9 @@ mod tests {
         let fold = |i| {
             assert_eq!(i, out.len(), "folded out of order");
             out.push(i);
+            Ok::<(), Infallible>(())
         };
-        fold_in_order(threads, count, ahead, work, fold);
+        let Ok(()) = fold_in_order(threads, count, ahead, work, fold);
         out
     }
 
@@ -318,8 +341,9 @@ mod tests {
                         }
                     }
                     folded.fetch_add(1, SeqCst);
+                    Ok::<(), Infallible>(())
                 };
-                fold_in_order(threads, COUNT, ahead, work, fold);
+                let Ok(()) = fold_in_order(threads, COUNT, ahead, work, fold);
                 assert_eq!(
                     folded.into_inner(),
                     COUNT,
@@ -338,13 +362,49 @@ mod tests {
                 }
                 i
             };
-            let caught = catch_unwind(|| fold_in_order(threads, 50, 4, work, |_| {}));
+            let caught = catch_unwind(|| fold_in_order(threads, 50, 4, work, |_| Ok::<(), ()>(())));
             let payload = caught.expect_err("the item's panic must reach the caller");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 9 failed"));
 
-            let fold = |i| assert_ne!(i, 9, "fold of item 9 failed");
+            let fold = |i| {
+                assert_ne!(i, 9, "fold of item 9 failed");
+                Ok::<(), ()>(())
+            };
             let caught = catch_unwind(|| fold_in_order(threads, 50, 4, |i| i, fold));
             assert!(caught.is_err(), "the fold's panic must reach the caller");
+        }
+    }
+
+    #[test]
+    fn fold_in_order_stops_at_the_first_fold_error() {
+        const AHEAD: usize = 4;
+        for threads in 1..=8 {
+            // One past the highest index claimed so far.
+            let reach = AtomicUsize::new(0);
+            let work = |i: usize| {
+                reach.fetch_max(i + 1, SeqCst);
+                i
+            };
+            let mut folded = Vec::new();
+            let fold = |i: usize| {
+                folded.push(i);
+                // Items 9 and 11 both fail; 11 may finish first.
+                if i == 9 || i == 11 {
+                    return Err(i);
+                }
+                Ok(())
+            };
+            assert_eq!(fold_in_order(threads, 50, AHEAD, work, fold), Err(9));
+            assert_eq!(folded, (0..=9).collect::<Vec<_>>(), "threads={threads}");
+            let reach = reach.into_inner();
+            if threads == 1 {
+                assert_eq!(reach, 10, "the 1-thread loop stops at the error");
+            } else {
+                assert!(
+                    reach <= 9 + AHEAD,
+                    "claimed up to {reach} past an error at 9"
+                );
+            }
         }
     }
 
@@ -358,8 +418,11 @@ mod tests {
                 log.lock().expect("test log").push(('w', i));
                 i
             };
-            let fold = |i| log.lock().expect("test log").push(('f', i));
-            fold_in_order(threads, count, ahead, work, fold);
+            let fold = |i| {
+                log.lock().expect("test log").push(('f', i));
+                Ok::<(), Infallible>(())
+            };
+            let Ok(()) = fold_in_order(threads, count, ahead, work, fold);
             let want: Vec<_> = (0..count).flat_map(|i| [('w', i), ('f', i)]).collect();
             assert_eq!(log.into_inner().expect("test log"), want);
         }

@@ -18,6 +18,8 @@
 //! from an empty checkpoint, and [`extend_replay`] grows a twin's
 //! checkpoint with its log.
 
+use std::convert::Infallible;
+
 use arcc_core::par::fold_in_order;
 use arcc_obs::{MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder};
 
@@ -213,11 +215,13 @@ fn run_span(
         }
         .run()
     };
-    fold_in_order(threads, count, ahead, run, |(stats, metrics)| {
+    let folded = fold_in_order(threads, count, ahead, run, |(stats, metrics)| {
         ckpt.stats.merge(&stats);
         metrics.record_into(rec);
         ckpt.shards_done += 1;
+        Ok::<(), Infallible>(())
     });
+    let Ok(()) = folded;
     ckpt
 }
 

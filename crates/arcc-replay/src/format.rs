@@ -531,8 +531,14 @@ impl FaultLog {
     }
 
     /// [`Self::parse`], also returning how many lines it walked: on
-    /// success, `text.lines().count()`.
-    pub(crate) fn parse_counted(text: &str) -> Result<(Self, usize), LogError> {
+    /// success, `text.lines().count()`. With [`Self::append_recorded`] it
+    /// splits [`Self::ingest_segment`] in two, so a segment can be parsed
+    /// on one thread and appended on another.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Self::parse`].
+    pub fn parse_counted(text: &str) -> Result<(Self, usize), LogError> {
         let geometry = Self::geometry();
         let (header, mut next) = match text.find('\n') {
             Some(at) => (&text[..at], at + 1),

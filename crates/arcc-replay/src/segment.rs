@@ -116,6 +116,10 @@ impl FaultLog {
     /// (parse errors and contract violations alike) record nothing and
     /// leave the log unchanged.
     ///
+    /// It is [`FaultLog::parse_counted`] followed by
+    /// [`FaultLog::append_recorded`]; callers that parse segments on
+    /// other threads call the two halves themselves.
+    ///
     /// # Errors
     ///
     /// [`SegmentError::Parse`] when `text` fails the strict v1 parser,
@@ -126,7 +130,24 @@ impl FaultLog {
         rec: &mut dyn arcc_obs::Recorder,
     ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
         let (segment, lines) = FaultLog::parse_counted(text).map_err(SegmentError::Parse)?;
-        let appended = self.append_segment(&segment)?;
+        self.append_recorded(&segment, lines, rec)
+    }
+
+    /// [`FaultLog::append_segment`] of a segment parsed from `lines` text
+    /// lines (as [`FaultLog::parse_counted`] returns them), recording
+    /// what [`FaultLog::ingest_segment`] records on success. A refused
+    /// segment records nothing and leaves the log unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FaultLog::append_segment`].
+    pub fn append_recorded(
+        &mut self,
+        segment: &FaultLog,
+        lines: usize,
+        rec: &mut dyn arcc_obs::Recorder,
+    ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
+        let appended = self.append_segment(segment)?;
         rec.counter_add("replay.parse.lines", lines as u64);
         rec.counter_add("replay.parse.classes", segment.classes.len() as u64);
         rec.counter_add("replay.parse.dimms", segment.dimms.len() as u64);

@@ -43,7 +43,8 @@
 //! so a cached response is always exactly what recomputing would print.
 //! An `ingest` that fails clears it too, unless the segment itself was
 //! refused: a failure after the segment was absorbed (a branch extension
-//! or a durable write) has already moved the engine.
+//! or a durable write) has already moved the engine. Likewise a `fork`
+//! or `whatif` whose branch was inserted but not persisted clears it.
 //! `status` is deliberately not memoised: it reports the counters the
 //! memo table itself advances. `metrics` likewise — its snapshot *is*
 //! the record of work done, memo hits included.
@@ -55,7 +56,7 @@ use arcc_exp::{find, names, run, Experiment};
 use arcc_fleet::FleetStats;
 use arcc_obs::{json_f64, json_string, Clock, ManualClock, Recorder as _, SnapshotRecorder};
 
-use crate::twin::{parse_policy, policy_token, ServeError, TwinEngine, BASELINE_BRANCH};
+use crate::twin::{parse_policy, policy_token, Branch, ServeError, TwinEngine, BASELINE_BRANCH};
 
 /// Hard cap on `ingest lines=<n>`, so a malformed request cannot make
 /// the service buffer an unbounded payload.
@@ -122,6 +123,16 @@ impl Service {
     #[cfg(test)]
     fn memo_entries(&self) -> usize {
         self.memo.len()
+    }
+
+    /// Drops every memoised reply if the engine forked since its fork
+    /// counter read `forks`. A fork inserts its branch before persisting
+    /// it, so a fork that then fails has still changed what `whatif`
+    /// answers.
+    fn clear_memo_if_forked(&mut self, forks: u64) {
+        if self.engine.counters().forks != forks {
+            self.memo.clear();
+        }
     }
 
     /// Runs the request loop until `quit` or end of input. Each response
@@ -265,10 +276,10 @@ impl Service {
                 expect_keys(cmd, &args, &["name", "policy"])?;
                 let name = require(cmd, &args, "name")?;
                 let policy = parse_policy(require(cmd, &args, "policy")?)?;
-                let branch = self.engine.fork(name, policy)?;
-                let (shards_done, branches) =
-                    (branch.shards_done(), self.engine.branch_names().len());
-                self.memo.clear();
+                let forks = self.engine.counters().forks;
+                let shards_done = self.engine.fork(name, policy).map(Branch::shards_done);
+                self.clear_memo_if_forked(forks);
+                let (shards_done, branches) = (shards_done?, self.engine.branch_names().len());
                 Ok(format!(
                     "{{\"ok\":true,\"cmd\":\"fork\",\"branch\":{},\"policy\":{},\
                      \"complete_shards\":{shards_done},\"branches\":{branches}}}",
@@ -284,11 +295,11 @@ impl Service {
                     self.engine.note_memo_hit();
                     return Ok(hit.clone());
                 }
-                let (branch, stats, forked) = self.engine.whatif(policy)?;
+                let forks = self.engine.counters().forks;
+                let answered = self.engine.whatif(policy);
+                self.clear_memo_if_forked(forks);
+                let (branch, stats, _) = answered?;
                 let response = self.render_branch_stats("whatif", &branch, &stats)?;
-                if forked {
-                    self.memo.clear();
-                }
                 self.memo.insert(key, response.clone());
                 Ok(response)
             }

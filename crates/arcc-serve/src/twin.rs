@@ -15,16 +15,27 @@
 //!
 //! With a state directory the engine is durable: segments are appended
 //! as numbered files, branch checkpoints are written atomically
-//! ([`FleetCheckpoint::write_atomic`]), and [`TwinEngine::open`] rebuilds
-//! the engine from disk — re-validating every checkpoint against the
-//! accumulated log's fingerprint and *refusing* (typed
-//! [`ServeError::CheckpointMismatch`], never a panic) state that
-//! belongs to a different history.
+//! ([`write_file_atomic`]), and [`TwinEngine::open`] rebuilds the engine
+//! from disk — re-validating every checkpoint against the accumulated
+//! log's fingerprint and *refusing* (typed
+//! [`ServeError::CheckpointMismatch`], never a panic) state that belongs
+//! to a different history.
+//!
+//! Reopening replays every persisted segment. Segment files are
+//! independent documents, so [`TwinEngine::open`] reads and parses them
+//! on the engine's workers, at most four segments per thread ahead of
+//! the next append, while the calling thread alone appends each parsed
+//! segment to the log and the arrival set in index order
+//! ([`fold_in_order`]). The reopened engine, its metrics and its error —
+//! the first failing segment in index order, whether its read, parse or
+//! append fails — are those of a sequential loop at every thread count;
+//! one thread *is* that loop.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use arcc_core::par::fold_in_order;
 use arcc_exp::ExpError;
 use arcc_fleet::checkpoint::write_file_atomic;
 use arcc_fleet::{
@@ -43,6 +54,13 @@ const STATE_HEADER: &str = "arcc-serve-state v2";
 
 /// The version 1 header: [`TwinEngine::open`] migrates such directories.
 const STATE_HEADER_V1: &str = "arcc-serve-state v1";
+
+/// Segments [`TwinEngine::open`] parses ahead of the one it appends, per
+/// worker thread (the fleet runner's window factor). A bound of
+/// `threads` alone leaves the workers idle whenever the calling thread's
+/// append falls behind; each parsed segment waiting in the window costs
+/// its memory until appended.
+const PARSE_AHEAD: usize = 4;
 
 /// Typed service errors; each maps to one `error.kind` in the protocol.
 #[derive(Debug)]
@@ -262,6 +280,11 @@ pub struct TwinEngine {
     /// across processes and must not drive durable file names).
     segments_persisted: u64,
     log: Option<FaultLog>,
+    /// The replay spec every branch shares but for its policy and channel
+    /// count, built from the first segment: the segment contract fixes
+    /// the class table and horizon after it, so no later spec recounts
+    /// the inventory's DIMMs per class.
+    spec: Option<FleetSpec>,
     arrivals: ReplayArrivals,
     branches: BTreeMap<String, Branch>,
     counters: Counters,
@@ -287,6 +310,7 @@ impl TwinEngine {
             state_dir: None,
             segments_persisted: 0,
             log: None,
+            spec: None,
             arrivals: ReplayArrivals::default(),
             branches: BTreeMap::new(),
             counters: Counters::default(),
@@ -316,6 +340,17 @@ impl TwinEngine {
     /// state, or a file from a different fleet — is refused with
     /// [`ServeError::CheckpointMismatch`].
     ///
+    /// The persisted segments are `segment-00000.log` onwards, up to the
+    /// first index whose file is not found. Segment 0 is parsed on the
+    /// calling thread, so the accumulated log's buffers are its own; the
+    /// rest are read and parsed on up to `threads` workers, at most four
+    /// per worker ahead of the next append, while the calling thread
+    /// appends each to the log and the arrival set in index order. The
+    /// result does not depend on `threads`: the engine, its
+    /// [`Self::metrics`] and its error (that of the first segment, in
+    /// index order, whose read, parse or append fails) are those of
+    /// appending the segments one by one, which is what one thread does.
+    ///
     /// A version 1 directory (`arcc-serve-state v1`) is migrated: its
     /// checkpoints carry version 1 arrival fingerprints, so they are
     /// treated as missing and every branch is rebuilt from its first
@@ -341,21 +376,7 @@ impl TwinEngine {
         engine.state_dir = Some(dir.to_path_buf());
         let migrate_v1 = engine.load_meta(dir)?;
 
-        // Replay the persisted segments into the accumulated log.
-        for index in 0.. {
-            let path = dir.join(segment_file(index));
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => {
-                    return Err(ServeError::State {
-                        detail: format!("cannot read {}: {e}", path.display()),
-                    });
-                }
-            };
-            engine.absorb_segment(&text)?;
-            engine.segments_persisted += 1;
-        }
+        engine.replay_segments(dir)?;
 
         // Reload the branch table (baseline is implicit on ingest, so a
         // missing table just means no branches were ever persisted).
@@ -629,14 +650,22 @@ impl TwinEngine {
     // --- internals ------------------------------------------------------
 
     /// Parses and appends a segment to the accumulated log + arrivals
-    /// (no branch work, no persistence).
+    /// (no branch work, no persistence). The first segment also fixes
+    /// the branches' shared spec. Population weights are pinned to 1 so
+    /// the spec fingerprint lineage depends only on the class table and
+    /// channel count, not on how many DIMMs each class happens to hold
+    /// (replay ignores weights; they only drive synthetic assignment).
     fn absorb_segment(&mut self, text: &str) -> Result<(), ServeError> {
         match &mut self.log {
             None => {
-                let log = FaultLog::parse_recorded(text, &mut self.obs)
-                    .map_err(|e| ServeError::Segment(SegmentError::Parse(e)))?;
+                let log = FaultLog::parse_recorded(text, &mut self.obs).map_err(parse_error)?;
                 let arrivals = log.arrivals()?;
+                let mut spec = log.replay_spec(self.seed).shard_channels(self.shard);
+                for p in &mut spec.populations {
+                    p.weight = 1.0;
+                }
                 self.log = Some(log);
+                self.spec = Some(spec);
                 self.arrivals = arrivals;
             }
             Some(log) => {
@@ -647,20 +676,41 @@ impl TwinEngine {
         Ok(())
     }
 
-    /// The shared replay spec under `policy`, covering the current
-    /// channel count. Population weights are pinned to 1 so the spec
-    /// fingerprint lineage depends only on the class table and channel
-    /// count, not on how many DIMMs each class happens to hold (replay
-    /// ignores weights; they only drive synthetic assignment).
-    fn spec_for(&self, policy: OperatorPolicy) -> Result<FleetSpec, ServeError> {
-        let log = self.log.as_ref().ok_or(ServeError::NoFleet)?;
-        let mut spec = log
-            .replay_spec(self.seed)
-            .policy(policy)
-            .shard_channels(self.shard);
-        for p in &mut spec.populations {
-            p.weight = 1.0;
+    /// Replays the persisted segments of `dir` (see [`Self::open`]):
+    /// segment 0 through [`Self::absorb_segment`] on this thread, the
+    /// rest read and parsed by [`fold_in_order`]'s workers and appended
+    /// here in index order, up to the first segment that fails.
+    fn replay_segments(&mut self, dir: &Path) -> Result<(), ServeError> {
+        let count = segment_count(dir);
+        if count == 0 {
+            return Ok(());
         }
+        self.absorb_segment(&read_segment(dir, 0)?)?;
+        let log = self.log.as_mut().ok_or(ServeError::NoFleet)?;
+        let (arrivals, obs) = (&mut self.arrivals, &mut self.obs);
+        let parse = |k: usize| {
+            let text = read_segment(dir, k as u64 + 1)?;
+            FaultLog::parse_counted(&text).map_err(parse_error)
+        };
+        let append = |parsed: Result<(FaultLog, usize), ServeError>| -> Result<(), ServeError> {
+            let (segment, lines) = parsed?;
+            let (populations, batch) = log.append_recorded(&segment, lines, obs)?;
+            Ok(arrivals.extend(populations, batch)?)
+        };
+        let (rest, ahead) = ((count - 1) as usize, PARSE_AHEAD * self.threads);
+        fold_in_order(self.threads, rest, ahead, parse, append)?;
+        self.segments_persisted = count;
+        Ok(())
+    }
+
+    /// The shared replay spec under `policy`, covering the current
+    /// channel count.
+    fn spec_for(&self, policy: OperatorPolicy) -> Result<FleetSpec, ServeError> {
+        let (Some(log), Some(spec)) = (&self.log, &self.spec) else {
+            return Err(ServeError::NoFleet);
+        };
+        let mut spec = spec.clone().policy(policy);
+        spec.channels = log.dimms.len() as u64;
         Ok(spec)
     }
 
@@ -766,12 +816,13 @@ impl TwinEngine {
         write_atomic_text(&dir.join("branches.txt"), &listing)?;
         let mut checkpoint_bytes = 0u64;
         for (name, b) in &self.branches {
-            b.ckpt
-                .write_atomic(&dir.join(branch_file(name)))
-                .map_err(|e| ServeError::State {
+            let text = b.ckpt.to_text();
+            write_file_atomic(&dir.join(branch_file(name)), text.as_bytes()).map_err(|e| {
+                ServeError::State {
                     detail: format!("cannot persist branch {name:?}: {e}"),
-                })?;
-            checkpoint_bytes += b.ckpt.text_bytes();
+                }
+            })?;
+            checkpoint_bytes += text.len() as u64;
         }
         write_atomic_text(
             &dir.join("twin.meta"),
@@ -806,6 +857,34 @@ fn segment_file(index: u64) -> String {
 
 fn branch_file(name: &str) -> String {
     format!("branch-{name}.ckpt")
+}
+
+/// Segment files in `dir`: the indices before the first whose file is
+/// not found. Any other outcome of a probe counts the index and ends the
+/// probe: a directory or an unreadable path is an error that reading
+/// that segment reports in index order, not the end of the log.
+fn segment_count(dir: &Path) -> u64 {
+    let mut count = 0;
+    loop {
+        match std::fs::metadata(dir.join(segment_file(count))) {
+            Ok(meta) if meta.is_file() => count += 1,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return count,
+            _ => return count + 1,
+        }
+    }
+}
+
+/// Reads persisted segment `index` of `dir`.
+fn read_segment(dir: &Path, index: u64) -> Result<String, ServeError> {
+    let path = dir.join(segment_file(index));
+    std::fs::read_to_string(&path).map_err(|e| ServeError::State {
+        detail: format!("cannot read {}: {e}", path.display()),
+    })
+}
+
+/// A segment the strict parser refused.
+fn parse_error(e: arcc_replay::LogError) -> ServeError {
+    ServeError::Segment(SegmentError::Parse(e))
 }
 
 /// [`write_file_atomic`] for the service's own state files, with the

@@ -402,3 +402,219 @@ fn v1_state_dirs_migrate_to_v2() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_fork_that_fails_to_persist_drops_memoised_replies() {
+    // Blocking `branch-a.ckpt` fails the fork of `a` after the branch was
+    // inserted: `whatif` now answers from `a`, so the reply memoised
+    // before the fork must not be served again.
+    let (_, segments) = sample();
+    let dir = state_dir("stale-fork");
+    let mut service = Service::new(TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh"));
+    let seg = &segments[0];
+    let reply = service.handle(&format!("ingest lines={}", seg.lines().count()), Some(seg));
+    assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+    std::fs::create_dir_all(dir.join("branch-a.ckpt").join("occupied")).expect("block");
+    let whatif = "whatif policy=replace-on-due";
+    let before = service.handle(whatif, None);
+    assert!(
+        before.contains("\"branch\":\"whatif:replace-on-due\""),
+        "{before}"
+    );
+    let fork = service.handle("fork name=a policy=replace-on-due", None);
+    assert!(fork.contains("\"kind\":\"State\""), "{fork}");
+    assert_eq!(
+        service.engine().branch_names(),
+        vec!["a", "baseline", "whatif:replace-on-due"],
+        "the failed fork inserted its branch"
+    );
+    let hits = service.engine().counters().memo_hits;
+    let after = service.handle(whatif, None);
+    assert_eq!(service.engine().counters().memo_hits, hits, "a memo hit");
+    assert!(after.contains("\"branch\":\"a\""), "{after}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Segments of a 280-channel fleet, 40 channels each: six to persist
+/// and a seventh for the first ingest after a reopen.
+fn seven_segments() -> Vec<String> {
+    let spec = FleetSpec::baseline(280)
+        .populations(vec![
+            DimmPopulation::paper("hot").rate_multiplier(60.0),
+            DimmPopulation::paper("cold").rate_multiplier(10.0),
+        ])
+        .shard_channels(SHARD)
+        .seed(0xD1CE);
+    let segments = generate_log(&spec).split_channels(40);
+    assert_eq!(segments.len(), 7);
+    segments.iter().map(|s| s.to_text()).collect()
+}
+
+/// A state directory holding the first six of `segments`, the baseline
+/// and a `pool` branch forked after the third.
+fn six_segment_state(name: &str, segments: &[String]) -> PathBuf {
+    let dir = state_dir(name);
+    let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+    for (i, seg) in segments[..6].iter().enumerate() {
+        engine.ingest(seg).expect("ingest");
+        if i == 2 {
+            let policy = arcc_serve::parse_policy("spare-pool:50").expect("policy");
+            engine.fork("pool", policy).expect("fork");
+        }
+    }
+    dir
+}
+
+/// A copy of the state directory `from` (plain files only).
+fn copy_state(from: &std::path::Path, name: &str) -> PathBuf {
+    let to = state_dir(name);
+    std::fs::create_dir_all(&to).expect("state dir");
+    for entry in std::fs::read_dir(from).expect("state") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    to
+}
+
+#[test]
+fn pipelined_reopen_matches_the_sequential_loop_at_every_thread_count() {
+    let segments = seven_segments();
+    let state = six_segment_state("pipelined", &segments);
+    let mut seen = Vec::new();
+    for threads in [1, 2, 8] {
+        let dir = copy_state(&state, &format!("pipelined-{threads}"));
+        let mut engine = TwinEngine::open(threads, SEED, SHARD, &dir).expect("reopen");
+        assert_eq!(engine.channels(), 240);
+        assert_eq!(engine.branch_names(), vec!["baseline", "pool"]);
+        let metrics = engine.metrics().clone();
+        assert_eq!(metrics.counter("replay.ingest.segments"), 5);
+        let stats: Vec<_> = ["baseline", "pool"]
+            .iter()
+            .map(|b| engine.stats(b).expect("stats"))
+            .collect();
+        engine.ingest(&segments[6]).expect("ingest after reopen");
+        let next = std::fs::read_to_string(dir.join("segment-00006.log")).expect("next segment");
+        assert_eq!(next, segments[6]);
+        let checkpoints: Vec<_> = ["baseline", "pool"]
+            .iter()
+            .map(|b| std::fs::read(dir.join(format!("branch-{b}.ckpt"))).expect("checkpoint"))
+            .collect();
+        seen.push((threads, stats, metrics, next, checkpoints));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (_, stats, metrics, next, checkpoints) = &seen[0];
+    for (threads, other_stats, other_metrics, other_next, other_checkpoints) in &seen[1..] {
+        for (a, b) in stats.iter().zip(other_stats) {
+            assert!(a.bitwise_eq(b), "stats at {threads} threads");
+        }
+        assert_eq!(metrics, other_metrics, "metrics at {threads} threads");
+        assert_eq!(next, other_next, "next segment at {threads} threads");
+        assert_eq!(
+            checkpoints, other_checkpoints,
+            "checkpoints at {threads} threads"
+        );
+    }
+    // The reopened engines equal one that ingested the six segments.
+    let mut reference = TwinEngine::new(2, SEED).shard_channels(SHARD);
+    ingest_all(&mut reference, &segments[..6]);
+    let policy = arcc_serve::parse_policy("spare-pool:50").expect("policy");
+    let (_, pool, _) = reference.whatif(policy).expect("whatif");
+    assert!(stats[1].bitwise_eq(&pool));
+    let baseline = reference.stats(BASELINE_BRANCH).expect("stats");
+    assert!(stats[0].bitwise_eq(&baseline));
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// `text` with line `line` (1-based) replaced by a line no parser takes.
+fn corrupt_line(text: &str, line: usize) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[line - 1] = "not a fault-log line";
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn reopen_reports_the_first_failing_segment_in_index_order() {
+    use arcc_replay::{FaultLog, SegmentError};
+    use arcc_serve::ServeError;
+    let segments = seven_segments();
+    let state = six_segment_state("first-failure", &segments);
+    let file = |k: usize| format!("segment-{k:05}.log");
+    // Segment 4 fails to parse at its fifth line in every case, while
+    // the segment two before it fails first: to parse (at a later line),
+    // to read (it is a directory), or to append (it repeats segment 1).
+    let late = corrupt_line(&segments[4], 5);
+    let early = corrupt_line(&segments[2], 9);
+    let early_error = FaultLog::parse(&early).expect_err("corrupt");
+    assert_ne!(Some(&early_error), FaultLog::parse(&late).err().as_ref());
+    for first in ["parse", "read", "append"] {
+        for threads in [1, 2, 8] {
+            let dir = copy_state(&state, &format!("first-failure-{first}-{threads}"));
+            std::fs::write(dir.join(file(4)), &late).expect("corrupt segment 4");
+            let at = dir.join(file(2));
+            match first {
+                "parse" => std::fs::write(&at, &early).expect("corrupt segment 2"),
+                "read" => {
+                    std::fs::remove_file(&at).expect("remove segment 2");
+                    std::fs::create_dir_all(at.join("occupied")).expect("block segment 2");
+                }
+                _ => std::fs::write(&at, &segments[1]).expect("repeat segment 1"),
+            }
+            let opened = TwinEngine::open(threads, SEED, SHARD, &dir);
+            let what = format!("{first} failure, {threads} threads: {opened:?}");
+            match (first, opened) {
+                ("parse", Err(ServeError::Segment(SegmentError::Parse(e)))) => {
+                    assert_eq!(e, early_error, "{what}");
+                }
+                ("read", Err(ServeError::State { detail })) => {
+                    assert!(detail.contains(&file(2)), "{what}");
+                }
+                ("append", Err(ServeError::Segment(SegmentError::DuplicateDimm { .. }))) => {}
+                _ => panic!("{what}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn a_segment_path_that_is_a_directory_is_a_state_error_not_the_end() {
+    let segments = seven_segments();
+    let state = six_segment_state("segment-dir", &segments);
+    for threads in [1, 2, 8] {
+        let dir = copy_state(&state, &format!("segment-dir-{threads}"));
+        std::fs::create_dir_all(dir.join("segment-00006.log")).expect("directory");
+        match TwinEngine::open(threads, SEED, SHARD, &dir) {
+            Err(arcc_serve::ServeError::State { detail }) => {
+                assert!(detail.contains("segment-00006.log"), "{detail}");
+            }
+            other => panic!("{threads} threads: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn a_missing_segment_index_ends_the_replay() {
+    // Five segments on disk, then a gap, then a stray sixth: the replay
+    // stops at the gap at every thread count, and the next ingest fills
+    // it.
+    let segments = seven_segments();
+    let state = state_dir("segment-gap");
+    {
+        let mut engine = TwinEngine::open(2, SEED, SHARD, &state).expect("open fresh");
+        ingest_all(&mut engine, &segments[..5]);
+    }
+    std::fs::write(state.join("segment-00006.log"), &segments[6]).expect("stray segment");
+    for threads in [1, 2, 8] {
+        let dir = copy_state(&state, &format!("segment-gap-{threads}"));
+        let mut engine = TwinEngine::open(threads, SEED, SHARD, &dir).expect("reopen");
+        assert_eq!(engine.channels(), 200, "{threads} threads");
+        engine.ingest(&segments[5]).expect("ingest");
+        let filled = std::fs::read_to_string(dir.join("segment-00005.log")).expect("gap filled");
+        assert_eq!(filled, segments[5]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
