@@ -35,7 +35,10 @@
 //! the 400k rung's segments ingested once into a temporary state
 //! directory, then `TwinEngine::open` of it timed at 1 thread and at
 //! the other thread count (all cores after a 1-thread ladder), best of 3
-//! each. These lines are neither recorded nor gated.
+//! each. After it comes a durable multi-branch line: the same segments
+//! ingested into a fresh temporary state directory, with the five
+//! what-if branches forked after the fourth segment, timed the same way.
+//! These lines are neither recorded nor gated.
 //! `bench replay --log FILE` measures one rung instead: that field log,
 //! replayed under its own inventory-derived spec.
 //!
@@ -53,7 +56,7 @@ use arcc_fleet::{run_fleet, run_fleet_observed, run_replay, DimmPopulation, Flee
 use arcc_gf::codec::codec_registry;
 use arcc_obs::{elapsed_secs, Clock, WallClock};
 use arcc_replay::{generate_log, FaultLog};
-use arcc_serve::{Service, TwinEngine};
+use arcc_serve::{parse_policy, Service, TwinEngine};
 
 use record::{gate, Record, Rung, TOLERANCE};
 
@@ -70,6 +73,15 @@ const SERVE_CHANNELS: [u64; 3] = [20_000, 100_000, 400_000];
 const SERVE_SEGMENTS: usize = 8;
 /// Seed and checkpoint granularity of the serve ladder's twins.
 const SERVE_SEED: u64 = 0x5E21;
+/// The what-if policies of the durable multi-branch line, forked in this
+/// order after the first half of the segments.
+const SERVE_WHATIF: [&str; 5] = [
+    "replace-on-due",
+    "spare-pool:5",
+    "spare-pool:10",
+    "spare-pool:20",
+    "spare-pool:40",
+];
 const SERVE_SHARD: u32 = 4096;
 /// Channels of the recorder A/B: large enough that per-event work
 /// dominates set-up, small enough to stay cheap in CI.
@@ -336,6 +348,75 @@ fn timed_reopens(dir: &Path, wide: usize, segments: &[String]) -> Result<(u64, f
     Ok((channels, reopen(1)?, reopen(wide)?))
 }
 
+/// Durable multi-branch ingest scaling as a printed line: `segments`
+/// ingested into a fresh temporary state directory, with a what-if
+/// branch forked under every [`SERVE_WHATIF`] policy after the first
+/// half, so the second half extends and persists six branches. The
+/// whole session is timed best of 3 at 1 thread and at the other thread
+/// count (`threads`, or all cores after a 1-thread ladder); the
+/// directory is removed afterwards. `None` on a one-core host. The line
+/// is neither recorded nor gated.
+fn serve_durable_scaling(threads: usize, segments: &[String]) -> Result<Option<String>, String> {
+    let cores = default_threads();
+    if cores == 1 {
+        return Ok(None);
+    }
+    let wide = if threads == 1 { cores } else { threads };
+    let dir = std::env::temp_dir().join(format!("arcc-bench-durable-{}", std::process::id()));
+    let timed = timed_durable_sessions(&dir, wide, segments);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (channels, one, many) = timed?;
+    let (n, branches, speedup) = (segments.len(), SERVE_WHATIF.len() + 1, one / many);
+    let (one, many) = (one * 1e3, many * 1e3);
+    Ok(Some(format!(
+        "serve durable at {channels} channels, {n} segments, {branches} branches: \
+         {one:.1} ms at 1 thread, {many:.1} ms at {wide} threads, {speedup:.2}x \
+         (available_parallelism {cores})"
+    )))
+}
+
+/// Times the session of [`serve_durable_scaling`], best of 3, at 1 and
+/// at `wide` threads, every pass from an empty state directory at `dir`:
+/// the channel count and the two times in seconds.
+fn timed_durable_sessions(
+    dir: &Path,
+    wide: usize,
+    segments: &[String],
+) -> Result<(u64, f64, f64), String> {
+    let half = segments.len() / 2;
+    let session = |threads| {
+        let mut engine =
+            TwinEngine::open(threads, SERVE_SEED, SERVE_SHARD, dir).map_err(|e| e.to_string())?;
+        for (i, text) in segments.iter().enumerate() {
+            if i == half {
+                for token in SERVE_WHATIF {
+                    let policy = parse_policy(token).map_err(|e| e.to_string())?;
+                    engine
+                        .whatif(policy)
+                        .map_err(|e| format!("whatif refused: {e}"))?;
+                }
+            }
+            engine
+                .ingest(text)
+                .map_err(|e| format!("ingest refused: {e}"))?;
+        }
+        Ok::<_, String>(engine.channels())
+    };
+    let best_of_3_sessions = |threads| {
+        let (mut best, mut channels) = (f64::INFINITY, 0);
+        for _ in 0..3 {
+            let _ = std::fs::remove_dir_all(dir);
+            let (seconds, ingested) = timed(|| session(threads));
+            channels = ingested?;
+            best = best.min(seconds);
+        }
+        Ok::<_, String>((channels, best))
+    };
+    let (channels, one) = best_of_3_sessions(1)?;
+    let (_, many) = best_of_3_sessions(wide)?;
+    Ok((channels, one, many))
+}
+
 /// A/B-tests the metrics recorder: best-of-3 plain against best-of-3
 /// observed fleet runs, retried once on a noisy first verdict. Returns
 /// whether the observed run stays within [`OBS_AB_TOLERANCE`].
@@ -441,6 +522,9 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
     if layer == "serve" {
         if let Some(line) = serve_reopen_scaling(threads, &serve_segments)? {
+            println!("{line}");
+        }
+        if let Some(line) = serve_durable_scaling(threads, &serve_segments)? {
             println!("{line}");
         }
     }

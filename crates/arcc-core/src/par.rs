@@ -12,7 +12,11 @@
 //!   folder on the calling thread strictly in index order, so the fold is
 //!   bit-identical no matter how many workers ran or how the OS scheduled
 //!   them, and so is the first error it stops at. [`parallel_map`] is
-//!   that fold pushing into a `Vec`.
+//!   that fold pushing into a `Vec`;
+//! * [`join`] runs one side task (an fsync, say) beside the caller's
+//!   work, and returns both results as two sequential calls would.
+//!
+//! This module is the only place in the workspace that spawns threads.
 //!
 //! `arcc-exp` re-exports these for experiment sweeps; `arcc-fleet` streams
 //! its sharded event-driven runner through [`fold_in_order`], so "parallel
@@ -53,6 +57,36 @@ where
     let count = items.len();
     let Ok(()) = fold_in_order(threads, count, count, |i| f(i, &items[i]), push);
     out
+}
+
+/// Runs `side` beside `main` and returns both results: with two or more
+/// `threads`, `side` runs on one helper thread while `main` runs on the
+/// calling thread; with one, the call is `(side(), main())`. `main`
+/// never leaves the calling thread, so it may capture state that is not
+/// `Send`.
+///
+/// # Panics
+///
+/// A panic in either closure is re-raised from this call, with its own
+/// payload, once both have returned; `main`'s wins when both panic.
+pub fn join<S, RS, M, RM>(threads: usize, side: S, main: M) -> (RS, RM)
+where
+    S: FnOnce() -> RS + Send,
+    RS: Send,
+    M: FnOnce() -> RM,
+{
+    if threads < 2 {
+        return (side(), main());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(side);
+        let main = catch_unwind(AssertUnwindSafe(main));
+        let side = helper.join();
+        match (side, main) {
+            (Ok(side), Ok(main)) => (side, main),
+            (_, Err(payload)) | (Err(payload), _) => resume_unwind(payload),
+        }
+    })
 }
 
 /// Runs `work` over the indices `0..count` on up to `threads` workers and
@@ -405,6 +439,46 @@ mod tests {
                     "claimed up to {reach} past an error at 9"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn join_runs_the_side_task_beside_the_caller() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 8] {
+            // With a helper, each side waits for the other to start, so
+            // the two must run at once; with one thread they run in turn.
+            let started = AtomicUsize::new(0);
+            let meet = || {
+                started.fetch_add(1, SeqCst);
+                while threads > 1 && started.load(SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+            };
+            let side = || {
+                meet();
+                (std::thread::current().id() == caller, 'a')
+            };
+            let main = || {
+                meet();
+                assert_eq!(std::thread::current().id(), caller);
+                'b'
+            };
+            let ((inline, a), b) = join(threads, side, main);
+            assert_eq!((a, b), ('a', 'b'));
+            assert_eq!(inline, threads == 1, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn join_reraises_either_sides_panic() {
+        for threads in [1, 2] {
+            let caught = catch_unwind(|| join(threads, || panic!("side failed"), || 1));
+            let payload = caught.expect_err("the side task's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"side failed"));
+            let caught = catch_unwind(|| join(threads, || 1, || panic!("main failed")));
+            let payload = caught.expect_err("the caller's panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"main failed"));
         }
     }
 

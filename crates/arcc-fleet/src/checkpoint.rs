@@ -18,6 +18,8 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use arcc_core::par::fold_in_order;
+
 use crate::source::ReplayArrivals;
 use crate::spec::FleetSpec;
 use crate::stats::{FleetStats, PopulationStats, MODE_COUNT};
@@ -25,7 +27,8 @@ use crate::stats::{FleetStats, PopulationStats, MODE_COUNT};
 /// Replaces the file at `path` with `bytes` atomically: the bytes go to
 /// a per-process `<path>.tmp.<pid>` sibling, are fsynced, and the sibling
 /// is renamed into place, followed by a best-effort fsync of the
-/// directory. Readers see the old file or the new one, never a mix.
+/// directory. Readers see the old file or the new one, never a mix. This
+/// is [`write_files_atomic`] for one file.
 ///
 /// The per-process tmp name matters when a supervisor restarts a run
 /// while the presumed-dead predecessor is still flushing: the writers use
@@ -37,29 +40,132 @@ use crate::stats::{FleetStats, PopulationStats, MODE_COUNT};
 /// is removed on every error, so a failed write leaves `path` and its
 /// directory as they were.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let replace = || {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)
+    write_files_atomic(1, &[(path, bytes)]).map_err(|(_, e)| e)
+}
+
+/// Replaces several files atomically as one batch, in three steps: every
+/// file's bytes are staged in its tmp sibling and fsynced, on up to
+/// `threads` workers ([`fold_in_order`]; inline for one file); the
+/// siblings are then renamed into place in slice order; and each
+/// directory the files live in is synced once, best effort, after the
+/// last rename. Each file is replaced as [`write_file_atomic`] replaces
+/// it, so readers see every file old or new, never a mix within one.
+///
+/// # Errors
+///
+/// The index of the first file, in slice order, whose staging or rename
+/// failed, with its error. A staging error renames nothing; a rename
+/// error leaves the files before it replaced and those from it on as
+/// they were. Every tmp sibling not renamed is removed.
+pub fn write_files_atomic<P, B>(threads: usize, files: &[(P, B)]) -> Result<(), (usize, io::Error)>
+where
+    P: AsRef<Path> + Sync,
+    B: AsRef<[u8]> + Sync,
+{
+    let mut staged = Vec::with_capacity(files.len());
+    let stage = |i: usize| {
+        let (path, bytes) = &files[i];
+        let file = StagedFile::create(path.as_ref(), bytes.as_ref());
+        file.and_then(|f| f.sync().map(|()| f)).map_err(|e| (i, e))
     };
-    if let Err(e) = replace() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
+    let count = files.len();
+    fold_in_order(threads, count, count, stage, |file| {
+        staged.push(file?);
+        Ok(())
+    })?;
+    for (i, file) in staged.iter_mut().enumerate() {
+        file.rename().map_err(|e| (i, e))?;
     }
-    // Best-effort directory fsync so the rename itself is durable; not
-    // all platforms/filesystems support syncing a directory handle, and
-    // the data is already safe, so failures are ignored.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+    let mut paths: Vec<&Path> = files.iter().map(|(path, _)| path.as_ref()).collect();
+    paths.dedup_by(|a, b| a.parent() == b.parent());
+    for path in paths {
+        sync_parent(path);
     }
     Ok(())
+}
+
+/// A file's new bytes, written to its per-process `<path>.tmp.<pid>`
+/// sibling and not yet renamed into place (see [`write_file_atomic`]).
+/// Dropping it before [`Self::commit`] removes the sibling, so a write
+/// abandoned on any error leaves the directory as it was.
+#[derive(Debug)]
+pub struct StagedFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: File,
+    /// Set once the sibling is renamed into place.
+    committed: bool,
+}
+
+impl StagedFile {
+    /// Creates the tmp sibling of `path` and writes `bytes` to it. The
+    /// bytes are not yet durable: [`Self::sync`] them before committing.
+    ///
+    /// # Errors
+    ///
+    /// Any error creating or writing the sibling, which is then removed.
+    pub fn create(path: &Path, bytes: &[u8]) -> io::Result<Self> {
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let file = File::create(&tmp)?;
+        let mut staged = Self {
+            path: path.to_path_buf(),
+            tmp,
+            file,
+            committed: false,
+        };
+        staged.file.write_all(bytes)?;
+        Ok(staged)
+    }
+
+    /// Flushes the staged bytes to the device (`fsync`).
+    ///
+    /// # Errors
+    ///
+    /// The `fsync` error.
+    pub fn sync(&self) -> io::Result<()> {
+        self.file.sync_all()
+    }
+
+    /// Renames the sibling into place, the commit point of the write,
+    /// then syncs the directory (best effort) so the rename is durable.
+    ///
+    /// # Errors
+    ///
+    /// The rename error; the sibling is then removed.
+    pub fn commit(mut self) -> io::Result<()> {
+        self.rename()?;
+        sync_parent(&self.path);
+        Ok(())
+    }
+
+    /// [`Self::commit`] without the directory sync.
+    fn rename(&mut self) -> io::Result<()> {
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for StagedFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Best-effort fsync of the directory holding `path`, so a rename into
+/// it is durable. Not all platforms and filesystems can sync a directory
+/// handle, and the file's data is already safe, so failures are ignored.
+fn sync_parent(path: &Path) {
+    let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) else {
+        return;
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
 }
 
 /// A resumable fleet-run prefix.

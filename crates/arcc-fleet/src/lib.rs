@@ -53,7 +53,8 @@
 //!   parser) replayed through the same queue/stats/checkpoint
 //!   machinery while detection, upgrade, and policy stay simulated — a
 //!   log generated from a spec replays **bit-identically** under
-//!   no-repair; [`extend_replay`] grows a replay checkpoint with its log.
+//!   no-repair; [`extend_replay`] grows a replay checkpoint with its log,
+//!   and [`extend_replays`] grows several (a twin's branches) in one fold.
 //!
 //! The engine is pinned against the paper-path Monte Carlo: at the
 //! paper's 10 000-channel scale its lifetime failure probabilities agree
@@ -92,8 +93,8 @@ pub mod stats;
 pub use checkpoint::{CheckpointError, FleetCheckpoint, PersistError};
 pub use engine::EngineMetrics;
 pub use runner::{
-    extend_replay, run_fleet, run_fleet_observed, run_replay, run_shard, run_shard_replay,
-    run_until,
+    extend_replay, extend_replays, run_fleet, run_fleet_observed, run_replay, run_shard,
+    run_shard_replay, run_until,
 };
 pub use source::{ArrivalCsr, ReplayArrivals, ReplayError};
 pub use spec::{

@@ -15,8 +15,9 @@
 //!
 //! One span loop serves every entry point: [`run_until`] runs any span of
 //! either arrival source into any [`Recorder`], the one-shot runs run it
-//! from an empty checkpoint, and [`extend_replay`] grows a twin's
-//! checkpoint with its log.
+//! from an empty checkpoint, and [`extend_replays`] grows several twin
+//! checkpoints with their shared log in one fold ([`extend_replay`] is
+//! its one-checkpoint case).
 
 use std::convert::Infallible;
 
@@ -144,7 +145,8 @@ pub fn run_until(
 /// run fingerprint of its first `shards_done` shards), runs every newly
 /// **complete** shard, and returns the checkpoint re-stamped for the new
 /// covered prefix. Repeated calls as segments land cost the same total
-/// simulation work as one one-shot [`run_replay`] of the final log.
+/// simulation work as one one-shot [`run_replay`] of the final log. This
+/// is [`extend_replays`] over one run.
 ///
 /// The trailing partial shard — channels past the last complete shard
 /// boundary — is deliberately *not* folded in: a shard's spare pool
@@ -171,31 +173,82 @@ pub fn extend_replay(
     arrivals: &ReplayArrivals,
     ckpt: FleetCheckpoint,
 ) -> Result<FleetCheckpoint, ReplayError> {
-    arrivals.validate_for(spec)?;
-    let shard = u64::from(spec.shard_channels);
-    let complete = spec.channels / shard;
-    let expected = if ckpt.shards_done > complete {
-        arrivals.run_fingerprint(spec)
-    } else {
-        arrivals.run_fingerprint_prefix(spec, ckpt.shards_done * shard)
-    };
-    if ckpt.shards_done > complete || ckpt.fingerprint != expected {
-        return Err(ReplayError::CheckpointMismatch {
-            expected: ckpt.fingerprint,
-            actual: expected,
-        });
-    }
     let mut ckpt = ckpt;
-    ckpt.fingerprint = arrivals.run_fingerprint_prefix(spec, complete * shard);
-    let noop = &mut NoopRecorder;
-    let extended = run_span(threads, spec, Some(arrivals), ckpt, complete, noop);
-    Ok(extended)
+    extend_replays(threads, arrivals, &mut [(spec, &mut ckpt)])?;
+    Ok(ckpt)
 }
 
-/// The span loop behind every entry point: runs shards
-/// `[ckpt.shards_done, until)` (`until` clamped to the shard count) on
-/// [`fold_in_order`] and folds their stats and metrics in shard order, so
-/// neither depends on `threads` or on how a run is split into spans.
+/// [`extend_replay`] for several runs over one arrival set at once — a
+/// twin's branches, each a `(spec, checkpoint)` pair — in one
+/// [`fold_in_order`] call, so the workers stay busy across runs instead
+/// of idling at the end of each.
+///
+/// Every run is checked first, in slice order, as [`extend_replay`]
+/// checks it. Then every run's newly complete shards, run by run and in
+/// shard order within each, go through a single fold that merges each
+/// shard into its own run's checkpoint. Each checkpoint therefore comes
+/// out bit-identical to its own [`extend_replay`] call, whatever
+/// `threads` is. Returns the number of shards run, over every run.
+///
+/// # Errors
+///
+/// The error of the first run, in slice order, that [`extend_replay`]
+/// would refuse. No checkpoint is changed then, so a failed call leaves
+/// every run as it was.
+pub fn extend_replays(
+    threads: usize,
+    arrivals: &ReplayArrivals,
+    runs: &mut [(&FleetSpec, &mut FleetCheckpoint)],
+) -> Result<u64, ReplayError> {
+    let mut stamps = Vec::with_capacity(runs.len());
+    let mut ran = 0;
+    for (spec, ckpt) in runs.iter() {
+        arrivals.validate_for(spec)?;
+        let shard = u64::from(spec.shard_channels);
+        let complete = spec.channels / shard;
+        let expected = if ckpt.shards_done > complete {
+            arrivals.run_fingerprint(spec)
+        } else {
+            arrivals.run_fingerprint_prefix(spec, ckpt.shards_done * shard)
+        };
+        if ckpt.shards_done > complete || ckpt.fingerprint != expected {
+            return Err(ReplayError::CheckpointMismatch {
+                expected: ckpt.fingerprint,
+                actual: expected,
+            });
+        }
+        ran += complete - ckpt.shards_done;
+        stamps.push((
+            arrivals.run_fingerprint_prefix(spec, complete * shard),
+            complete,
+        ));
+    }
+    let mut spans: Vec<Span<'_>> = runs
+        .iter_mut()
+        .zip(stamps)
+        .map(|((spec, ckpt), (fingerprint, complete))| {
+            ckpt.fingerprint = fingerprint;
+            Span {
+                spec,
+                ckpt,
+                until: complete,
+            }
+        })
+        .collect();
+    run_spans(threads, Some(arrivals), &mut spans, &mut NoopRecorder);
+    Ok(ran)
+}
+
+/// One run's part of a [`run_spans`] call: its spec, the checkpoint the
+/// span extends in place, and the shard it stops before (clamped to the
+/// spec's shard count).
+struct Span<'a> {
+    spec: &'a FleetSpec,
+    ckpt: &'a mut FleetCheckpoint,
+    until: u64,
+}
+
+/// [`run_spans`] over one span, returning its extended checkpoint.
 fn run_span(
     threads: usize,
     spec: &FleetSpec,
@@ -204,25 +257,64 @@ fn run_span(
     until: u64,
     rec: &mut dyn Recorder,
 ) -> FleetCheckpoint {
-    let first = ckpt.shards_done;
-    let count = until.min(spec.shard_count()).saturating_sub(first) as usize;
+    let span = Span {
+        spec,
+        ckpt: &mut ckpt,
+        until,
+    };
+    run_spans(threads, arrivals, &mut [span], rec);
+    ckpt
+}
+
+/// The span loop behind every entry point: runs each span's shards
+/// `[ckpt.shards_done, until)`, span after span, through one
+/// [`fold_in_order`] call, and folds every shard's stats into its own
+/// span's checkpoint and its metrics into `rec`, in that order. Neither
+/// depends on `threads`, on how a run is split into spans, or on which
+/// other spans share the call.
+fn run_spans(
+    threads: usize,
+    arrivals: Option<&ReplayArrivals>,
+    spans: &mut [Span<'_>],
+    rec: &mut dyn Recorder,
+) {
+    // The spans' first shards, and where each span starts in the fold's
+    // index space.
+    let mut firsts = Vec::with_capacity(spans.len());
+    let mut starts = Vec::with_capacity(spans.len());
+    let mut count = 0;
+    for span in spans.iter() {
+        let first = span.ckpt.shards_done;
+        firsts.push((span.spec, first));
+        starts.push(count);
+        count += span
+            .until
+            .min(span.spec.shard_count())
+            .saturating_sub(first) as usize;
+    }
+    let locate = |i: usize| {
+        let k = starts.partition_point(|&start| start <= i) - 1;
+        (k, i - starts[k])
+    };
     let ahead = threads.max(1) * WINDOW_FACTOR;
     let run = |i: usize| {
-        let shard = first + i as u64;
-        match arrivals {
+        let (k, offset) = locate(i);
+        let (spec, first) = firsts[k];
+        let shard = first + offset as u64;
+        let engine = match arrivals {
             Some(arrivals) => ShardEngine::new_replay(spec, shard, arrivals),
             None => ShardEngine::new(spec, shard),
-        }
-        .run()
+        };
+        (k, engine.run())
     };
-    let folded = fold_in_order(threads, count, ahead, run, |(stats, metrics)| {
+    let folded = fold_in_order(threads, count, ahead, run, |(k, (stats, metrics))| {
+        let ckpt = &mut spans[k].ckpt;
         ckpt.stats.merge(&stats);
         metrics.record_into(rec);
         ckpt.shards_done += 1;
         Ok::<(), Infallible>(())
     });
     let Ok(()) = folded;
-    ckpt
 }
 
 #[cfg(test)]
@@ -230,7 +322,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::PersistError;
     use crate::source::ArrivalCsr;
-    use crate::spec::DimmPopulation;
+    use crate::spec::{DimmPopulation, OperatorPolicy};
     use std::path::{Path, PathBuf};
 
     fn spec() -> FleetSpec {
@@ -435,15 +527,141 @@ mod tests {
 
         // Counterfactual fork: a twin under a different policy, extended
         // over the same arrivals, equals that policy's one-shot replay.
-        let forked_spec = full_spec
-            .clone()
-            .policy(crate::spec::OperatorPolicy::ReplaceOnDue);
+        let forked_spec = full_spec.clone().policy(OperatorPolicy::ReplaceOnDue);
         let fork = FleetCheckpoint::start_twin(&forked_spec, &arrivals);
         let fork = extend_replay(2, &forked_spec, &arrivals, fork).expect("fork extend");
         let mut fork_stats = fork.stats.clone();
         fork_stats.merge(&run_shard_replay(&forked_spec, fork.shards_done, &oneshot));
         let fork_truth = run_replay(2, &forked_spec, &oneshot).expect("fork one-shot");
         assert!(fork_stats.bitwise_eq(&fork_truth));
+    }
+
+    /// A run of [`extend_replays`]: its spec and its checkpoint.
+    type Run = (FleetSpec, FleetCheckpoint);
+
+    /// The spec of every run in [`staggered_runs`].
+    fn staggered_spec(channels: u64, policy: OperatorPolicy) -> FleetSpec {
+        FleetSpec::baseline(channels)
+            .shard_channels(64)
+            .seed(33)
+            .policy(policy)
+    }
+
+    /// Runs of one growing twin log, each taken at a different length:
+    /// the final 700-channel arrival set over 64-channel shards (10
+    /// complete), and four runs over it under three policies, at 4, 8,
+    /// 10 and 0 shards done. The run at 10 has nothing left to run.
+    fn staggered_runs() -> (ReplayArrivals, Vec<Run>) {
+        let sampler = FaultSampler::new(FaultGeometry::paper_channel(), FitRates::sridharan_sc12());
+        let mut rng = StdRng::seed_from_u64(0x5A66);
+        let mut segment = |n: usize| {
+            let per: Vec<Vec<_>> = (0..n)
+                .map(|c| match c % 7 {
+                    0 => vec![sampler.draw_fault(&mut rng, 40.0 + c as f64)],
+                    3 => vec![
+                        sampler.draw_fault(&mut rng, 5.0),
+                        sampler.draw_fault(&mut rng, 9_000.0 + c as f64),
+                    ],
+                    _ => Vec::new(),
+                })
+                .collect();
+            ArrivalCsr::from_streams(per)
+        };
+        let policies = [
+            OperatorPolicy::None,
+            OperatorPolicy::SparePool { spares_per_10k: 50 },
+            OperatorPolicy::ReplaceOnDue,
+            OperatorPolicy::SparePool { spares_per_10k: 20 },
+        ];
+        let mut arrivals = ReplayArrivals::default();
+        let mut runs = Vec::new();
+        // Run k is started and extended once the log holds `taken[k]`
+        // channels, then left behind while the log grows.
+        for (n, taken) in [(300, &[0][..]), (250, &[1]), (150, &[2, 3])] {
+            arrivals.extend(vec![0; n], segment(n)).expect("segment");
+            for &k in taken {
+                let spec = staggered_spec(arrivals.channels(), policies[k]);
+                let start = FleetCheckpoint::start_twin(&spec, &arrivals);
+                let ckpt = if k == 3 {
+                    start
+                } else {
+                    extend_replay(1, &spec, &arrivals, start).expect("extend")
+                };
+                runs.push((spec, ckpt));
+            }
+        }
+        for (spec, _) in &mut runs {
+            spec.channels = arrivals.channels();
+        }
+        let done: Vec<u64> = runs.iter().map(|(_, c)| c.shards_done).collect();
+        assert_eq!(done, vec![4, 8, 10, 0]);
+        (arrivals, runs)
+    }
+
+    /// [`extend_replay`] over each run in turn, stopping at the first
+    /// error: the per-run loop [`extend_replays`] must match.
+    fn one_by_one(
+        arrivals: &ReplayArrivals,
+        runs: &[Run],
+    ) -> Result<Vec<FleetCheckpoint>, ReplayError> {
+        runs.iter()
+            .map(|(spec, ckpt)| extend_replay(1, spec, arrivals, ckpt.clone()))
+            .collect()
+    }
+
+    /// [`extend_replays`] over copies of `runs`: the checkpoints after
+    /// the call, and its result.
+    fn all_at_once(
+        threads: usize,
+        arrivals: &ReplayArrivals,
+        runs: &[Run],
+    ) -> (Vec<FleetCheckpoint>, Result<u64, ReplayError>) {
+        let mut ckpts: Vec<FleetCheckpoint> = runs.iter().map(|(_, c)| c.clone()).collect();
+        let mut pairs: Vec<_> = runs.iter().map(|(s, _)| s).zip(&mut ckpts).collect();
+        let result = extend_replays(threads, arrivals, &mut pairs);
+        (ckpts, result)
+    }
+
+    #[test]
+    fn extending_runs_together_equals_extending_each_in_turn() {
+        let (arrivals, runs) = staggered_runs();
+        let want = one_by_one(&arrivals, &runs).expect("every run extends");
+        let ran: u64 = want
+            .iter()
+            .zip(&runs)
+            .map(|(after, (_, before))| after.shards_done - before.shards_done)
+            .sum();
+        // Run 2 has no shard left to run.
+        assert_eq!(ran, 6 + 2 + 10);
+        for threads in [1, 2, 8] {
+            let (got, result) = all_at_once(threads, &arrivals, &runs);
+            assert_eq!(result, Ok(ran), "threads={threads}");
+            for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_text(), b.to_text(), "run {k}, threads={threads}");
+                assert!(a.stats.bitwise_eq(&b.stats), "run {k}, threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn extending_runs_together_fails_as_the_first_run_in_turn_fails() {
+        let (arrivals, runs) = staggered_runs();
+        // Run 1 carries a foreign fingerprint and run 3 a spec narrower
+        // than the log; then run 3 alone is wrong.
+        let mut both = runs.clone();
+        both[1].1.fingerprint ^= 1;
+        both[3].0 = staggered_spec(640, OperatorPolicy::None);
+        let mut last = runs.clone();
+        last[3].0 = staggered_spec(640, OperatorPolicy::None);
+        for broken in [both, last] {
+            let want = one_by_one(&arrivals, &broken).expect_err("a run is refused");
+            for threads in [1, 2, 8] {
+                let (got, result) = all_at_once(threads, &arrivals, &broken);
+                assert_eq!(result, Err(want.clone()), "threads={threads}");
+                let untouched: Vec<_> = broken.iter().map(|(_, c)| c.clone()).collect();
+                assert_eq!(got, untouched, "no run may move, threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   rooted in [`arcc_fleet::FleetCheckpoint`]: ingesting an
 //!   `arcc-fault-log v1` segment **appends** (via
 //!   [`arcc_replay::FaultLog::ingest_segment`] and
-//!   [`arcc_fleet::extend_replay`]) instead of rerunning, so N ingests
-//!   cost N extensions, never N replays of the whole history;
+//!   [`arcc_fleet::extend_replays`], one fold over every branch) instead
+//!   of rerunning, so N ingests cost N extensions, never N replays of the
+//!   whole history;
 //! * what-if queries **fork** the checkpoint under a different
 //!   [`arcc_fleet::OperatorPolicy`] and run only the divergent work —
 //!   after the one-time fork, a counterfactual is as cheap to keep

@@ -654,6 +654,38 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_branch_leaves_every_branch_unextended() {
+        // 8-channel shards: each 16-channel segment completes two. `pool`
+        // sorts after `baseline`, so a branch-by-branch extension would
+        // move `baseline` before refusing `pool`.
+        let mut service = Service::new(TwinEngine::new(2, 7).shard_channels(8));
+        let segments = sample_segments();
+        let (req, payload) = ingest_request(&segments[0]);
+        let response = service.handle(&req, Some(&payload));
+        assert!(response.starts_with("{\"ok\":true"), "{response}");
+        let fork = service.handle("fork name=pool policy=replace-on-due", None);
+        assert!(fork.starts_with("{\"ok\":true"), "{fork}");
+        let before = service.engine.stats(BASELINE_BRANCH).expect("stats");
+
+        service.engine.corrupt_branch_fingerprint("pool");
+        let (req, payload) = ingest_request(&segments[1]);
+        let response = service.handle(&req, Some(&payload));
+        assert!(
+            response.starts_with(
+                "{\"ok\":false,\"error\":{\"kind\":\"CheckpointMismatch\",\"expected\":\"0x"
+            ),
+            "{response}"
+        );
+        assert!(response.contains("\"found\":\"0x"), "{response}");
+        for name in [BASELINE_BRANCH, "pool"] {
+            let branch = service.engine.branch(name).expect("branch");
+            assert_eq!(branch.shards_done(), 2, "{name} moved");
+        }
+        let after = service.engine.stats(BASELINE_BRANCH).expect("stats");
+        assert!(after.bitwise_eq(&before), "baseline moved");
+    }
+
+    #[test]
     fn memoised_queries_return_identical_bytes_and_clear_on_mutation() {
         let mut service = Service::new(TwinEngine::new(2, 7));
         let segments = sample_segments();

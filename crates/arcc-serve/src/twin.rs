@@ -6,20 +6,25 @@
 //! named `(OperatorPolicy, FleetCheckpoint)` pairs over that shared
 //! arrival set. The `baseline` branch is created on the first ingest;
 //! counterfactual branches are forked on demand. Every ingest *extends*
-//! each branch over the newly complete shards
-//! ([`arcc_fleet::extend_replay`]) instead of rerunning it, and every
-//! stats query folds the pending partial tail shard on demand — so the
-//! total simulation work of N ingests plus Q queries is N extensions
-//! plus Q tail shards, never a rerun of the shared prefix (pinned by the
-//! [`Counters`]).
+//! every branch over the newly complete shards instead of rerunning it,
+//! and every stats query folds the pending partial tail shard on demand
+//! — so the total simulation work of N ingests plus Q queries is N
+//! extensions plus Q tail shards, never a rerun of the shared prefix
+//! (pinned by the [`Counters`]). The branches move together: one
+//! [`extend_replays`] call checks every branch's checkpoint before any
+//! moves, then runs all their new shards in one fold, so a refused
+//! branch leaves every branch where it was.
 //!
 //! With a state directory the engine is durable: segments are appended
 //! as numbered files, branch checkpoints are written atomically
-//! ([`write_file_atomic`]), and [`TwinEngine::open`] rebuilds the engine
+//! ([`write_files_atomic`]), and [`TwinEngine::open`] rebuilds the engine
 //! from disk — re-validating every checkpoint against the accumulated
 //! log's fingerprint and *refusing* (typed
 //! [`ServeError::CheckpointMismatch`], never a panic) state that belongs
-//! to a different history.
+//! to a different history. An ingest's commit point is the rename of its
+//! segment file, whose fsync runs beside the ingest's compute; the
+//! checkpoints written after it are fsynced together, and `branches.txt`
+//! and `twin.meta` are rewritten only when their text changes.
 //!
 //! Reopening replays every persisted segment. Segment files are
 //! independent documents, so [`TwinEngine::open`] reads and parses them
@@ -35,11 +40,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use arcc_core::par::fold_in_order;
+use arcc_core::par::{fold_in_order, join};
 use arcc_exp::ExpError;
-use arcc_fleet::checkpoint::write_file_atomic;
+use arcc_fleet::checkpoint::{write_file_atomic, write_files_atomic, StagedFile};
 use arcc_fleet::{
-    extend_replay, run_shard_replay, FleetCheckpoint, FleetSpec, FleetStats, OperatorPolicy,
+    extend_replays, run_shard_replay, FleetCheckpoint, FleetSpec, FleetStats, OperatorPolicy,
     ReplayArrivals, ReplayError, DEFAULT_SHARD_CHANNELS,
 };
 use arcc_obs::{MetricsSnapshot, Recorder as _, SnapshotRecorder};
@@ -287,6 +292,11 @@ pub struct TwinEngine {
     spec: Option<FleetSpec>,
     arrivals: ReplayArrivals,
     branches: BTreeMap<String, Branch>,
+    /// The text of `branches.txt` and of `twin.meta` as this process last
+    /// wrote or read them; [`Self::persist`] rewrites a file only when
+    /// its text differs.
+    listing_on_disk: Option<String>,
+    meta_on_disk: Option<String>,
     counters: Counters,
     /// Deterministic work metrics (`serve.*` plus the `replay.parse.*`
     /// counters of every absorbed segment): a pure function of the
@@ -313,6 +323,8 @@ impl TwinEngine {
             spec: None,
             arrivals: ReplayArrivals::default(),
             branches: BTreeMap::new(),
+            listing_on_disk: None,
+            meta_on_disk: None,
             counters: Counters::default(),
             obs: SnapshotRecorder::new(),
         }
@@ -350,6 +362,12 @@ impl TwinEngine {
     /// [`Self::metrics`] and its error (that of the first segment, in
     /// index order, whose read, parse or append fails) are those of
     /// appending the segments one by one, which is what one thread does.
+    ///
+    /// Every branch is then extended over the replayed log in one fold
+    /// ([`extend_replays`]), re-running the shards of any branch the last
+    /// process stopped before checkpointing, and every checkpoint is
+    /// written back, as an ingest writes them. `branches.txt` and `twin.meta`
+    /// are rewritten only when their text differs from what was read.
     ///
     /// A version 1 directory (`arcc-serve-state v1`) is migrated: its
     /// checkpoints carry version 1 arrival fingerprints, so they are
@@ -390,6 +408,7 @@ impl TwinEngine {
                     })?;
                     wanted.push((name.to_string(), parse_policy(token)?));
                 }
+                engine.listing_on_disk = Some(text);
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 if engine.log.is_some() {
@@ -404,35 +423,45 @@ impl TwinEngine {
         }
 
         // Rebind each branch: load its checkpoint (or start fresh), then
-        // extend over the accumulated arrivals. `extend_replay` is both
-        // the validator (foreign checkpoints are a typed mismatch) and
-        // the recovery path (a crash between segment write and
-        // checkpoint write just re-runs the missing shards). A version 1
-        // directory takes the recovery path for every branch.
+        // extend every branch over the accumulated arrivals in one fold.
+        // `extend_replays` is both the validator (foreign checkpoints are
+        // a typed mismatch) and the recovery path (a crash between
+        // segment write and checkpoint write just re-runs the missing
+        // shards). A version 1 directory takes the recovery path for
+        // every branch. A checkpoint that cannot be read is reported
+        // after the branches listed before it are checked, as a
+        // branch-by-branch loop would report it.
+        let mut loaded: Vec<(String, Branch)> = Vec::new();
+        let mut unreadable = None;
         for (name, policy) in wanted {
             let spec = engine.spec_for(policy)?;
-            let loaded = if migrate_v1 {
+            let stored = if migrate_v1 {
                 Ok(None)
             } else {
                 FleetCheckpoint::load(&dir.join(branch_file(&name)))
             };
-            let ckpt = match loaded {
+            let ckpt = match stored {
                 Ok(Some(ckpt)) => ckpt,
                 Ok(None) => FleetCheckpoint::start_twin(&spec, &engine.arrivals),
                 Err(e) => {
-                    return Err(ServeError::State {
+                    unreadable = Some(ServeError::State {
                         detail: format!("branch {name:?}: {e}"),
                     });
+                    break;
                 }
             };
-            let before = ckpt.shards_done;
-            let ckpt = extend_replay(engine.threads, &spec, &engine.arrivals, ckpt)?;
-            engine.counters.shards_run += ckpt.shards_done - before;
-            engine
-                .obs
-                .counter_add("serve.shards_run", ckpt.shards_done - before);
-            engine.branches.insert(name, Branch { policy, spec, ckpt });
+            loaded.push((name, Branch { policy, spec, ckpt }));
         }
+        let mut runs: Vec<_> = loaded
+            .iter_mut()
+            .map(|(_, b)| (&b.spec, &mut b.ckpt))
+            .collect();
+        let ran = extend_replays(engine.threads, &engine.arrivals, &mut runs)?;
+        engine.note_shards_run(ran);
+        if let Some(e) = unreadable {
+            return Err(e);
+        }
+        engine.branches.extend(loaded);
         engine.persist()?;
         Ok(engine)
     }
@@ -489,36 +518,59 @@ impl TwinEngine {
     /// when durable. The first ingest creates the `baseline` branch
     /// (policy `none`).
     ///
+    /// Branches move all or none: every branch's checkpoint is checked
+    /// before any is extended, and all are then extended in one fold
+    /// ([`extend_replays`]), so an ingest that fails leaves every branch
+    /// where it was.
+    ///
+    /// A durable engine first writes the segment to its tmp file in the
+    /// state directory; one that cannot be staged fails the ingest
+    /// before the engine moves. A helper thread fsyncs it while this
+    /// thread parses, appends and extends ([`join`]). Only once all of
+    /// that succeeds is the file renamed into place and the directory
+    /// synced: that rename is the commit point, since [`Self::open`]
+    /// replays the segment files and re-extends stale checkpoints. On
+    /// any failure the tmp file is removed, so a refused or failed
+    /// segment never reaches the directory. The checkpoints are then
+    /// rewritten together: each one's tmp file is written and fsynced
+    /// on the engine's workers, then all are renamed in name order and
+    /// the directory is synced once. `branches.txt` and `twin.meta` are
+    /// rewritten only when their text changes.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Segment`] for parse/contract violations (the engine
     /// is unchanged), [`ServeError::CheckpointMismatch`] when a branch
-    /// checkpoint does not belong to the accumulated history.
+    /// checkpoint does not belong to the accumulated history,
+    /// [`ServeError::State`] when a state file cannot be written.
     ///
-    /// Only the `Segment` contract leaves the engine untouched: an error
-    /// *after* the segment was absorbed (branch extension or a durable
-    /// write) leaves the in-memory log ahead of the branches and/or the
-    /// disk. Resynchronise by discarding an ephemeral engine, or by
-    /// reopening a durable one — [`Self::open`] replays exactly the
-    /// persisted segments and re-extends every branch from its last good
-    /// checkpoint.
+    /// Only the `Segment` contract and a segment that cannot be staged
+    /// leave the engine untouched: an error *after* the segment was
+    /// absorbed (branch extension or a durable write) leaves the
+    /// in-memory log ahead of the branches and/or the disk. Resynchronise
+    /// by discarding an ephemeral engine, or by reopening a durable one —
+    /// [`Self::open`] replays exactly the committed segments and
+    /// re-extends every branch from its last good checkpoint.
     pub fn ingest(&mut self, segment_text: &str) -> Result<IngestSummary, ServeError> {
         let before_channels = self.channels();
         let before_events = self.events();
-        self.absorb_segment(segment_text)?;
-        if self.branches.is_empty() {
-            let spec = self.spec_for(OperatorPolicy::None)?;
-            let ckpt = FleetCheckpoint::start_twin(&spec, &self.arrivals);
-            self.branches.insert(
-                BASELINE_BRANCH.to_string(),
-                Branch {
-                    policy: OperatorPolicy::None,
-                    spec,
-                    ckpt,
-                },
-            );
+        let staged = match &self.state_dir {
+            Some(dir) => {
+                let path = dir.join(segment_file(self.segments_persisted));
+                let file = StagedFile::create(&path, segment_text.as_bytes());
+                Some((file.map_err(|e| write_error(&path, &e))?, path))
+            }
+            None => None,
+        };
+        match &staged {
+            Some((file, path)) => {
+                let (synced, applied) =
+                    join(self.threads, || file.sync(), || self.apply(segment_text));
+                applied?;
+                synced.map_err(|e| write_error(path, &e))?;
+            }
+            None => self.apply(segment_text)?,
         }
-        self.extend_branches()?;
         self.counters.ingests += 1;
         let summary = IngestSummary {
             segment_channels: self.channels() - before_channels,
@@ -535,7 +587,12 @@ impl TwinEngine {
             .counter_add("serve.ingest.events", summary.segment_events);
         self.obs
             .gauge_max("serve.branches", self.branches.len() as u64);
-        self.persist_segment(segment_text)?;
+        if let Some((file, path)) = staged {
+            file.commit().map_err(|e| write_error(&path, &e))?;
+            self.segments_persisted += 1;
+            self.obs
+                .counter_add("serve.persist.segment_bytes", segment_text.len() as u64);
+        }
         self.persist()?;
         Ok(summary)
     }
@@ -564,12 +621,9 @@ impl TwinEngine {
             });
         }
         let spec = self.spec_for(policy)?;
-        let ckpt = FleetCheckpoint::start_twin(&spec, &self.arrivals);
-        let before = ckpt.shards_done;
-        let ckpt = extend_replay(self.threads, &spec, &self.arrivals, ckpt)?;
-        self.obs
-            .counter_add("serve.shards_run", ckpt.shards_done - before);
-        self.counters.shards_run += ckpt.shards_done - before;
+        let mut ckpt = FleetCheckpoint::start_twin(&spec, &self.arrivals);
+        let ran = extend_replays(self.threads, &self.arrivals, &mut [(&spec, &mut ckpt)])?;
+        self.note_shards_run(ran);
         self.counters.forks += 1;
         self.obs.counter_add("serve.forks", 1);
         self.branches
@@ -605,8 +659,7 @@ impl TwinEngine {
                 b.ckpt.shards_done,
                 &self.arrivals,
             ));
-            self.counters.shards_run += 1;
-            self.obs.counter_add("serve.shards_run", 1);
+            self.note_shards_run(1);
         }
         self.counters.queries += 1;
         self.obs.counter_add("serve.queries", 1);
@@ -648,6 +701,25 @@ impl TwinEngine {
     }
 
     // --- internals ------------------------------------------------------
+
+    /// The compute of an ingest: absorbs the segment, creates the
+    /// baseline on the first one, and extends every branch.
+    fn apply(&mut self, text: &str) -> Result<(), ServeError> {
+        self.absorb_segment(text)?;
+        if self.branches.is_empty() {
+            let spec = self.spec_for(OperatorPolicy::None)?;
+            let ckpt = FleetCheckpoint::start_twin(&spec, &self.arrivals);
+            self.branches.insert(
+                BASELINE_BRANCH.to_string(),
+                Branch {
+                    policy: OperatorPolicy::None,
+                    spec,
+                    ckpt,
+                },
+            );
+        }
+        self.extend_branches()
+    }
 
     /// Parses and appends a segment to the accumulated log + arrivals
     /// (no branch work, no persistence). The first segment also fixes
@@ -714,23 +786,38 @@ impl TwinEngine {
         Ok(spec)
     }
 
-    /// Extends every branch over the current arrivals. A branch keeps its
-    /// spec across ingests: the segment contract fixes the class table,
-    /// so only the channel count moves.
+    /// Extends every branch over the current arrivals in one fold, all
+    /// or none ([`extend_replays`]). A branch keeps its spec across
+    /// ingests: the segment contract fixes the class table, so only the
+    /// channel count moves.
     fn extend_branches(&mut self) -> Result<(), ServeError> {
         let channels = self.channels();
-        for b in self.branches.values_mut() {
-            let mut spec = b.spec.clone();
-            spec.channels = channels;
-            let before = b.ckpt.shards_done;
-            let ckpt = extend_replay(self.threads, &spec, &self.arrivals, b.ckpt.clone())?;
-            self.counters.shards_run += ckpt.shards_done - before;
-            self.obs
-                .counter_add("serve.shards_run", ckpt.shards_done - before);
+        let specs: Vec<FleetSpec> = self
+            .branches
+            .values()
+            .map(|b| {
+                let mut spec = b.spec.clone();
+                spec.channels = channels;
+                spec
+            })
+            .collect();
+        let mut runs: Vec<_> = specs
+            .iter()
+            .zip(self.branches.values_mut())
+            .map(|(spec, b)| (spec, &mut b.ckpt))
+            .collect();
+        let ran = extend_replays(self.threads, &self.arrivals, &mut runs)?;
+        for (b, spec) in self.branches.values_mut().zip(specs) {
             b.spec = spec;
-            b.ckpt = ckpt;
         }
+        self.note_shards_run(ran);
         Ok(())
+    }
+
+    /// Counts `ran` shard simulations.
+    fn note_shards_run(&mut self, ran: u64) {
+        self.counters.shards_run += ran;
+        self.obs.counter_add("serve.shards_run", ran);
     }
 
     /// Checks `twin.meta` against this engine's seed and shard size.
@@ -778,6 +865,7 @@ impl TwinEngine {
                         }
                     }
                 }
+                self.meta_on_disk = Some(text);
                 Ok(v1)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
@@ -787,47 +875,47 @@ impl TwinEngine {
         }
     }
 
-    /// Appends the raw segment document to the state directory (before
-    /// checkpoints are rewritten: a crash in between is recovered by
-    /// [`Self::open`] re-extending from the last good checkpoint).
-    fn persist_segment(&mut self, text: &str) -> Result<(), ServeError> {
-        let Some(dir) = self.state_dir.clone() else {
-            return Ok(());
-        };
-        write_atomic_text(&dir.join(segment_file(self.segments_persisted)), text)?;
-        self.segments_persisted += 1;
-        self.obs
-            .counter_add("serve.persist.segment_bytes", text.len() as u64);
-        Ok(())
-    }
-
-    /// Rewrites branch table, branch checkpoints, and meta — meta last:
-    /// its header names the checkpoint format, so a version 1 directory
-    /// whose migration is cut short still reads as version 1 and migrates
-    /// again on the next open.
+    /// Writes the branch table, every branch checkpoint, and meta — meta
+    /// last: its header names the checkpoint format, so a version 1
+    /// directory whose migration is cut short still reads as version 1
+    /// and migrates again on the next open.
+    ///
+    /// The checkpoints are written together ([`write_files_atomic`]):
+    /// each one's tmp file is written and fsynced on the engine's
+    /// workers, then all are renamed in name order and the directory is
+    /// synced once. `branches.txt` and `twin.meta` are written only when
+    /// their text differs from what this process last wrote or read —
+    /// after a fork, a version 1 migration, or in a fresh directory.
     fn persist(&mut self) -> Result<(), ServeError> {
         let Some(dir) = &self.state_dir else {
             return Ok(());
         };
-        let mut listing = String::new();
-        for (name, b) in &self.branches {
-            listing.push_str(&format!("{name} {}\n", policy_token(b.policy)));
+        let listing: String = self
+            .branches
+            .iter()
+            .map(|(name, b)| format!("{name} {}\n", policy_token(b.policy)))
+            .collect();
+        if self.listing_on_disk.as_ref() != Some(&listing) {
+            write_atomic_text(&dir.join("branches.txt"), &listing)?;
+            self.listing_on_disk = Some(listing);
         }
-        write_atomic_text(&dir.join("branches.txt"), &listing)?;
-        let mut checkpoint_bytes = 0u64;
-        for (name, b) in &self.branches {
-            let text = b.ckpt.to_text();
-            write_file_atomic(&dir.join(branch_file(name)), text.as_bytes()).map_err(|e| {
-                ServeError::State {
-                    detail: format!("cannot persist branch {name:?}: {e}"),
-                }
-            })?;
-            checkpoint_bytes += text.len() as u64;
+        let checkpoints: Vec<(PathBuf, String)> = self
+            .branches
+            .iter()
+            .map(|(name, b)| (dir.join(branch_file(name)), b.ckpt.to_text()))
+            .collect();
+        write_files_atomic(self.threads, &checkpoints).map_err(|(i, e)| {
+            let name = self.branches.keys().nth(i).map_or("", String::as_str);
+            ServeError::State {
+                detail: format!("cannot persist branch {name:?}: {e}"),
+            }
+        })?;
+        let meta = format!("{STATE_HEADER}\nseed={}\nshard={}\n", self.seed, self.shard);
+        if self.meta_on_disk.as_ref() != Some(&meta) {
+            write_atomic_text(&dir.join("twin.meta"), &meta)?;
+            self.meta_on_disk = Some(meta);
         }
-        write_atomic_text(
-            &dir.join("twin.meta"),
-            &format!("{STATE_HEADER}\nseed={}\nshard={}\n", self.seed, self.shard),
-        )?;
+        let checkpoint_bytes = checkpoints.iter().map(|(_, text)| text.len() as u64).sum();
         self.obs
             .counter_add("serve.persist.checkpoint_bytes", checkpoint_bytes);
         Ok(())
@@ -890,7 +978,12 @@ fn parse_error(e: arcc_replay::LogError) -> ServeError {
 /// [`write_file_atomic`] for the service's own state files, with the
 /// path in the error.
 fn write_atomic_text(path: &Path, text: &str) -> Result<(), ServeError> {
-    write_file_atomic(path, text.as_bytes()).map_err(|e| ServeError::State {
+    write_file_atomic(path, text.as_bytes()).map_err(|e| write_error(path, &e))
+}
+
+/// A state file that could not be written.
+fn write_error(path: &Path, e: &std::io::Error) -> ServeError {
+    ServeError::State {
         detail: format!("cannot write {}: {e}", path.display()),
-    })
+    }
 }

@@ -3,7 +3,7 @@
 //! memoised responses are byte-identical, and durable state survives a
 //! reopen but refuses tampering with a typed error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use arcc_fleet::{run_replay, DimmPopulation, FleetSpec, OperatorPolicy};
 use arcc_replay::generate_log;
@@ -138,12 +138,77 @@ fn state_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Replaces the state file at `path` with a non-empty directory, which
+/// no rename can replace.
+fn block(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    std::fs::create_dir_all(path.join("occupied")).expect("block");
+}
+
+/// This process's `*.tmp.<pid>` files in `dir`.
+fn tmp_files(dir: &Path) -> Vec<String> {
+    let suffix = format!(".tmp.{}", std::process::id());
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(&suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The segment files in `dir`.
+fn segment_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("segment-") && name.ends_with(".log"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The what-if policies of a six-branch twin, forked in this order.
+const WHATIF: [&str; 5] = [
+    "replace-on-due",
+    "spare-pool:5",
+    "spare-pool:10",
+    "spare-pool:20",
+    "spare-pool:40",
+];
+
+/// Ingests `segments` into `engine`, answering every [`WHATIF`] policy
+/// (which forks its branch) before segment `fork_at`.
+fn ingest_forking_at(engine: &mut TwinEngine, segments: &[String], fork_at: usize) {
+    for (i, seg) in segments.iter().enumerate() {
+        if i == fork_at {
+            for policy in WHATIF {
+                let policy = arcc_serve::parse_policy(policy).expect("policy");
+                engine.whatif(policy).expect("whatif");
+            }
+        }
+        engine.ingest(seg).expect("ingest");
+    }
+}
+
 #[test]
 fn failed_state_writes_leave_no_tmp_files() {
     // Renaming onto a non-empty directory fails, so blocking a state file
-    // with one fails the ingest; the failed atomic write must remove its
-    // tmp sibling. The segment goes through the service's text writer,
-    // the branch checkpoint through `FleetCheckpoint::write_atomic`.
+    // with one fails the ingest; the failed write must remove its tmp
+    // sibling. The segment is staged by the ingest itself, the branch
+    // checkpoints are written together.
     let (_, segments) = sample();
     let branch = format!("branch-{BASELINE_BRANCH}.ckpt");
     for (name, blocked) in [("segment", "segment-00000.log"), ("branch", &branch)] {
@@ -151,8 +216,88 @@ fn failed_state_writes_leave_no_tmp_files() {
         let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
         std::fs::create_dir_all(dir.join(blocked).join("occupied")).expect("block");
         assert!(engine.ingest(&segments[0]).is_err(), "{blocked} is blocked");
-        let tmp = dir.join(format!("{blocked}.tmp.{}", std::process::id()));
-        assert!(!tmp.exists(), "{} must be removed", tmp.display());
+        assert_eq!(tmp_files(&dir), Vec::<String>::new(), "{blocked}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Six branches, one checkpoint blocked: the ingest fails after its
+    // commit point, every other tmp file is gone, and once the block is
+    // lifted a reopen answers as an engine that ingested normally.
+    let segments = forty_channel_segments(6);
+    for threads in [1, 2] {
+        let dir = state_dir(&format!("blocked-one-of-six-{threads}"));
+        let mut engine = TwinEngine::open(threads, SEED, SHARD, &dir).expect("open fresh");
+        ingest_forking_at(&mut engine, &segments[..5], 3);
+        let blocked = dir.join("branch-whatif:spare-pool:10.ckpt");
+        block(&blocked);
+        match engine.ingest(&segments[5]) {
+            Err(arcc_serve::ServeError::State { detail }) => {
+                assert!(detail.contains("whatif:spare-pool:10"), "{detail}");
+            }
+            other => panic!("a blocked checkpoint must fail the ingest, got {other:?}"),
+        }
+        assert_eq!(tmp_files(&dir), Vec::<String>::new(), "{threads} threads");
+        assert_eq!(segment_files(&dir).len(), 6, "the segment is committed");
+        drop(engine);
+        std::fs::remove_dir_all(&blocked).expect("unblock");
+        let mut reopened = TwinEngine::open(threads, SEED, SHARD, &dir).expect("reopen");
+        let mut reference = TwinEngine::new(threads, SEED).shard_channels(SHARD);
+        ingest_forking_at(&mut reference, &segments, 3);
+        let names: Vec<String> = reference
+            .branch_names()
+            .iter()
+            .map(|b| b.to_string())
+            .collect();
+        assert_eq!(reopened.branch_names(), names);
+        for name in &names {
+            let (got, want) = (reopened.stats(name), reference.stats(name));
+            assert!(
+                got.expect("stats").bitwise_eq(&want.expect("stats")),
+                "{name}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A refused segment leaves neither a tmp file nor a segment file.
+    let dir = state_dir("refused-segment");
+    let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+    engine.ingest(&segments[0]).expect("ingest");
+    let refused = engine.ingest(&corrupt_line(&segments[1], 5));
+    assert!(
+        matches!(refused, Err(arcc_serve::ServeError::Segment(_))),
+        "{refused:?}"
+    );
+    assert_eq!(tmp_files(&dir), Vec::<String>::new());
+    assert_eq!(segment_files(&dir), vec!["segment-00000.log"]);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A segment that cannot even be staged fails before the engine moves.
+    let dir = state_dir("unstaged-segment");
+    let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+    let tmp = format!("segment-00000.log.tmp.{}", std::process::id());
+    std::fs::create_dir_all(dir.join(&tmp).join("occupied")).expect("block");
+    match engine.ingest(&segments[0]) {
+        Err(arcc_serve::ServeError::State { detail }) => {
+            assert!(detail.contains("segment-00000.log"), "{detail}");
+        }
+        other => panic!("an unstageable segment must fail the ingest, got {other:?}"),
+    }
+    assert_eq!(engine.channels(), 0, "the engine must not move");
+    assert_eq!(segment_files(&dir), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // `twin.meta` and `branches.txt` are written only when their text
+    // changes, so an ingest that forks nothing never touches them.
+    for file in ["twin.meta", "branches.txt"] {
+        let dir = state_dir(&format!("unchanged-{file}"));
+        let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+        engine.ingest(&segments[0]).expect("ingest");
+        block(&dir.join(file));
+        engine
+            .ingest(&segments[1])
+            .expect("an unchanged file is not rewritten");
+        assert_eq!(tmp_files(&dir), Vec::<String>::new(), "{file}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -435,10 +580,9 @@ fn a_fork_that_fails_to_persist_drops_memoised_replies() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Segments of a 280-channel fleet, 40 channels each: six to persist
-/// and a seventh for the first ingest after a reopen.
-fn seven_segments() -> Vec<String> {
-    let spec = FleetSpec::baseline(280)
+/// `count` segments of a `40 * count`-channel fleet, 40 channels each.
+fn forty_channel_segments(count: usize) -> Vec<String> {
+    let spec = FleetSpec::baseline(40 * count as u64)
         .populations(vec![
             DimmPopulation::paper("hot").rate_multiplier(60.0),
             DimmPopulation::paper("cold").rate_multiplier(10.0),
@@ -446,8 +590,78 @@ fn seven_segments() -> Vec<String> {
         .shard_channels(SHARD)
         .seed(0xD1CE);
     let segments = generate_log(&spec).split_channels(40);
-    assert_eq!(segments.len(), 7);
+    assert_eq!(segments.len(), count);
     segments.iter().map(|s| s.to_text()).collect()
+}
+
+/// Segments of a 280-channel fleet, 40 channels each: six to persist
+/// and a seventh for the first ingest after a reopen.
+fn seven_segments() -> Vec<String> {
+    forty_channel_segments(7)
+}
+
+#[test]
+fn six_branches_extend_alike_at_every_thread_count() {
+    // 8 segments of 40 channels over 64-channel shards, the five what-if
+    // branches forked before segment 4 (160 channels, 2 complete shards).
+    let segments = forty_channel_segments(8);
+    let mut seen = Vec::new();
+    for threads in [1, 2, 8] {
+        let dir = state_dir(&format!("six-branches-{threads}"));
+        let mut engine = TwinEngine::open(threads, SEED, SHARD, &dir).expect("open fresh");
+        ingest_forking_at(&mut engine, &segments, 4);
+        let metrics = engine.metrics().clone();
+        // Baseline 2 shards, each fork 2 plus its tail query, then 3 more
+        // for every branch over segments 4-7 (5 complete shards).
+        assert_eq!(metrics.counter("serve.shards_run"), 2 + 5 * 3 + 6 * 3);
+        let names: Vec<String> = engine
+            .branch_names()
+            .iter()
+            .map(|b| b.to_string())
+            .collect();
+        assert_eq!(names.len(), 6);
+        let stats: Vec<_> = names
+            .iter()
+            .map(|b| engine.stats(b).expect("stats"))
+            .collect();
+        let files: Vec<Vec<u8>> = names
+            .iter()
+            .map(|b| std::fs::read(dir.join(format!("branch-{b}.ckpt"))).expect("checkpoint"))
+            .collect();
+        seen.push((threads, stats, files, metrics));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (_, stats, files, metrics) = &seen[0];
+    for (threads, other_stats, other_files, other_metrics) in &seen[1..] {
+        for (a, b) in stats.iter().zip(other_stats) {
+            assert!(a.bitwise_eq(b), "stats at {threads} threads");
+        }
+        assert_eq!(files, other_files, "checkpoints at {threads} threads");
+        assert_eq!(metrics, other_metrics, "metrics at {threads} threads");
+    }
+    // Every branch equals a from-zero replay of the whole log.
+    let mut log = arcc_replay::FaultLog::parse(&segments[0]).expect("segment");
+    for seg in &segments[1..] {
+        log.append_segment(&arcc_replay::FaultLog::parse(seg).expect("segment"))
+            .expect("append");
+    }
+    let arrivals = log.arrivals().expect("arrivals");
+    let policies = std::iter::once("none").chain(WHATIF);
+    let mut truths: Vec<(String, _)> = policies
+        .map(|token| {
+            let policy = arcc_serve::parse_policy(token).expect("policy");
+            let name = match policy {
+                OperatorPolicy::None => BASELINE_BRANCH.to_string(),
+                _ => format!("whatif:{}", arcc_serve::policy_token(policy)),
+            };
+            let spec = log.replay_spec(SEED).policy(policy).shard_channels(SHARD);
+            (name, run_replay(2, &spec, &arrivals).expect("replay"))
+        })
+        .collect();
+    truths.sort_by(|a, b| a.0.cmp(&b.0));
+    for ((name, truth), got) in truths.iter().zip(stats) {
+        assert!(got.bitwise_eq(truth), "{name}");
+    }
 }
 
 /// A state directory holding the first six of `segments`, the baseline
