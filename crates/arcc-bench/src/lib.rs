@@ -26,6 +26,9 @@
 //! and fails on a rung more than 30% below its record or present on one
 //! side only. Gating `fleet` also A/B-tests the metrics recorder:
 //! [`run_fleet_observed`] may cost at most 5% over [`run_fleet`].
+//! `bench codec` also prints the Berlekamp–Massey decode path's cost:
+//! nanoseconds per line for the four-channel upgraded codec correcting
+//! two dead devices at limit 2, on 1 thread.
 //! `bench fleet` also prints its scaling on a multi-core host: the
 //! 10M-channel rung timed again at the other thread count (all cores
 //! after a 1-thread ladder, else 1), the two rates and their ratio. Then
@@ -42,8 +45,10 @@
 //! `bench replay --log FILE` measures one rung instead: that field log,
 //! replayed under its own inventory-derived spec.
 //!
-//! The Criterion suites under `benches/` time each layer's primitives;
-//! they write no record.
+//! `bench` is the workspace's one timing program. The memory simulator
+//! and the SDC Monte Carlo are timed per scenario by `repro_all
+//! --profile`, and the design ablations are the deterministic `ablations`
+//! report.
 
 #![forbid(unsafe_code)]
 
@@ -53,6 +58,7 @@ use std::path::{Path, PathBuf};
 
 use arcc_core::default_threads;
 use arcc_fleet::{run_fleet, run_fleet_observed, run_replay, DimmPopulation, FleetSpec};
+use arcc_gf::chipkill::LineCodec;
 use arcc_gf::codec::codec_registry;
 use arcc_obs::{elapsed_secs, Clock, WallClock};
 use arcc_replay::{generate_log, FaultLog};
@@ -63,8 +69,11 @@ use record::{gate, Record, Rung, TOLERANCE};
 const LAYERS: [&str; 4] = ["codec", "fleet", "replay", "serve"];
 const USAGE: &str = "usage: bench <codec|fleet|replay|serve> [--record FILE] [--gate FILE]
        bench replay --log FILE";
-/// Roundtrips per codec rung.
+/// Roundtrips per codec rung, and decodes of the double-chipkill line.
 const CODEC_LINES: u64 = 20_000;
+/// The devices killed in the double-chipkill line, on two of the
+/// four-channel upgraded codeword's channels (18 devices each).
+const DOUBLE_CHIPKILL_DEVICES: [usize; 2] = [3, 40];
 /// The ten-million-channel rung shows that the engine streams: peak
 /// memory is `O(threads × shard)` at any fleet size.
 const FLEET_CHANNELS: [u64; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
@@ -153,6 +162,39 @@ fn codec_ladder() -> Ladder {
         ladder.push((rung, format!("{} devices", codec.devices())));
     }
     ladder
+}
+
+/// The Berlekamp–Massey decode path's cost as a printed line: nanoseconds
+/// per line for the four-channel upgraded codec correcting two dead
+/// devices at limit 2, best of 3 on 1 thread over [`CODEC_LINES`]
+/// decodes, each checked against the clean line. The line is neither
+/// recorded nor gated.
+fn codec_double_chipkill() -> Result<String, String> {
+    let codec = LineCodec::upgraded_four_channel();
+    let data: Vec<u8> = (0..codec.data_bytes())
+        .map(|i| (i * 37 + 11) as u8)
+        .collect();
+    let clean = codec.encode_line(&data).map_err(|e| e.to_string())?;
+    let mut line = clean.clone();
+    let (seconds, correct) = best_of_3(|| {
+        let mut correct = 0u64;
+        for _ in 0..CODEC_LINES {
+            // Re-killing the devices restores the same dead line in place.
+            for device in DOUBLE_CHIPKILL_DEVICES {
+                line.kill_device(device, 0xFF);
+            }
+            let decoded = codec.decode_line(&mut line, &[], 2).is_ok();
+            correct += u64::from(decoded && line == clean);
+        }
+        correct
+    });
+    assert_eq!(correct, CODEC_LINES, "a double-device decode failed");
+    let ns = seconds * 1e9 / CODEC_LINES as f64;
+    let [a, b] = DOUBLE_CHIPKILL_DEVICES;
+    Ok(format!(
+        "codec double chipkill: upgraded four-channel line, devices {a} and {b} dead, \
+         limit 2 (Berlekamp-Massey): {ns:.0} ns per line at 1 thread"
+    ))
 }
 
 /// Synthetic baseline-fleet lifetimes per second.
@@ -513,6 +555,9 @@ fn run(args: &[String]) -> Result<bool, String> {
     for (rung, note) in run.rungs.iter().zip(&notes) {
         let (id, seconds, rate) = (&rung.id, rung.seconds, rung.rate);
         println!("{id:>16}  {seconds:>10.4}  {rate:>14.0}  {note}");
+    }
+    if layer == "codec" {
+        println!("{}", codec_double_chipkill()?);
     }
     if layer == "fleet" {
         if let Some(line) = run.rungs.last().and_then(|top| fleet_scaling(threads, top)) {

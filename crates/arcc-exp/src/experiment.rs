@@ -2,6 +2,8 @@
 //! exposes, as typed methods instead of environment variables.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use arcc_core::{MixResult, SimConfig, SystemSim};
@@ -99,34 +101,63 @@ impl Experiment {
     /// `ARCC_THREADS` and `ARCC_MIXES`): the knob path of the `repro_all`
     /// binary, which CI uses for its quick-mode runs. Library code states
     /// its knobs with the typed builder.
-    pub fn from_env() -> Self {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            std::env::var(var).ok().and_then(|v| v.parse().ok())
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable and its value, for a number that
+    /// does not parse or an `ARCC_MIXES` entry that is not a paper mix.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|var| std::env::var(var).ok())
+    }
+
+    /// [`Self::from_env`] over any variable lookup.
+    fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn parse<T: FromStr>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            var: &str,
+        ) -> Result<Option<T>, String>
+        where
+            T::Err: fmt::Display,
+        {
+            lookup(var)
+                .map(|value| {
+                    value
+                        .parse()
+                        .map_err(|e| format!("bad knob {var}={value:?}: {e}"))
+                })
+                .transpose()
         }
         let mut exp = Self::new();
-        if let Some(n) = parse::<usize>("ARCC_TRACE_REQUESTS") {
+        if let Some(n) = parse(&lookup, "ARCC_TRACE_REQUESTS")? {
             exp = exp.trace_requests(n);
         }
-        if let Some(n) = parse::<u32>("ARCC_MC_CHANNELS") {
+        if let Some(n) = parse(&lookup, "ARCC_MC_CHANNELS")? {
             exp = exp.mc_channels(n);
         }
-        if let Some(n) = parse::<u32>("ARCC_MC_MACHINES") {
+        if let Some(n) = parse(&lookup, "ARCC_MC_MACHINES")? {
             exp = exp.mc_machines(n);
         }
-        if let Some(n) = parse::<usize>("ARCC_THREADS") {
+        if let Some(n) = parse(&lookup, "ARCC_THREADS")? {
             exp = exp.threads(n);
         }
-        if let Ok(mixes) = std::env::var("ARCC_MIXES") {
+        if let Some(mixes) = lookup("ARCC_MIXES") {
             let names: Vec<String> = mixes
                 .split(',')
                 .map(|s| s.trim().to_string())
                 .filter(|s| !s.is_empty())
                 .collect();
+            let paper: Vec<&str> = paper_mixes().iter().map(|m| m.name).collect();
+            if let Some(unknown) = names.iter().find(|n| !paper.contains(&n.as_str())) {
+                let paper = paper.join(", ");
+                return Err(format!(
+                    "bad knob ARCC_MIXES={mixes:?}: {unknown} is not one of {paper}"
+                ));
+            }
             if !names.is_empty() {
                 exp = exp.mixes(names);
             }
         }
-        exp
+        Ok(exp)
     }
 
     /// Sets the requests per trace simulation.
@@ -294,12 +325,35 @@ mod tests {
 
     #[test]
     fn from_env_answers_with_usable_sizes() {
-        // Whatever legacy ARCC_* values the environment sets (CI sets
-        // quick ones), the fallback still yields runnable sizes.
-        let exp = Experiment::from_env();
+        // Whatever valid ARCC_* values the environment sets (CI sets
+        // quick ones), the sizes stay runnable.
+        let exp = Experiment::from_env().expect("the environment's ARCC_* knobs parse");
         assert!(exp.trace_config().requests >= 1000);
         assert!(exp.mc_channel_count() >= 100);
         assert!(exp.mc_machine_count() >= 100);
+    }
+
+    /// A lookup that sets one variable.
+    fn one_var(name: &'static str, value: &'static str) -> impl Fn(&str) -> Option<String> {
+        move |var| (var == name).then(|| value.to_string())
+    }
+
+    #[test]
+    fn an_unparsable_number_is_an_error_naming_the_variable() {
+        let msg = Experiment::from_vars(one_var("ARCC_MC_CHANNELS", "abc")).unwrap_err();
+        assert!(msg.contains("ARCC_MC_CHANNELS=\"abc\""), "{msg}");
+        let exp = Experiment::from_vars(one_var("ARCC_MC_CHANNELS", "250")).unwrap();
+        assert_eq!(exp.mc_channel_count(), 250);
+    }
+
+    #[test]
+    fn a_mix_that_is_not_a_paper_mix_is_an_error_naming_the_variable() {
+        let msg = Experiment::from_vars(one_var("ARCC_MIXES", "Mix1,Mix99")).unwrap_err();
+        assert!(msg.contains("ARCC_MIXES=\"Mix1,Mix99\""), "{msg}");
+        assert!(msg.contains("Mix99 is not one of Mix1,"), "{msg}");
+        let exp = Experiment::from_vars(one_var("ARCC_MIXES", "Mix3, Mix7")).unwrap();
+        let names: Vec<_> = exp.mix_list().iter().map(|m| m.name).collect();
+        assert_eq!(names, vec!["Mix3", "Mix7"]);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! * [`Experiment`] — a builder carrying every knob (trace length and
 //!   seed, Monte-Carlo channels/machines and seed, escape-study trials,
 //!   mix filter, worker count). Binaries read the `ARCC_*` environment
-//!   variables through [`Experiment::from_env`].
+//!   variables through [`Experiment::from_env`], which refuses a value it
+//!   cannot use.
 //! * [`Scenario`] + [`registry`] — the ~13 named paper artefacts
 //!   (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`, `motivation`,
 //!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale
 //!   studies over the `arcc-fleet` event engine (`fleet_baseline`,
-//!   `fleet_mixed_population`, `fleet_repair_policies`), each runnable
-//!   in-process via [`run`]. The `repro_all` binary in `arcc-bench` runs
+//!   `fleet_mixed_population`, `fleet_repair_policies`) and the
+//!   `ablations` report, each runnable in-process via [`run`]. The `repro_all` binary in `arcc-bench` runs
 //!   any subset of them in-process ([`run_selected`]), not as a
 //!   subprocess chain.
 //! * [`sweep`] — a deterministic parallel sweep engine: ordered

@@ -131,7 +131,8 @@ fn default_report_dir() -> PathBuf {
 /// Trailing CLI arguments select a subset by scenario name (CI uses
 /// this to smoke-run `fig7_6` and `fleet_scheme_sweep` on their own); no
 /// arguments means the full registry. Knobs come from the `ARCC_*`
-/// environment variables ([`Experiment::from_env`]).
+/// environment variables ([`Experiment::from_env`]); a value it cannot
+/// use fails the run before any scenario runs.
 ///
 /// A `--profile` argument (anywhere in the argument list) additionally
 /// writes `<report dir>/profile.json` — per-scenario wall-clock seconds
@@ -140,7 +141,13 @@ pub fn repro_all_main() -> i32 {
     let mut only: Vec<String> = std::env::args().skip(1).collect();
     let profile = only.iter().any(|a| a == "--profile");
     only.retain(|a| a != "--profile");
-    let exp = Experiment::from_env();
+    let exp = match Experiment::from_env() {
+        Ok(exp) => exp,
+        Err(message) => {
+            eprintln!("repro_all FAILED: {message}");
+            return 1;
+        }
+    };
     let dir = default_report_dir();
     match run_selected_profiled(&exp, &dir, &only, &WallClock::new()) {
         Ok(timed) => {

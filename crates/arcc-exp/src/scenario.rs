@@ -8,9 +8,10 @@
 //! the `arcc-fleet` event engine (`fleet_baseline`,
 //! `fleet_mixed_population`, `fleet_repair_policies`), the
 //! trace-driven replay studies over `arcc-replay`
-//! (`fleet_replay_roundtrip`, `fleet_fit_vs_replay`), and the ECC
+//! (`fleet_replay_roundtrip`, `fleet_fit_vs_replay`), the ECC
 //! scheme-zoo studies (`scheme_zoo`, `codec_escape_rates`,
-//! `fleet_scheme_sweep`). [`crate::run`] runs one by name, and the
+//! `fleet_scheme_sweep`), and the `ablations` of the paired-tag LLC and
+//! the address maps. [`crate::run`] runs one by name, and the
 //! `repro_all` binary under `arcc-bench` loops the registry (or the
 //! scenarios named on its command line) in-process.
 
@@ -54,6 +55,7 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &SchemeZoo,
         &CodecEscapeRates,
         &FleetSchemeSweep,
+        &Ablations,
     ];
     REGISTRY
 }
@@ -140,9 +142,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_twenty_one_unique_scenarios() {
+    fn registry_has_twenty_two_unique_scenarios() {
         let ns = names();
-        assert_eq!(ns.len(), 21);
+        assert_eq!(ns.len(), 22);
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -169,6 +171,7 @@ mod tests {
             "scheme_zoo",
             "codec_escape_rates",
             "fleet_scheme_sweep",
+            "ablations",
         ] {
             assert!(find(expected).is_some(), "{expected} missing");
         }

@@ -1,8 +1,12 @@
-//! The thirteen paper artefacts plus the fleet-scale studies as
-//! [`Scenario`](crate::Scenario) implementations. Each module groups
-//! related figures; `repro_all <name>` in `arcc-bench` runs any of them
-//! via the registry.
+//! The thirteen paper artefacts, the fleet-scale studies and the design
+//! ablations as [`Scenario`](crate::Scenario) implementations. Each
+//! module groups related figures; `repro_all <name>` in `arcc-bench` runs
+//! any of them via the registry. The scenarios that read no
+//! [`Experiment`](crate::Experiment) knob (`fig_layouts`, `table7_1`,
+//! `table7_4`, `scheme_zoo` and `ablations`) are pinned byte for byte by
+//! goldens under `tests/golden/`.
 
+mod ablations;
 mod fleet;
 mod lifetime;
 mod power_perf;
@@ -11,6 +15,7 @@ mod replay;
 mod tables;
 mod zoo;
 
+pub use ablations::Ablations;
 pub use fleet::{FleetBaseline, FleetMixedPopulation, FleetRepairPolicies};
 pub use lifetime::{Fig3_1, Fig7_4, Fig7_5, Fig7_6};
 pub use power_perf::{Fig7_1, Fig7_2, Fig7_3, Motivation};

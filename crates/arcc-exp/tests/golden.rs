@@ -101,11 +101,13 @@ fn run_all_emits_json_files() {
 }
 
 /// The static artefacts — layouts, configuration and scheme tables —
-/// read no `Experiment` knob, so their JSON is pinned byte for byte: a
-/// refactor of the scheme table or the codec geometry must leave every
-/// byte in place. Regenerate after an intentional change with
+/// and the ablations read no `Experiment` knob, so their JSON is pinned
+/// byte for byte: a refactor of the scheme table, the codec geometry, the
+/// LLC models or the memory simulator must leave every byte in place.
+/// Regenerate after an intentional change with
 /// `ARCC_REPORT_DIR=crates/arcc-exp/tests/golden cargo run --release -p
-/// arcc-bench --bin repro_all -- fig_layouts table7_1 table7_4 scheme_zoo`.
+/// arcc-bench --bin repro_all -- fig_layouts table7_1 table7_4 scheme_zoo
+/// ablations`.
 #[test]
 fn static_artefacts_match_their_goldens() {
     let goldens = [
@@ -113,6 +115,7 @@ fn static_artefacts_match_their_goldens() {
         ("table7_1", include_str!("golden/table7_1.json")),
         ("table7_4", include_str!("golden/table7_4.json")),
         ("scheme_zoo", include_str!("golden/scheme_zoo.json")),
+        ("ablations", include_str!("golden/ablations.json")),
     ];
     let exp = Experiment::quick();
     for (name, golden) in goldens {

@@ -536,43 +536,6 @@ impl LineCodec {
         }
         out
     }
-
-    /// Joins two relaxed lines (each encoded under `self`) into one line
-    /// under `wider`, re-encoding the concatenated data — the ARCC upgrade
-    /// operation of Figure 4.1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RsError`] when the geometries are incompatible (the
-    /// wider codec must carry exactly twice the data of `self`).
-    pub fn join_upgrade(
-        &self,
-        a: &EncodedLine,
-        b: &EncodedLine,
-        wider: &LineCodec,
-    ) -> Result<EncodedLine, RsError> {
-        let mut data = self.extract_data(a);
-        data.extend(self.extract_data(b));
-        wider.encode_line(&data)
-    }
-
-    /// Splits an upgraded line's payload back into two relaxed lines
-    /// (downgrade / page release path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RsError`] when geometries are incompatible.
-    pub fn split_downgrade(
-        &self,
-        upgraded: &EncodedLine,
-        narrow: &LineCodec,
-    ) -> Result<(EncodedLine, EncodedLine), RsError> {
-        let data = self.extract_data(upgraded);
-        let half = data.len() / 2;
-        let a = narrow.encode_line(&data[..half])?;
-        let b = narrow.encode_line(&data[half..])?;
-        Ok((a, b))
-    }
 }
 
 /// The per-beat loop `decode_line`'s single residue pass replaced, kept
@@ -749,39 +712,6 @@ mod tests {
         let out = codec.decode_line(&mut enc, &[9], 1).unwrap();
         assert!(out.corrected_devices.contains(&30));
         assert_eq!(codec.extract_data(&enc), data);
-    }
-
-    #[test]
-    fn join_upgrade_preserves_data_and_strengthens() {
-        let relaxed = LineCodec::relaxed_x8();
-        let upgraded = LineCodec::upgraded_two_channel();
-        let a_data: Vec<u8> = (0..64).map(|i| i as u8).collect();
-        let b_data: Vec<u8> = (64..128).map(|i| i as u8).collect();
-        let a = relaxed.encode_line(&a_data).unwrap();
-        let b = relaxed.encode_line(&b_data).unwrap();
-        let mut joined = relaxed.join_upgrade(&a, &b, &upgraded).unwrap();
-        // Joined payload is the concatenation.
-        let all = upgraded.extract_data(&joined);
-        assert_eq!(&all[..64], &a_data[..]);
-        assert_eq!(&all[64..], &b_data[..]);
-        // And it now survives a double-device failure.
-        joined.corrupt_device(0, 0x11);
-        joined.corrupt_device(35, 0x99);
-        upgraded.decode_line(&mut joined, &[], 2).unwrap();
-        assert_eq!(upgraded.extract_data(&joined), all);
-    }
-
-    #[test]
-    fn split_downgrade_roundtrips() {
-        let relaxed = LineCodec::relaxed_x8();
-        let upgraded = LineCodec::upgraded_two_channel();
-        let data: Vec<u8> = (0..128).map(|i| (i * 3) as u8).collect();
-        let joined = upgraded.encode_line(&data).unwrap();
-        let (a, b) = upgraded.split_downgrade(&joined, &relaxed).unwrap();
-        assert_eq!(relaxed.extract_data(&a), &data[..64]);
-        assert_eq!(relaxed.extract_data(&b), &data[64..]);
-        assert!(!relaxed.detect_line(&a));
-        assert!(!relaxed.detect_line(&b));
     }
 
     #[test]

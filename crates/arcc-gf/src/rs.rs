@@ -583,6 +583,7 @@ impl<F: GaloisField> ReedSolomon<F> {
     /// # Panics
     ///
     /// Panics if `cw.len() != n` (programming error in the caller).
+    #[cfg(test)]
     pub fn syndromes(&self, cw: &[u8]) -> Vec<u8> {
         assert_eq!(cw.len(), self.n, "codeword length mismatch");
         let mut res = [0u8; SLOTS];
