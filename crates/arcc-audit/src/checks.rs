@@ -1,13 +1,13 @@
 //! The audit checks: determinism and parallelism-safety lints, crate
-//! layering, unsafe policy, panic ratchet, public-API snapshot,
-//! doc-coverage ratchet, and fingerprint drift.
+//! layering, unsafe policy, panic ratchet, public-API snapshot, dead
+//! API, doc-coverage ratchet, and fingerprint drift.
 //!
 //! All checks consume the semantic model ([`crate::model`]): per-file
 //! item trees stitched into each crate's module tree, plus the blanked
 //! text views for token search. Findings are appended to an
 //! [`AuditOutcome`]; the caller sorts and renders.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -210,6 +210,7 @@ pub fn run_all(ws: &Workspace, out: &mut AuditOutcome) -> io::Result<()> {
     check_unsafe(&crates, &allow, &mut used, out);
     check_panic_ratchet(&crates, ratchet.as_ref(), ratchet_missing, out);
     check_api_snapshot(&ws.root, &crates, out);
+    check_dead_api(ws, &crates, out)?;
     check_doc_coverage(&crates, ratchet.as_ref(), out);
     check_fingerprint(&ws.root, out);
 
@@ -723,6 +724,14 @@ struct PubEntry {
     has_doc: bool,
     /// Counts toward doc coverage (items; not fields/variants/uses).
     countable: bool,
+    /// Defining file, workspace-relative.
+    file: String,
+    /// 1-based line of the item keyword in `file`.
+    line: usize,
+    /// The bare name of a free fn or inherent method, the dead-API
+    /// check's candidates; `None` for every other entry, trait methods
+    /// included.
+    fn_name: Option<String>,
 }
 
 impl PubEntry {
@@ -774,8 +783,18 @@ fn emit_items(
     prefix: &str,
     reachable: bool,
     pub_types: &BTreeSet<String>,
+    file: &str,
     out: &mut Vec<PubEntry>,
 ) {
+    let entry = |path: String, sig: &str, has_doc: bool, countable: bool, line: usize| PubEntry {
+        path,
+        sig: sig.to_string(),
+        has_doc,
+        countable,
+        file: file.to_string(),
+        line,
+        fn_name: None,
+    };
     for it in items {
         if it.cfg_test || it.doc_hidden {
             continue;
@@ -785,14 +804,10 @@ fn emit_items(
                 let r = reachable && it.vis == Vis::Pub;
                 let sub = join_path(prefix, &it.name);
                 if r {
-                    out.push(PubEntry {
-                        path: sub.clone(),
-                        sig: format!("pub mod {}", it.name),
-                        has_doc: it.has_doc,
-                        countable: true,
-                    });
+                    let sig = format!("pub mod {}", it.name);
+                    out.push(entry(sub.clone(), &sig, it.has_doc, true, it.line));
                 }
-                emit_items(&it.children, &sub, r, pub_types, out);
+                emit_items(&it.children, &sub, r, pub_types, file, out);
             }
             ItemKind::Fn
             | ItemKind::Struct
@@ -807,42 +822,28 @@ fn emit_items(
                 }
                 let path = join_path(prefix, &it.name);
                 out.push(PubEntry {
-                    path: path.clone(),
-                    sig: it.sig.clone(),
-                    has_doc: it.has_doc,
-                    countable: true,
+                    fn_name: (it.kind == ItemKind::Fn).then(|| it.name.clone()),
+                    ..entry(path.clone(), &it.sig, it.has_doc, true, it.line)
                 });
                 match it.kind {
                     ItemKind::Struct | ItemKind::Union => {
                         for fld in it.fields.iter().filter(|f| f.vis == Vis::Pub) {
-                            out.push(PubEntry {
-                                path: format!("{path}.{}", fld.name),
-                                sig: fld.sig.clone(),
-                                has_doc: fld.has_doc,
-                                countable: false,
-                            });
+                            let p = format!("{path}.{}", fld.name);
+                            out.push(entry(p, &fld.sig, fld.has_doc, false, it.line));
                         }
                     }
                     ItemKind::Enum => {
                         // Every variant of a pub enum is public API.
                         for v in &it.fields {
-                            out.push(PubEntry {
-                                path: format!("{path}::{}", v.name),
-                                sig: v.sig.clone(),
-                                has_doc: v.has_doc,
-                                countable: false,
-                            });
+                            let p = format!("{path}::{}", v.name);
+                            out.push(entry(p, &v.sig, v.has_doc, false, it.line));
                         }
                     }
                     ItemKind::Trait => {
                         for ch in &it.children {
                             if ch.kind == ItemKind::Fn && !ch.cfg_test && !ch.doc_hidden {
-                                out.push(PubEntry {
-                                    path: format!("{path}::{}", ch.name),
-                                    sig: ch.sig.clone(),
-                                    has_doc: ch.has_doc,
-                                    countable: true,
-                                });
+                                let p = format!("{path}::{}", ch.name);
+                                out.push(entry(p, &ch.sig, ch.has_doc, true, ch.line));
                             }
                         }
                     }
@@ -867,22 +868,16 @@ fn emit_items(
                         && !ch.cfg_test
                         && !ch.doc_hidden
                     {
+                        let p = format!("{ty}::{}", ch.name);
                         out.push(PubEntry {
-                            path: format!("{ty}::{}", ch.name),
-                            sig: ch.sig.clone(),
-                            has_doc: ch.has_doc,
-                            countable: true,
+                            fn_name: Some(ch.name.clone()),
+                            ..entry(p, &ch.sig, ch.has_doc, true, ch.line)
                         });
                     }
                 }
             }
             ItemKind::Use if reachable && it.vis == Vis::Pub => {
-                out.push(PubEntry {
-                    path: String::new(),
-                    sig: it.sig.clone(),
-                    has_doc: it.has_doc,
-                    countable: false,
-                });
+                out.push(entry(String::new(), &it.sig, it.has_doc, false, it.line));
             }
             _ => {}
         }
@@ -912,9 +907,19 @@ fn pub_entries(c: &ProcessedCrate) -> Vec<PubEntry> {
                 sig: format!("pub mod {name}"),
                 has_doc: f.decl_doc || f.model.has_inner_doc,
                 countable: true,
+                file: f.rel_path.clone(),
+                line: 1,
+                fn_name: None,
             });
         }
-        emit_items(&f.model.items, &prefix, true, &pub_types, &mut out);
+        emit_items(
+            &f.model.items,
+            &prefix,
+            true,
+            &pub_types,
+            &f.rel_path,
+            &mut out,
+        );
     }
     out
 }
@@ -1018,6 +1023,66 @@ fn check_api_snapshot(root: &Path, crates: &[ProcessedCrate], out: &mut AuditOut
             }
         }
     }
+}
+
+/// Flags every public free fn and inherent method of a library crate
+/// (`arcc-audit` aside) whose name is in no other file's
+/// [`FileModel::ident_set`]: not the crates' `src/` files, nor the
+/// `tests/`, `examples/` and `perfbench/src/` files of
+/// [`Workspace::user_files`].
+fn check_dead_api(
+    ws: &Workspace,
+    crates: &[ProcessedCrate],
+    out: &mut AuditOutcome,
+) -> io::Result<()> {
+    let candidates: Vec<(&str, PubEntry)> = crates
+        .iter()
+        .filter(|c| c.has_lib && c.name != "arcc-audit")
+        .flat_map(|c| {
+            pub_entries(c)
+                .into_iter()
+                .filter(|e| e.fn_name.is_some())
+                .map(move |e| (c.name.as_str(), e))
+        })
+        .collect();
+    let wanted: BTreeSet<&str> = candidates
+        .iter()
+        .filter_map(|(_, e)| e.fn_name.as_deref())
+        .collect();
+    // Candidate name -> the files whose code names it.
+    let mut named_in: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut note = |rel: &str, model: &FileModel| {
+        for ident in &model.ident_set {
+            if let Some(&name) = wanted.get(ident.as_str()) {
+                named_in.entry(name).or_default().insert(rel.to_string());
+            }
+        }
+    };
+    for f in crates.iter().flat_map(|c| &c.files) {
+        note(&f.rel_path, &f.model);
+    }
+    for (rel, abs) in ws.user_files()? {
+        note(&rel, &parse_file(&fs::read_to_string(&abs)?).model);
+    }
+    for (krate, e) in &candidates {
+        let name = e.fn_name.as_deref().unwrap_or_default();
+        let used = named_in
+            .get(name)
+            .is_some_and(|files| files.iter().any(|f| *f != e.file));
+        if !used {
+            out.violations.push(Violation {
+                check: Check::DeadApi,
+                file: e.file.clone(),
+                line: e.line,
+                message: format!(
+                    "{krate}: pub fn `{}` is named in no other source file; call it, \
+                     make it private, or delete it",
+                    e.path
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn check_doc_coverage(

@@ -6,7 +6,7 @@
 //! schedulers bit-exact, replay round trips lossless. The proptests
 //! enforce that contract dynamically; this tool enforces it at the source
 //! level, so a stray `HashMap` iteration or wall-clock read is caught in
-//! CI before it can make a run irreproducible. Eight checks:
+//! CI before it can make a run irreproducible. Nine checks:
 //!
 //! 1. **Determinism lints** — ban `HashMap`/`HashSet`, `Instant::now`,
 //!    `SystemTime`, `thread_rng`, and environment reads in library code of
@@ -29,10 +29,14 @@
 //! 6. **Public-API snapshot** — each library crate's pub-reachable
 //!    signatures are compared against `audit/api/<crate>.txt`; any drift
 //!    fails until reviewed and accepted with `--fix-api`.
-//! 7. **Doc-coverage ratchet** — the percentage of public items carrying
+//! 7. **Dead API** — a public free fn or inherent method of a library
+//!    crate (this one aside) that no other source file names in code
+//!    fails: comments, strings, doc-tests and `pub use` lines do not
+//!    count, and `tests/`, `examples/` and `perfbench/src/` do.
+//! 8. **Doc-coverage ratchet** — the percentage of public items carrying
 //!    docs may never fall below the `[doc_coverage]` bounds in
 //!    `audit/ratchet.toml`.
-//! 8. **Fingerprint drift** — the fields of `FleetSpec` and the
+//! 9. **Fingerprint drift** — the fields of `FleetSpec` and the
 //!    checkpoint structs are compared against `audit/fingerprint.toml`,
 //!    which classifies each as fingerprinted or excluded, so a new knob
 //!    cannot silently skip the checkpoint-compatibility decision.

@@ -121,8 +121,10 @@ pub struct FileModel {
     pub has_inner_doc: bool,
     /// The file carries `#![cfg(test)]`.
     pub cfg_test: bool,
-    /// All identifier tokens' texts (deduplicated) — a cheap index for
-    /// "does this file mention crate X at all" queries.
+    /// The identifiers the file's code names, sorted and deduplicated:
+    /// comments, strings and doc-tests hold none, and re-exports (`use`
+    /// with any `pub`) are left out, as they name an item without using
+    /// it — the dead-API check's index.
     pub ident_set: Vec<String>,
 }
 
@@ -146,7 +148,7 @@ pub fn parse_file(src: &str) -> ParsedFile {
     let code_view = render_code_view(src, &toks);
     let mut lib_view = code_view.clone();
     blank_test_spans(&mut lib_view, &model.items);
-    model.ident_set = ident_set(src, &toks);
+    model.ident_set = ident_set(src, &toks, &model.items);
     ParsedFile {
         model,
         code_view,
@@ -896,10 +898,21 @@ fn blank_span(view: &mut String, (start, end): (usize, usize)) {
     view.replace_range(start..end, &blanked);
 }
 
-fn ident_set(src: &str, toks: &[Tok]) -> Vec<String> {
+fn ident_set(src: &str, toks: &[Tok], items: &[Item]) -> Vec<String> {
+    fn reexports(items: &[Item], spans: &mut Vec<(usize, usize)>) {
+        for it in items {
+            if it.kind == ItemKind::Use && it.vis != Vis::Private {
+                spans.push(it.span);
+            }
+            reexports(&it.children, spans);
+        }
+    }
+    let mut spans = Vec::new();
+    reexports(items, &mut spans);
     let mut set: Vec<String> = toks
         .iter()
         .filter(|t| t.kind == TokKind::Ident)
+        .filter(|t| !spans.iter().any(|&(s, e)| s <= t.start && t.start < e))
         .map(|t| t.text(src).to_string())
         .collect();
     set.sort();

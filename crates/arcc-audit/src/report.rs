@@ -25,6 +25,8 @@ pub enum Check {
     PanicRatchet,
     /// Public-API signatures vs the committed `audit/api/<crate>.txt`.
     ApiSnapshot,
+    /// Public fns that no other source file names.
+    DeadApi,
     /// Public-item doc coverage vs the committed ratchet.
     DocCoverage,
     /// Spec/checkpoint fields vs the committed fingerprint manifest.
@@ -43,6 +45,7 @@ impl Check {
             Check::Unsafe => "unsafe",
             Check::PanicRatchet => "panic_ratchet",
             Check::ApiSnapshot => "api_snapshot",
+            Check::DeadApi => "dead_api",
             Check::DocCoverage => "doc_coverage",
             Check::Fingerprint => "fingerprint",
             Check::Config => "config",
@@ -189,7 +192,7 @@ impl AuditOutcome {
         s.push_str("]\n    }\n  ],\n");
         s.push_str("  \"notes\": [\n");
         s.push_str(
-            "    \"Checks: determinism lints, parallelism-safety lints, crate layering, unsafe policy, panic ratchet, public-API snapshot, doc-coverage ratchet, fingerprint drift.\",\n",
+            "    \"Checks: determinism lints, parallelism-safety lints, crate layering, unsafe policy, panic ratchet, public-API snapshot, dead API, doc-coverage ratchet, fingerprint drift.\",\n",
         );
         s.push_str(
             "    \"Config: audit/allowlist.toml, audit/layers.toml, audit/api/*.txt (--fix-api), audit/ratchet.toml (--fix-ratchet), audit/fingerprint.toml.\"\n",

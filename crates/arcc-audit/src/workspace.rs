@@ -111,6 +111,35 @@ impl Workspace {
     pub fn get(&self, name: &str) -> Option<&CrateInfo> {
         self.crates.iter().find(|c| c.name == name)
     }
+
+    /// The `.rs` files outside every crate's `src/` that may call public
+    /// API: each crate's `tests/` and `examples/`, the root's, and
+    /// `perfbench/src/` (its own workspace, driving the crates), as
+    /// sorted `(root-relative path, absolute path)` pairs. A missing
+    /// directory contributes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub(crate) fn user_files(&self) -> io::Result<Vec<(String, PathBuf)>> {
+        let mut dirs: Vec<PathBuf> = vec![self.root.join("perfbench/src")];
+        for base in std::iter::once("").chain(self.crates.iter().map(|c| c.rel_dir.as_str())) {
+            for sub in ["tests", "examples"] {
+                dirs.push(self.root.join(base).join(sub));
+            }
+        }
+        dirs.sort();
+        dirs.dedup();
+        let mut files = Vec::new();
+        for dir in dirs.iter().filter(|d| d.is_dir()) {
+            collect_rs(dir, &mut files)?;
+        }
+        files.sort();
+        Ok(files
+            .into_iter()
+            .map(|abs| (rel_to(&self.root, &abs), abs))
+            .collect())
+    }
 }
 
 /// Extracts `name = "..."` from the `[package]` section of a manifest.

@@ -61,6 +61,8 @@ fn dirty_fixture_trips_every_check() {
     assert_eq!(count(&outcome, Check::PanicRatchet), 1);
     // No committed audit/api/fix-dirty.txt snapshot.
     assert_eq!(count(&outcome, Check::ApiSnapshot), 1);
+    // `Spec::fingerprint`, `now_ms` and `counts`: no other file names them.
+    assert_eq!(count(&outcome, Check::DeadApi), 3);
     // No [doc_coverage] entry for the crate.
     assert_eq!(count(&outcome, Check::DocCoverage), 1);
     // new_knob unclassified, stale_field gone, scheduler excluded-but-used.
@@ -102,6 +104,8 @@ fn unsafe_allowlisted_crate_needs_safety_comments() {
     // `documented` passes, `undocumented` is flagged.
     assert_eq!(unsafe_v.len(), 1, "{:#?}", outcome.violations);
     assert!(unsafe_v[0].message.contains("SAFETY"));
+    // No other file names either fn.
+    assert_eq!(count(&outcome, Check::DeadApi), 2);
     assert_eq!(outcome.allowlist_used, 1);
     assert_eq!(count(&outcome, Check::Config), 0);
 }
@@ -152,7 +156,10 @@ fn layer_fixture_reports_inversion_and_undeclared_use() {
         .any(|v| v.file == "crates/arcc-fixmid/src/lib.rs"
             && v.line == 5
             && v.message.contains("arcc-fixhidden")));
-    assert_eq!(outcome.violations.len(), 2, "{:#?}", outcome.violations);
+    // `succ` and `combine` are called by the crates above them; the top
+    // crate's `twice` by nothing.
+    assert_eq!(count(&outcome, Check::DeadApi), 1);
+    assert_eq!(outcome.violations.len(), 3, "{:#?}", outcome.violations);
     assert_eq!(outcome.allowlist_used, 1);
 }
 
@@ -171,7 +178,9 @@ fn shared_state_fixture_flags_each_primitive_once_allowlisted_once() {
     assert!(par.iter().any(|v| v.message.contains("`RefCell`")));
     assert!(par.iter().any(|v| v.message.contains("`AtomicU32`")));
     assert!(par.iter().all(|v| !v.message.contains("OnceLock")));
-    assert_eq!(outcome.violations.len(), 6, "{:#?}", outcome.violations);
+    // Plus `table`, which no other file calls.
+    assert_eq!(count(&outcome, Check::DeadApi), 1);
+    assert_eq!(outcome.violations.len(), 7, "{:#?}", outcome.violations);
     assert_eq!(outcome.allowlist_used, 1);
 }
 
@@ -240,6 +249,70 @@ fn doc_regression_fixture_fails_until_ratchet_reseeded() {
     assert_eq!(counts.doc_counts, vec![("fix-docs".to_string(), 66)]);
     let after = run_audit(&scratch).expect("audit runs");
     assert!(after.is_clean(), "{:#?}", after.violations);
+}
+
+#[test]
+fn dead_api_fixture_flags_fns_no_other_file_names_in_code() {
+    let outcome = run_audit(&fixture("dead-api")).expect("audit runs");
+    let dead: Vec<String> = outcome
+        .violations
+        .iter()
+        .map(|v| {
+            assert_eq!(v.check, Check::DeadApi, "{v}");
+            assert_eq!(v.file, "crates/fix-dead/src/lib.rs", "{v}");
+            v.message
+                .split('`')
+                .nth(1)
+                .expect("fn in backticks")
+                .to_string()
+        })
+        .collect();
+    // Called only in its own file, or named elsewhere only in a comment, a
+    // string, a doc-test or a `pub use`. A mention in another crate's
+    // `src/`, a `tests/` or `examples/` file or `perfbench/src/` clears a
+    // fn; the trait method and the `pub(crate)` fn are never counted.
+    assert_eq!(
+        dead,
+        [
+            "only_here",
+            "in_comment",
+            "in_string",
+            "in_doctest",
+            "reexported",
+            "Widget::dead_method"
+        ]
+    );
+    let first = &outcome.violations[0];
+    assert_eq!(first.line, 6);
+    assert_eq!(
+        first.to_string(),
+        "[dead_api] crates/fix-dead/src/lib.rs:6: fix-dead: pub fn `only_here` is named in \
+         no other source file; call it, make it private, or delete it"
+    );
+}
+
+#[test]
+fn dead_api_needs_no_perfbench_tree() {
+    // Without `perfbench/` the audit still runs, and the fn only the
+    // benchmark called is dead.
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("dead-api");
+    if scratch.exists() {
+        std::fs::remove_dir_all(&scratch).expect("clear scratch");
+    }
+    copy_dir(&fixture("dead-api"), &scratch).expect("copy fixture");
+    std::fs::remove_dir_all(scratch.join("perfbench")).expect("drop perfbench");
+    let outcome = run_audit(&scratch).expect("audit runs");
+    assert_eq!(
+        count(&outcome, Check::DeadApi),
+        7,
+        "{:#?}",
+        outcome.violations
+    );
+    assert!(outcome
+        .violations
+        .iter()
+        .any(|v| v.message.contains("`from_perfbench`")));
+    assert_eq!(outcome.violations.len(), 7, "{:#?}", outcome.violations);
 }
 
 #[test]

@@ -52,7 +52,7 @@ impl CacheConfig {
     }
 
     /// Number of sets for a conventional (one line per way) organisation.
-    pub fn sets(&self) -> u64 {
+    fn sets(&self) -> u64 {
         self.size_bytes / (self.ways as u64 * self.line_bytes as u64)
     }
 }

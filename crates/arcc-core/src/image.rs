@@ -219,11 +219,6 @@ impl FunctionalMemory {
         }
     }
 
-    /// Devices currently marked known-bad.
-    pub fn spared_devices(&self) -> &[u32] {
-        &self.spared_devices
-    }
-
     /// Erasure positions of spared devices within the span that holds the
     /// given stored line.
     fn erasures_for(&self, mode: ProtectionMode, line_in_page: u64, width: usize) -> Vec<usize> {
@@ -443,7 +438,7 @@ impl FunctionalMemory {
     /// Converts a page to `target` mode, re-encoding its contents through
     /// the ECC decode → join/split → encode path. This is the mechanism the
     /// upgrade engine drives; most callers want
-    /// [`crate::upgrade::UpgradeEngine::upgrade_page`].
+    /// [`crate::upgrade::UpgradeEngine::apply_scrub_outcome`].
     ///
     /// # Errors
     ///
@@ -741,6 +736,6 @@ mod tests {
         let mut m = filled(1);
         m.spare_device(5);
         m.spare_device(5);
-        assert_eq!(m.spared_devices(), &[5]);
+        assert_eq!(m.spared_devices, [5]);
     }
 }

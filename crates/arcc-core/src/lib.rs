@@ -43,10 +43,9 @@ pub use image::{FunctionalMemory, InjectedFault, ReadEvent};
 pub use page::{PageTable, ProtectionMode};
 pub use par::{default_threads, parallel_map};
 pub use schemes::{
-    find_scheme, scheme_keys, scheme_registry, ArccScheme, SchemeDescriptor, SchemeEntry,
-    PAPER_SCHEMES,
+    find_scheme, scheme_registry, ArccScheme, SchemeDescriptor, SchemeEntry, PAPER_SCHEMES,
 };
 pub use scrub::{ScrubCost, ScrubOutcome, ScrubStrategy, Scrubber};
-pub use system::{cell_seed, splitmix64, MixResult, SimConfig, SimConfigBuilder, SystemSim};
+pub use system::{cell_seed, splitmix64, MixResult, SimConfig, SystemSim};
 pub use timeline::{run_timeline, LifetimeReport, ScheduledFault, TimelineConfig, TimelineEvent};
 pub use upgrade::UpgradeEngine;

@@ -21,7 +21,7 @@
 //! row decoder reading the wrong location — defeats checksum detection.
 
 /// One's-complement 16-bit checksum over a byte chunk (the LOT-ECC T1EC).
-pub fn ones_complement_checksum(chunk: &[u8]) -> u16 {
+fn ones_complement_checksum(chunk: &[u8]) -> u16 {
     let mut acc: u32 = 0;
     for pair in chunk.chunks(2) {
         let word = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]) as u32;
@@ -126,7 +126,8 @@ impl LotCodec {
     /// # Panics
     ///
     /// Panics if `d` is out of range.
-    pub fn corrupt_chunk(&self, line: &mut LotLine, d: usize, xor: u8) {
+    #[cfg(test)]
+    fn corrupt_chunk(&self, line: &mut LotLine, d: usize, xor: u8) {
         assert!(d < self.data_devices);
         for b in line.chunks[d].iter_mut() {
             *b ^= xor;
@@ -141,7 +142,8 @@ impl LotCodec {
     /// # Panics
     ///
     /// Panics if `d` or `byte` is out of range, or `xor` is zero.
-    pub fn corrupt_byte(&self, line: &mut LotLine, d: usize, byte: usize, xor: u8) {
+    #[cfg(test)]
+    fn corrupt_byte(&self, line: &mut LotLine, d: usize, byte: usize, xor: u8) {
         assert!(d < self.data_devices && byte < self.chunk_bytes);
         assert_ne!(xor, 0, "zero XOR is not a corruption");
         line.chunks[d][byte] ^= xor;
@@ -222,7 +224,8 @@ impl LotCodec {
     /// # Panics
     ///
     /// Panics if the organisation has no spare or `d` is out of range.
-    pub fn spare_out(&self, line: &mut LotLine, d: u32, correct_chunk: &[u8]) {
+    #[cfg(test)]
+    fn spare_out(&self, line: &mut LotLine, d: u32, correct_chunk: &[u8]) {
         assert!(self.has_spare, "9-device LOT-ECC has no spare");
         assert!((d as usize) < self.data_devices);
         assert_eq!(correct_chunk.len(), self.chunk_bytes);

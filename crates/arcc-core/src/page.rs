@@ -29,15 +29,6 @@ impl ProtectionMode {
         }
     }
 
-    /// Channels accessed in lockstep per line access.
-    pub fn channels_spanned(&self) -> u32 {
-        match self {
-            ProtectionMode::Relaxed => 1,
-            ProtectionMode::Upgraded => 2,
-            ProtectionMode::Upgraded2 => 4,
-        }
-    }
-
     /// The next stronger mode, if any.
     pub fn next(&self) -> Option<ProtectionMode> {
         match self {
@@ -59,16 +50,11 @@ impl fmt::Display for ProtectionMode {
 }
 
 /// Page table with per-page protection modes.
-///
-/// The paper boots the OS with every page **upgraded**, then performs an
-/// initial scrub and relaxes the fault-free pages ([`Self::boot_relax`]).
 #[derive(Debug, Clone)]
 pub struct PageTable {
     modes: Vec<ProtectionMode>,
     upgraded_count: u64,
     upgraded2_count: u64,
-    /// Mode changes applied since creation (each costs a page re-encode).
-    transitions: u64,
 }
 
 impl PageTable {
@@ -88,20 +74,7 @@ impl PageTable {
             modes: vec![initial; pages as usize],
             upgraded_count,
             upgraded2_count,
-            transitions: 0,
         }
-    }
-
-    /// Boot flow of §4.2.1: start fully upgraded, then relax every page the
-    /// initial scrub found fault-free.
-    pub fn boot_relax<F: Fn(u64) -> bool>(pages: u64, page_has_fault: F) -> Self {
-        let mut t = Self::new(pages, ProtectionMode::Upgraded);
-        for p in 0..pages {
-            if !page_has_fault(p) {
-                t.set_mode(p, ProtectionMode::Relaxed);
-            }
-        }
-        t
     }
 
     /// Number of pages.
@@ -139,7 +112,6 @@ impl PageTable {
             ProtectionMode::Relaxed => {}
         }
         self.modes[p as usize] = mode;
-        self.transitions += 1;
     }
 
     /// Upgrades page `p` one level (the scrub-detection path). Returns the
@@ -158,11 +130,6 @@ impl PageTable {
         }
     }
 
-    /// Pages currently in [`ProtectionMode::Upgraded`].
-    pub fn upgraded_pages(&self) -> u64 {
-        self.upgraded_count
-    }
-
     /// Pages currently in [`ProtectionMode::Upgraded2`].
     pub fn upgraded2_pages(&self) -> u64 {
         self.upgraded2_count
@@ -171,12 +138,6 @@ impl PageTable {
     /// Fraction of pages above relaxed mode.
     pub fn upgraded_fraction(&self) -> f64 {
         (self.upgraded_count + self.upgraded2_count) as f64 / self.modes.len().max(1) as f64
-    }
-
-    /// Total mode transitions performed (each one costs a page re-encode
-    /// pass — see [`crate::upgrade::UpgradeEngine`]).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     /// Iterates over `(page, mode)` pairs.
@@ -198,23 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn boot_relax_mirrors_initial_scrub() {
-        let t = PageTable::boot_relax(10, |p| p == 3 || p == 7);
-        assert_eq!(t.mode(3), ProtectionMode::Upgraded);
-        assert_eq!(t.mode(7), ProtectionMode::Upgraded);
-        assert_eq!(t.mode(0), ProtectionMode::Relaxed);
-        assert_eq!(t.upgraded_pages(), 2);
-        assert!((t.upgraded_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn upgrade_walks_levels_and_saturates() {
         let mut t = PageTable::new(4, ProtectionMode::Relaxed);
         assert_eq!(t.upgrade(1), ProtectionMode::Upgraded);
         assert_eq!(t.upgrade(1), ProtectionMode::Upgraded2);
         assert_eq!(t.upgrade(1), ProtectionMode::Upgraded2, "saturates");
         assert_eq!(t.upgraded2_pages(), 1);
-        assert_eq!(t.transitions(), 2);
+        assert_eq!(t.upgraded_count, 0);
     }
 
     #[test]
@@ -223,11 +174,11 @@ mod tests {
         t.set_mode(0, ProtectionMode::Upgraded);
         t.set_mode(1, ProtectionMode::Upgraded);
         t.set_mode(0, ProtectionMode::Relaxed); // downgrade (page release)
-        assert_eq!(t.upgraded_pages(), 1);
-        assert_eq!(t.transitions(), 3);
-        // Redundant set is free.
+        assert_eq!(t.upgraded_count, 1);
+        assert!((t.upgraded_fraction() - 0.125).abs() < 1e-12);
+        // A redundant set counts nothing twice.
         t.set_mode(1, ProtectionMode::Upgraded);
-        assert_eq!(t.transitions(), 3);
+        assert_eq!(t.upgraded_count, 1);
     }
 
     #[test]
@@ -235,7 +186,6 @@ mod tests {
         assert_eq!(ProtectionMode::Relaxed.check_symbols(), 2);
         assert_eq!(ProtectionMode::Upgraded.check_symbols(), 4);
         assert_eq!(ProtectionMode::Upgraded2.check_symbols(), 8);
-        assert_eq!(ProtectionMode::Upgraded.channels_spanned(), 2);
         assert_eq!(ProtectionMode::Upgraded2.next(), None);
         assert_eq!(format!("{}", ProtectionMode::Upgraded), "upgraded");
     }

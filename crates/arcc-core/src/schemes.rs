@@ -390,11 +390,6 @@ pub fn find_scheme(key: &str) -> Option<&'static SchemeEntry> {
     REGISTRY.iter().find(|e| e.key == key)
 }
 
-/// All registry keys, in registry order.
-pub fn scheme_keys() -> Vec<&'static str> {
-    REGISTRY.iter().map(|e| e.key).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,7 +475,7 @@ mod tests {
 
     #[test]
     fn registry_keys_are_unique_and_resolvable() {
-        let keys = scheme_keys();
+        let keys: Vec<&str> = scheme_registry().iter().map(|e| e.key).collect();
         for (i, k) in keys.iter().enumerate() {
             assert!(!keys[i + 1..].contains(k), "duplicate key {k}");
             assert!(find_scheme(k).is_some());

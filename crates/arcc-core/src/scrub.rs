@@ -29,7 +29,7 @@ pub enum ScrubStrategy {
 
 impl ScrubStrategy {
     /// Full-memory passes this strategy performs.
-    pub fn passes(&self) -> u32 {
+    fn passes(&self) -> u32 {
         match self {
             ScrubStrategy::Conventional => 2, // read + write back
             ScrubStrategy::TestPattern => 6,  // §4.2.2 steps 1-4

@@ -52,84 +52,6 @@ impl SimConfig {
             trace: TraceConfig::default(),
         }
     }
-
-    /// A typed builder starting from the fault-free ARCC configuration.
-    ///
-    /// ```
-    /// use arcc_core::SimConfig;
-    ///
-    /// let cfg = SimConfig::builder()
-    ///     .baseline()
-    ///     .trace_requests(10_000)
-    ///     .trace_seed(7)
-    ///     .build();
-    /// assert!(!cfg.arcc);
-    /// assert_eq!(cfg.trace.requests, 10_000);
-    /// ```
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: Self::arcc(0.0),
-        }
-    }
-}
-
-/// Builder for [`SimConfig`] (see [`SimConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Switches to the commercial SCCDCD baseline scheme.
-    pub fn baseline(mut self) -> Self {
-        self.cfg.mem = SystemConfig::sccdcd_baseline();
-        self.cfg.arcc = false;
-        self.cfg.upgraded_fraction = 0.0;
-        self
-    }
-
-    /// Switches to ARCC with the given upgraded-page fraction.
-    pub fn arcc(mut self, upgraded_fraction: f64) -> Self {
-        self.cfg.mem = SystemConfig::arcc_x8();
-        self.cfg.arcc = true;
-        self.cfg.upgraded_fraction = upgraded_fraction;
-        self
-    }
-
-    /// Sets the fraction of pages in upgraded mode.
-    pub fn upgraded_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.upgraded_fraction = fraction;
-        self
-    }
-
-    /// Sets the trace length in requests.
-    pub fn trace_requests(mut self, requests: usize) -> Self {
-        self.cfg.trace.requests = requests;
-        self
-    }
-
-    /// Sets the trace RNG seed.
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.cfg.trace.seed = seed;
-        self
-    }
-
-    /// Replaces the LLC geometry.
-    pub fn llc(mut self, llc: CacheConfig) -> Self {
-        self.cfg.llc = llc;
-        self
-    }
-
-    /// Replaces the memory-system configuration.
-    pub fn mem(mut self, mem: SystemConfig) -> Self {
-        self.cfg.mem = mem;
-        self
-    }
-
-    /// Finalises the configuration.
-    pub fn build(self) -> SimConfig {
-        self.cfg
-    }
 }
 
 /// Result of simulating one mix under one configuration.

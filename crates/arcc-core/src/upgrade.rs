@@ -50,7 +50,7 @@ impl UpgradeEngine {
     ///
     /// Propagates a [`arcc_gf::chipkill::LineError`] if the page's content
     /// cannot be corrected while being read out.
-    pub fn upgrade_page(
+    fn upgrade_page(
         &self,
         mem: &mut FunctionalMemory,
         page: u64,

@@ -3,18 +3,20 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
-use arcc_core::{MixResult, SimConfig, SystemSim};
+use arcc_core::{default_threads, MixResult, SimConfig, SystemSim};
 use arcc_trace::{paper_mixes, Mix, TraceConfig};
 
-use crate::sweep::default_threads;
+/// The trace RNG seed of every simulation.
+const TRACE_SEED: u64 = 0xA2CC;
 
 /// Complete determinant of a mix simulation's result: scheme (ARCC vs
 /// baseline), the mix's benchmark list, the upgraded fraction, and the
-/// trace knobs.
-type SimKey = (bool, &'static [&'static str], u64, usize, u64);
+/// trace length.
+type SimKey = (bool, &'static [&'static str], u64, usize);
 
 /// Shared memo of mix-simulation results. Scenarios overlap heavily —
 /// `motivation`/`fig7_1` run the same baseline-vs-ARCC pairs, and
@@ -30,7 +32,7 @@ struct SimCache(Arc<Mutex<BTreeMap<SimKey, MixResult>>>);
 /// Typed configuration for everything the workspace can run.
 ///
 /// An `Experiment` carries the full knob set of the paper's evaluation —
-/// trace length and seed, Monte-Carlo depths, workload-mix filter, and
+/// trace length, Monte-Carlo depths, workload-mix filter, and
 /// the sweep worker count — and is consumed by the scenario registry
 /// ([`crate::run`]) as well as usable directly:
 ///
@@ -53,7 +55,6 @@ struct SimCache(Arc<Mutex<BTreeMap<SimKey, MixResult>>>);
 #[derive(Debug, Clone)]
 pub struct Experiment {
     trace_requests: usize,
-    trace_seed: u64,
     mc_channels: u32,
     mc_machines: u32,
     mc_seed: u64,
@@ -67,7 +68,6 @@ impl Default for Experiment {
     fn default() -> Self {
         Self {
             trace_requests: 120_000,
-            trace_seed: 0xA2CC,
             mc_channels: 10_000,
             mc_machines: 200_000,
             mc_seed: 0x11FE,
@@ -105,7 +105,10 @@ impl Experiment {
     /// # Errors
     ///
     /// A message naming the variable and its value, for a number that
-    /// does not parse or an `ARCC_MIXES` entry that is not a paper mix.
+    /// does not parse, a zero trace length or Monte-Carlo count (which
+    /// would report nothing), or an `ARCC_MIXES` entry that is not a
+    /// paper mix. `ARCC_THREADS=0` runs on one worker, as
+    /// [`Self::threads`] clamps it.
     pub fn from_env() -> Result<Self, String> {
         Self::from_vars(|var| std::env::var(var).ok())
     }
@@ -128,14 +131,14 @@ impl Experiment {
                 .transpose()
         }
         let mut exp = Self::new();
-        if let Some(n) = parse(&lookup, "ARCC_TRACE_REQUESTS")? {
-            exp = exp.trace_requests(n);
+        if let Some(n) = parse::<NonZeroUsize>(&lookup, "ARCC_TRACE_REQUESTS")? {
+            exp = exp.trace_requests(n.get());
         }
-        if let Some(n) = parse(&lookup, "ARCC_MC_CHANNELS")? {
-            exp = exp.mc_channels(n);
+        if let Some(n) = parse::<NonZeroU32>(&lookup, "ARCC_MC_CHANNELS")? {
+            exp = exp.mc_channels(n.get());
         }
-        if let Some(n) = parse(&lookup, "ARCC_MC_MACHINES")? {
-            exp = exp.mc_machines(n);
+        if let Some(n) = parse::<NonZeroU32>(&lookup, "ARCC_MC_MACHINES")? {
+            exp = exp.mc_machines(n.get());
         }
         if let Some(n) = parse(&lookup, "ARCC_THREADS")? {
             exp = exp.threads(n);
@@ -163,12 +166,6 @@ impl Experiment {
     /// Sets the requests per trace simulation.
     pub fn trace_requests(mut self, requests: usize) -> Self {
         self.trace_requests = requests;
-        self
-    }
-
-    /// Sets the trace RNG seed.
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.trace_seed = seed;
         self
     }
 
@@ -213,18 +210,13 @@ impl Experiment {
         self
     }
 
-    /// Forces fully sequential execution (equivalent to `threads(1)`).
-    pub fn sequential(self) -> Self {
-        self.threads(1)
-    }
-
     // --- accessors -----------------------------------------------------
 
     /// The trace configuration shared by all simulations.
     pub fn trace_config(&self) -> TraceConfig {
         TraceConfig {
             requests: self.trace_requests,
-            seed: self.trace_seed,
+            seed: TRACE_SEED,
         }
     }
 
@@ -287,7 +279,6 @@ impl Experiment {
             mix.benchmarks,
             fraction.to_bits(),
             self.trace_requests,
-            self.trace_seed,
         );
         if let Some(hit) = self.cache.0.lock().expect("sim cache").get(&key) {
             return hit.clone();
@@ -344,6 +335,36 @@ mod tests {
         assert!(msg.contains("ARCC_MC_CHANNELS=\"abc\""), "{msg}");
         let exp = Experiment::from_vars(one_var("ARCC_MC_CHANNELS", "250")).unwrap();
         assert_eq!(exp.mc_channel_count(), 250);
+    }
+
+    #[test]
+    fn a_zero_trace_length_is_an_error_naming_the_variable() {
+        let msg = Experiment::from_vars(one_var("ARCC_TRACE_REQUESTS", "0")).unwrap_err();
+        assert!(
+            msg.starts_with("bad knob ARCC_TRACE_REQUESTS=\"0\": "),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_zero_channel_count_is_an_error_naming_the_variable() {
+        let msg = Experiment::from_vars(one_var("ARCC_MC_CHANNELS", "0")).unwrap_err();
+        assert!(
+            msg.starts_with("bad knob ARCC_MC_CHANNELS=\"0\": "),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_zero_machine_count_is_an_error_naming_the_variable() {
+        let msg = Experiment::from_vars(one_var("ARCC_MC_MACHINES", "0")).unwrap_err();
+        assert!(
+            msg.starts_with("bad knob ARCC_MC_MACHINES=\"0\": "),
+            "{msg}"
+        );
+        // Zero workers still runs: `threads` clamps it to one.
+        let exp = Experiment::from_vars(one_var("ARCC_THREADS", "0")).unwrap();
+        assert_eq!(exp.worker_count(), 1);
     }
 
     #[test]

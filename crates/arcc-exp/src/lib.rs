@@ -6,22 +6,26 @@
 //! that grid a first-class, typed, parallel API instead of a zoo of
 //! hand-rolled binaries:
 //!
-//! * [`Experiment`] — a builder carrying every knob (trace length and
-//!   seed, Monte-Carlo channels/machines and seed, escape-study trials,
-//!   mix filter, worker count). Binaries read the `ARCC_*` environment
+//! * [`Experiment`] — a builder carrying every knob (trace length,
+//!   Monte-Carlo channels/machines and seed, escape-study trials, mix
+//!   filter, worker count). Binaries read the `ARCC_*` environment
 //!   variables through [`Experiment::from_env`], which refuses a value it
 //!   cannot use.
-//! * [`Scenario`] + [`registry`] — the ~13 named paper artefacts
-//!   (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`, `motivation`,
-//!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale
-//!   studies over the `arcc-fleet` event engine (`fleet_baseline`,
-//!   `fleet_mixed_population`, `fleet_repair_policies`) and the
-//!   `ablations` report, each runnable in-process via [`run`]. The `repro_all` binary in `arcc-bench` runs
+//! * [`Scenario`] + [`registry`] — 22 named scenarios: the 13 paper
+//!   artefacts (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`,
+//!   `motivation`, `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`), the
+//!   fleet-scale studies over the `arcc-fleet` event engine
+//!   (`fleet_baseline`, `fleet_mixed_population`,
+//!   `fleet_repair_policies`), the replay studies over `arcc-replay`
+//!   (`fleet_replay_roundtrip`, `fleet_fit_vs_replay`), the ECC
+//!   scheme-zoo studies (`scheme_zoo`, `codec_escape_rates`,
+//!   `fleet_scheme_sweep`) and the `ablations` report, each runnable
+//!   in-process via [`run`]. The `repro_all` binary in `arcc-bench` runs
 //!   any subset of them in-process ([`run_selected`]), not as a
 //!   subprocess chain.
 //! * [`sweep`] — a deterministic parallel sweep engine: ordered
-//!   [`parallel_map`] over `std::thread::scope`, per-cell seeds
-//!   ([`cell_seed`]), and Monte-Carlo channel sharding
+//!   [`arcc_core::parallel_map`] over `std::thread::scope`, per-cell
+//!   seeds ([`arcc_core::cell_seed`]), and Monte-Carlo channel sharding
 //!   ([`lifetime_curve_sharded`]). Parallel runs are bit-identical to
 //!   sequential ones for the same seeds.
 //! * [`Report`] — structured results (metadata + typed tables + notes)
@@ -59,6 +63,6 @@ pub mod sweep;
 
 pub use experiment::Experiment;
 pub use report::{Report, Table, Value};
-pub use runner::{repro_all_main, run_all, run_selected, run_selected_profiled};
+pub use runner::{repro_all_main, run_selected};
 pub use scenario::{find, names, registry, run, ExpError, Scenario};
-pub use sweep::{cell_seed, default_threads, lifetime_curve_sharded, parallel_map, MC_CHUNK};
+pub use sweep::{lifetime_curve_sharded, MC_CHUNK};

@@ -5,7 +5,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use arcc_obs::{elapsed_secs, Clock, ManualClock, WallClock};
+use arcc_obs::{elapsed_secs, json_f64, json_string, Clock, WallClock};
 
 use crate::experiment::Experiment;
 use crate::report::Report;
@@ -28,39 +28,21 @@ fn run_caught(s: &'static dyn Scenario, exp: &Experiment) -> Result<Report, ExpE
     })
 }
 
-/// Runs every registered scenario in order, printing each rendering and
-/// writing `<out_dir>/<name>.json`.
-///
-/// Stops at the first failure: a panicking scenario is reported by name
-/// (instead of the process dying inside it), so `repro_all` can exit
-/// non-zero with a useful message.
-pub fn run_all(exp: &Experiment, out_dir: &Path) -> Result<Vec<Report>, ExpError> {
-    run_selected(exp, out_dir, &[])
-}
-
-/// Like [`run_all`], but restricted to the scenarios named in `only`
-/// (registry order, not argument order). An empty `only` runs the whole
-/// registry; an unknown name is an [`ExpError::UnknownScenario`] before
-/// anything runs, so a typo can't silently pass as a no-op.
-pub fn run_selected(
-    exp: &Experiment,
-    out_dir: &Path,
-    only: &[String],
-) -> Result<Vec<Report>, ExpError> {
-    let timed = run_selected_profiled(exp, out_dir, only, &ManualClock::new())?;
-    Ok(timed.into_iter().map(|(report, _)| report).collect())
-}
-
-/// [`run_selected`] with per-scenario wall-clock timing: each report is
-/// paired with the seconds `clock` advanced while its scenario ran.
-/// Timing is read from the caller's [`Clock`], so library code and tests
-/// stay deterministic (a [`ManualClock`] yields all-zero timings) while
-/// the `repro_all --profile` binary passes a wall clock.
+/// Runs the registered scenarios named in `only`, in registry order (an
+/// empty `only` runs them all), printing each rendering and writing
+/// `<out_dir>/<name>.json`. Each report is paired with the seconds
+/// `clock` advanced while its scenario ran: tests pass an
+/// [`arcc_obs::ManualClock`] (all-zero timings), `repro_all` a wall
+/// clock.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_selected`].
-pub fn run_selected_profiled(
+/// An unknown name is an [`ExpError::UnknownScenario`] before anything
+/// runs, so a typo can't silently pass as a no-op. The run stops at the
+/// first failure: a panicking scenario is reported by name (instead of
+/// the process dying inside it), so `repro_all` can exit non-zero with a
+/// useful message.
+pub fn run_selected(
     exp: &Experiment,
     out_dir: &Path,
     only: &[String],
@@ -96,8 +78,8 @@ pub fn run_selected_profiled(
 
 /// Renders the `--profile` JSON document: one entry per scenario with
 /// its wall-clock seconds and total report rows, plus the run total.
-/// Single-line, key-sorted only by construction (registry order), and
-/// built with the same hand-rolled escaping as the reports themselves.
+/// Single-line, in registry order, and built with the same string and
+/// float encoders as the reports themselves.
 fn profile_json(timed: &[(Report, f64)]) -> String {
     let mut out = String::from("{\"scenarios\":[");
     for (i, (report, seconds)) in timed.iter().enumerate() {
@@ -105,13 +87,14 @@ fn profile_json(timed: &[(Report, f64)]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":{},\"seconds\":{seconds},\"rows\":{}}}",
-            arcc_obs::json_string(&report.scenario),
+            "{{\"name\":{},\"seconds\":{},\"rows\":{}}}",
+            json_string(&report.scenario),
+            json_f64(*seconds),
             report.total_rows()
         ));
     }
     let total: f64 = timed.iter().map(|(_, s)| s).sum();
-    out.push_str(&format!("],\"total_seconds\":{total}}}"));
+    out.push_str(&format!("],\"total_seconds\":{}}}", json_f64(total)));
     out
 }
 
@@ -149,7 +132,7 @@ pub fn repro_all_main() -> i32 {
         }
     };
     let dir = default_report_dir();
-    match run_selected_profiled(&exp, &dir, &only, &WallClock::new()) {
+    match run_selected(&exp, &dir, &only, &WallClock::new()) {
         Ok(timed) => {
             if profile {
                 let path = dir.join("profile.json");
@@ -178,6 +161,7 @@ pub fn repro_all_main() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcc_obs::ManualClock;
 
     struct Panicker;
     impl Scenario for Panicker {
@@ -198,6 +182,7 @@ mod tests {
             &Experiment::quick(),
             Path::new("target/never-created"),
             &["no_such_scenario".to_string()],
+            &ManualClock::new(),
         )
         .unwrap_err();
         let msg = err.to_string();
@@ -210,15 +195,30 @@ mod tests {
     fn run_selected_runs_only_the_named_scenarios() {
         let dir = std::env::temp_dir().join(format!("arcc-run-selected-{}", std::process::id()));
         let reports = run_selected(
-            &Experiment::quick().sequential(),
+            &Experiment::quick().threads(1),
             &dir,
             &["scheme_zoo".to_string()],
+            &ManualClock::new(),
         )
         .expect("scheme_zoo runs");
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].scenario, "scheme_zoo");
+        assert_eq!(reports[0].0.scenario, "scheme_zoo");
         assert!(dir.join("scheme_zoo.json").exists());
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn profile_json_pins_a_manual_clock_run() {
+        let dir = std::env::temp_dir().join(format!("arcc-profile-{}", std::process::id()));
+        let only = ["fig_layouts".to_string(), "table7_1".to_string()];
+        let timed = run_selected(&Experiment::quick(), &dir, &only, &ManualClock::new())
+            .expect("static scenarios run");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        assert_eq!(
+            profile_json(&timed),
+            "{\"scenarios\":[{\"name\":\"fig_layouts\",\"seconds\":0.0,\"rows\":4},\
+             {\"name\":\"table7_1\",\"seconds\":0.0,\"rows\":9}],\"total_seconds\":0.0}"
+        );
     }
 
     #[test]

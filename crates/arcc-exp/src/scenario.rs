@@ -2,7 +2,7 @@
 //! experiment.
 //!
 //! A [`Scenario`] turns an [`Experiment`] into a [`Report`]. The registry
-//! holds the ~13 artefacts of the paper's evaluation (`fig_layouts`,
+//! holds the 13 artefacts of the paper's evaluation (`fig_layouts`,
 //! `table7_1`, `table7_4`, `fig3_1`, `motivation`, `fig6_1`,
 //! `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale studies over
 //! the `arcc-fleet` event engine (`fleet_baseline`,

@@ -5,6 +5,7 @@
 //! baseline is pinned against the paper-path Monte Carlo by the
 //! `arcc-fleet` golden tests.
 
+use arcc_core::parallel_map;
 use arcc_faults::montecarlo::FaultSampler;
 use arcc_faults::{FaultGeometry, FitRates, HOURS_PER_YEAR};
 use arcc_fleet::{run_fleet, DimmPopulation, FleetSpec, FleetStats, OperatorPolicy};
@@ -12,7 +13,6 @@ use arcc_fleet::{run_fleet, DimmPopulation, FleetSpec, FleetStats, OperatorPolic
 use crate::experiment::Experiment;
 use crate::report::{Report, Table, Value};
 use crate::scenario::Scenario;
-use crate::sweep::parallel_map;
 
 fn fleet_spec(exp: &Experiment) -> FleetSpec {
     FleetSpec::baseline(exp.mc_channel_count() as u64)

@@ -4,8 +4,8 @@
 //! the Monte Carlos use every core while staying bit-identical to
 //! sequential runs.
 
-use arcc_core::find_scheme;
 use arcc_core::system::worst_case_power_factor;
+use arcc_core::{cell_seed, find_scheme, parallel_map};
 use arcc_faults::{FaultGeometry, FaultMode};
 use arcc_obs::NoopRecorder;
 use arcc_reliability::{faulty_fraction_curve, LifetimeConfig, LifetimePoint, OverheadModel};
@@ -14,7 +14,7 @@ use arcc_trace::paper_mixes;
 use crate::experiment::Experiment;
 use crate::report::{Report, Table, Value};
 use crate::scenario::Scenario;
-use crate::sweep::{cell_seed, lifetime_curve_sharded, parallel_map};
+use crate::sweep::lifetime_curve_sharded;
 
 const RATE_MULTIPLIERS: [f64; 3] = [1.0, 2.0, 4.0];
 

@@ -3,14 +3,13 @@
 //! engine, one cell per (mix, fraction) pair.
 
 use arcc_core::system::{worst_case_perf_factor, worst_case_power_factor};
-use arcc_core::MixResult;
+use arcc_core::{parallel_map, MixResult};
 use arcc_faults::FaultGeometry;
 
 use crate::experiment::Experiment;
 use crate::report::{Report, Table, Value};
 use crate::scenario::Scenario;
 use crate::scenarios::FAULT_TYPES;
-use crate::sweep::parallel_map;
 
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

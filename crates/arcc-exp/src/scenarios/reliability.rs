@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use crate::experiment::Experiment;
 use crate::report::{Report, Table, Value};
 use crate::scenario::Scenario;
-use crate::sweep::{cell_seed, parallel_map};
+use arcc_core::{cell_seed, parallel_map};
 
 /// Figure 6.1: SDCs per 1000 machine-years — always-on double error
 /// detection (commercial SCCDCD) vs. ARCC's scrub-gated detection.

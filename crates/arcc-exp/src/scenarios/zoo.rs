@@ -12,7 +12,7 @@
 //!   through the `arcc-fleet` event engine, reporting the escape-rate
 //!   and power-overhead axes side by side.
 
-use arcc_core::{cell_seed, find_scheme, scheme_registry};
+use arcc_core::{cell_seed, find_scheme, parallel_map, scheme_registry};
 use arcc_fleet::{run_fleet, DimmPopulation, FleetSpec};
 use arcc_gf::analysis::{measure_line_escape_rate, LineInjection};
 use arcc_gf::codec::codec_registry;
@@ -22,7 +22,6 @@ use rand::SeedableRng;
 use crate::experiment::Experiment;
 use crate::report::{Report, Table, Value};
 use crate::scenario::Scenario;
-use crate::sweep::parallel_map;
 
 /// `scheme_zoo`: every registered scheme's cost/guarantee descriptors in
 /// one table, relaxed and (where present) upgraded modes.
@@ -307,7 +306,7 @@ mod tests {
         // The ISSUE's determinism pin: the sweep's JSON must be
         // byte-identical whether the grid runs on one worker or several.
         let exp = Experiment::quick().mc_channels(300).escape_trials(500);
-        let sequential = FleetSchemeSweep.run(&exp.clone().sequential()).to_json();
+        let sequential = FleetSchemeSweep.run(&exp.clone().threads(1)).to_json();
         let parallel = FleetSchemeSweep.run(&exp.threads(3)).to_json();
         assert_eq!(sequential, parallel);
     }
@@ -315,7 +314,7 @@ mod tests {
     #[test]
     fn codec_escape_report_is_thread_count_invariant() {
         let exp = Experiment::quick().escape_trials(300);
-        let sequential = CodecEscapeRates.run(&exp.clone().sequential()).to_json();
+        let sequential = CodecEscapeRates.run(&exp.clone().threads(1)).to_json();
         let parallel = CodecEscapeRates.run(&exp.threads(3)).to_json();
         assert_eq!(sequential, parallel);
     }

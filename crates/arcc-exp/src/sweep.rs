@@ -18,16 +18,13 @@
 //! output to running it with every core in the machine — a property the
 //! `arcc-exp` test suite pins.
 
+// The primitives live in `arcc-core`, so that `arcc-fleet` builds its
+// sharded runner on the same determinism contract.
+use arcc_core::{cell_seed, parallel_map};
 use arcc_reliability::{lifetime_overhead_curve, LifetimeConfig, LifetimePoint, OverheadModel};
 
 /// Channels per Monte-Carlo shard (see [`lifetime_curve_sharded`]).
 pub const MC_CHUNK: u32 = 1024;
-
-// The primitives themselves live in `arcc-core` (next to `cell_seed`,
-// their seed-derivation counterpart) so that `arcc-fleet` can build its
-// sharded runner on the same determinism contract without a dependency
-// cycle; the canonical experiment-facing paths remain these re-exports.
-pub use arcc_core::{cell_seed, default_threads, parallel_map};
 
 /// The lifetime Monte Carlo of Figures 7.4–7.6, sharded over
 /// [`MC_CHUNK`]-channel cells so it uses every core.

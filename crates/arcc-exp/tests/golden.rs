@@ -46,7 +46,7 @@ fn parallel_sweep_matches_sequential_byte_for_byte() {
                 .mc_channels(2_500) // three MC shards, one partial
                 .mixes(["Mix1", "Mix7", "Mix10"])
         };
-        let sequential = run(scenario, &quick().sequential()).unwrap();
+        let sequential = run(scenario, &quick().threads(1)).unwrap();
         let parallel = run(scenario, &quick().threads(8)).unwrap();
         assert_eq!(
             sequential.to_json(),
@@ -79,10 +79,10 @@ fn every_scenario_runs_at_tiny_knobs() {
     }
 }
 
-/// run_all writes one parseable JSON file per scenario and returns the
-/// reports in registry order.
+/// A run of the whole registry writes one parseable JSON file per
+/// scenario and returns the reports in registry order.
 #[test]
-fn run_all_emits_json_files() {
+fn full_run_emits_json_files() {
     let exp = Experiment::quick()
         .trace_requests(1_000)
         .mc_channels(100)
@@ -90,9 +90,10 @@ fn run_all_emits_json_files() {
         .escape_trials(200)
         .mixes(["Mix2"]);
     let dir = std::env::temp_dir().join(format!("arcc-repro-test-{}", std::process::id()));
-    let reports = arcc_exp::run_all(&exp, &dir).expect("run_all");
+    let clock = arcc_obs::ManualClock::new();
+    let reports = arcc_exp::run_selected(&exp, &dir, &[], &clock).expect("full run");
     assert_eq!(reports.len(), arcc_exp::registry().len());
-    for r in &reports {
+    for (r, _) in &reports {
         let path = dir.join(format!("{}.json", r.scenario));
         let on_disk = std::fs::read_to_string(&path).expect("report file written");
         assert_eq!(on_disk, r.to_json());

@@ -140,7 +140,7 @@ impl FaultSampler {
     /// exactly at the top of the ladder), so the remainder is attributed
     /// to the *final* mode — it is the tail of the CDF — rather than
     /// silently falling back to a default first mode.
-    pub fn mode_for_pick(&self, mut pick: f64) -> FaultMode {
+    fn mode_for_pick(&self, mut pick: f64) -> FaultMode {
         for (m, r) in FaultMode::ALL.into_iter().zip(self.ladder) {
             if pick < r {
                 return m;

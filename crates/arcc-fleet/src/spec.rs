@@ -67,7 +67,7 @@ impl DimmPopulation {
     pub fn scheme(mut self, key: &str) -> Self {
         assert!(
             find_scheme(key).is_some(),
-            "unknown scheme key {key:?}; see arcc_core::scheme_keys()"
+            "unknown scheme key {key:?}; see arcc_core::scheme_registry()"
         );
         self.scheme = key.to_string();
         self

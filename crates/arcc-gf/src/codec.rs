@@ -124,11 +124,6 @@ pub fn find_codec(name: &str) -> Option<Box<dyn Codec>> {
     codec_registry().into_iter().find(|c| c.name() == name)
 }
 
-/// All registered codec names, in registry order.
-pub fn codec_names() -> Vec<&'static str> {
-    codec_registry().iter().map(|c| c.name()).collect()
-}
-
 // ---------------------------------------------------------------------------
 // Plain RS chipkill wrappers: the existing LineCodec machinery, ported
 // onto the trait.
@@ -147,7 +142,7 @@ pub struct RsChipkill {
 
 impl RsChipkill {
     /// ARCC relaxed mode: RS(18,16) x4 beats, correct-1/detect-1.
-    pub fn arcc_relaxed() -> Self {
+    fn arcc_relaxed() -> Self {
         Self {
             name: "arcc-relaxed",
             inner: LineCodec::relaxed_x8(),
@@ -162,7 +157,7 @@ impl RsChipkill {
 
     /// ARCC upgraded mode: RS(36,32) x4 beats decoded at the SCCDCD
     /// policy limit (correct-1/detect-2, plus a spared second chip).
-    pub fn arcc_upgraded() -> Self {
+    fn arcc_upgraded() -> Self {
         Self {
             name: "arcc-upgraded",
             inner: LineCodec::upgraded_two_channel(),
@@ -179,7 +174,7 @@ impl RsChipkill {
 
     /// ARCC second-level upgrade (§5.1): RS(72,64) x4 beats across four
     /// channels, decoded at policy limit 2.
-    pub fn arcc_upgraded2() -> Self {
+    fn arcc_upgraded2() -> Self {
         Self {
             name: "arcc-upgraded2",
             inner: LineCodec::upgraded_four_channel(),
@@ -840,7 +835,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let names = codec_names();
+        let names: Vec<&str> = codec_registry().iter().map(|c| c.name()).collect();
         for (i, n) in names.iter().enumerate() {
             assert!(!names[i + 1..].contains(n), "duplicate codec name {n}");
             assert!(find_codec(n).is_some());

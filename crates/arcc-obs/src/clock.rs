@@ -23,7 +23,7 @@ pub trait Clock: std::fmt::Debug {
 
 /// A deterministic clock that only moves when told to.
 ///
-/// Backed by a `Cell<u64>` so callers can advance it through a shared
+/// Backed by a `Cell<u64>` so callers can set it through a shared
 /// reference; `Cell` is `!Sync`, so the state is single-threaded by
 /// construction and cannot introduce schedule dependence.
 #[derive(Default, Debug)]
@@ -35,11 +35,6 @@ impl ManualClock {
     /// A clock at nanosecond zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Advances the clock by `nanos`, saturating at `u64::MAX`.
-    pub fn advance(&self, nanos: u64) {
-        self.nanos.set(self.nanos.get().saturating_add(nanos));
     }
 
     /// Moves the clock to an absolute nanosecond value.
@@ -95,12 +90,11 @@ mod tests {
     fn manual_clock_is_replayable() {
         let clock = ManualClock::new();
         assert_eq!(clock.now_nanos(), 0);
-        clock.advance(5);
-        clock.advance(7);
+        clock.set(12);
         assert_eq!(clock.now_nanos(), 12);
         clock.set(3);
         assert_eq!(clock.now_nanos(), 3);
-        clock.advance(u64::MAX);
+        clock.set(u64::MAX);
         assert_eq!(clock.now_nanos(), u64::MAX);
         assert!((elapsed_secs(&clock, 0) - u64::MAX as f64 / 1e9).abs() < 1.0);
     }

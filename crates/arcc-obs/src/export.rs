@@ -49,7 +49,7 @@ pub fn json_f64(x: f64) -> String {
 
 /// Maps a dotted metric name onto the Prometheus name charset
 /// (`[a-zA-Z0-9_:]`); anything else becomes `_`.
-pub fn prometheus_name(name: &str) -> String {
+fn prometheus_name(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
@@ -78,8 +78,8 @@ fn prometheus_histogram(out: &mut String, name: &str, h: &Histogram) {
 
 /// Renders a snapshot in the Prometheus text exposition format:
 /// a `# TYPE` line per metric, cumulative `_bucket{le=...}` series for
-/// histograms (empty buckets elided), names sanitised via
-/// [`prometheus_name`].
+/// histograms (empty buckets elided), names mapped onto the Prometheus
+/// charset (`[a-zA-Z0-9_:]`, anything else becomes `_`).
 pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in snapshot.iter() {

@@ -46,8 +46,8 @@ pub mod log;
 pub mod metrics;
 
 pub use clock::{elapsed_secs, Clock, ManualClock, WallClock};
-pub use export::{json_f64, json_string, prometheus_name, to_json, to_prometheus};
-pub use log::{log_line, LogLevel};
+pub use export::{json_f64, json_string, to_json, to_prometheus};
+pub use log::log_line;
 pub use metrics::{
     Histogram, MetricValue, MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder,
     HISTOGRAM_BUCKETS,

@@ -45,7 +45,7 @@ impl Histogram {
 
     /// The bucket index a value lands in: `0` for zero, otherwise the
     /// value's bit length (always `< HISTOGRAM_BUCKETS`).
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
@@ -85,7 +85,8 @@ impl Histogram {
         self.sum
     }
 
-    /// The per-bucket counts, indexed by [`Histogram::bucket_index`].
+    /// The per-bucket counts: bucket `i` holds the values of bit length
+    /// `i`, up to [`Histogram::bucket_upper_bound`].
     pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
         &self.buckets
     }

@@ -26,7 +26,4 @@ pub mod sdc;
 
 pub use faulty_fraction::{faulty_fraction_curve, FaultyFractionPoint};
 pub use lifetime::{lifetime_overhead_curve, LifetimeConfig, LifetimePoint, OverheadModel};
-pub use sdc::{
-    active_at, arcc_arrival_is_sdc, arrival_is_sdc, completes_overlap, detection_time,
-    triple_overlap, SchemeCapability, SdcConfig, SdcResult,
-};
+pub use sdc::{active_at, arrival_is_sdc, detection_time, SchemeCapability, SdcConfig, SdcResult};

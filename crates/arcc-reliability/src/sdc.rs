@@ -107,10 +107,9 @@ pub fn active_at(f: &FaultEvent, t: f64, scrub_h: f64) -> bool {
 /// Two escape routes (Chapter 6): an *undetected* earlier fault in the
 /// same relaxed 18-device half-codeword (the page is still relaxed, its
 /// single-detect budget spent), or a triple overlap in the upgraded
-/// 36-device codeword (detects 2, not 3). This predicate is the single
-/// source of truth shared by [`run_sdc_monte_carlo`] and the
-/// `arcc-fleet` event engine, so their golden agreement is structural.
-pub fn arcc_arrival_is_sdc<'a, I>(overlapping: I, b: &FaultEvent, scrub_h: f64) -> bool
+/// 36-device codeword (detects 2, not 3). It is [`arrival_is_sdc`] at
+/// ARCC's capability, as [`run_sdc_monte_carlo`] counts it.
+fn arcc_arrival_is_sdc<'a, I>(overlapping: I, b: &FaultEvent, scrub_h: f64) -> bool
 where
     I: IntoIterator<Item = &'a FaultEvent>,
     I::IntoIter: Clone,
@@ -214,7 +213,7 @@ where
 /// classic [`triple_overlap`], and `detect == 0` (a scheme with no
 /// detection guarantee, like MultiECC's probabilistic trial decode)
 /// escapes on any arrival.
-pub fn completes_overlap<'a, I>(candidates: I, b: &FaultEvent, detect: u32) -> bool
+fn completes_overlap<'a, I>(candidates: I, b: &FaultEvent, detect: u32) -> bool
 where
     I: IntoIterator<Item = &'a FaultEvent>,
     I::IntoIter: Clone,
@@ -346,9 +345,7 @@ pub fn run_sdc_monte_carlo(cfg: &SdcConfig) -> SdcResult {
 
 /// Does `b` complete a *triple* overlap: two distinct earlier faults and
 /// `b` all intersecting at a common location in one 36-device codeword?
-/// (Public so the `arcc-fleet` event engine counts upgraded-page escapes
-/// with the very same predicate.)
-pub fn triple_overlap<'a, I>(overlapping: I, b: &FaultEvent) -> bool
+fn triple_overlap<'a, I>(overlapping: I, b: &FaultEvent) -> bool
 where
     I: IntoIterator<Item = &'a FaultEvent>,
     I::IntoIter: Clone,

@@ -17,12 +17,12 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use arcc_obs::{log_line, LogLevel, WallClock};
+use arcc_obs::{log_line, WallClock};
 use arcc_serve::{render_error, ServeError, Service, TwinEngine};
 
 /// One structured line on stderr: `{"level":...,"event":...,...}`.
 fn log_error(event: &str, fields: &[(&str, &str)]) {
-    eprintln!("{}", log_line(LogLevel::Error, event, fields));
+    eprintln!("{}", log_line(event, fields));
 }
 
 struct Options {
@@ -42,7 +42,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         state: None,
         seed: 42,
-        threads: arcc_exp::default_threads(),
+        threads: arcc_core::default_threads(),
         shard_channels: arcc_fleet::DEFAULT_SHARD_CHANNELS,
         tcp: None,
     };

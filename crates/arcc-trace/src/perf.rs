@@ -13,7 +13,7 @@
 //! core with several outstanding misses amortises DRAM time across them —
 //! the same first-order model M5's out-of-order core exhibits.
 
-use crate::profiles::{BenchmarkProfile, Mix};
+use crate::profiles::BenchmarkProfile;
 
 /// CPU clock cycles per memory clock cycle: a 3 GHz core against a 333 MHz
 /// DDR2-667 command clock.
@@ -53,36 +53,10 @@ pub struct MixPerformance {
     pub total_ipc: f64,
 }
 
-/// Computes a mix's performance from per-core average read latencies (in
-/// memory cycles).
-///
-/// # Panics
-///
-/// Panics if `per_core_latency_mem` has a different length than the mix's
-/// benchmark list.
-pub fn mix_performance(mix: &Mix, per_core_latency_mem: &[f64]) -> MixPerformance {
-    let profiles = mix.profiles();
-    assert_eq!(
-        profiles.len(),
-        per_core_latency_mem.len(),
-        "one latency per core"
-    );
-    let core_ipc_vec: Vec<f64> = profiles
-        .iter()
-        .zip(per_core_latency_mem)
-        .map(|(p, &lat)| core_ipc(p, lat))
-        .collect();
-    MixPerformance {
-        name: mix.name,
-        total_ipc: core_ipc_vec.iter().sum(),
-        core_ipc: core_ipc_vec,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::{paper_mixes, spec_profile};
+    use crate::profiles::spec_profile;
 
     #[test]
     fn zero_latency_recovers_base_ipc() {
@@ -111,15 +85,6 @@ mod tests {
             (a - b) / a
         };
         assert!(drop("mcf2006") > drop("mesa"));
-    }
-
-    #[test]
-    fn mix_performance_sums_cores() {
-        let mix = paper_mixes()[0];
-        let perf = mix_performance(&mix, &[15.0; 4]);
-        let sum: f64 = perf.core_ipc.iter().sum();
-        assert!((perf.total_ipc - sum).abs() < 1e-12);
-        assert!(perf.total_ipc > 0.0 && perf.total_ipc < 8.0);
     }
 
     #[test]
