@@ -52,6 +52,26 @@ pub fn reexported() -> u32 {
     9
 }
 
+/// Named elsewhere only by a `let` binding: dead.
+pub fn in_binding() -> u32 {
+    11
+}
+
+/// Named elsewhere only by a struct field: dead.
+pub fn in_field() -> u32 {
+    12
+}
+
+/// Named elsewhere only in a path, as a fn value.
+pub fn by_path() -> u32 {
+    13
+}
+
+/// Named elsewhere only in a `use`, then as a bare fn value.
+pub fn imported() -> u32 {
+    14
+}
+
 /// Named only here, but crate-visible: not public API.
 pub(crate) fn internal() -> u32 {
     10
@@ -80,6 +100,12 @@ impl Widget {
 
     /// Named only in this file: dead.
     pub fn dead_method(&self) -> u32 {
-        self.area() + in_comment() + in_string() + in_doctest() + reexported()
+        self.area()
+            + in_comment()
+            + in_string()
+            + in_doctest()
+            + reexported()
+            + in_binding()
+            + in_field()
     }
 }

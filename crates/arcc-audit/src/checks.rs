@@ -1027,9 +1027,9 @@ fn check_api_snapshot(root: &Path, crates: &[ProcessedCrate], out: &mut AuditOut
 
 /// Flags every public free fn and inherent method of a library crate
 /// (`arcc-audit` aside) whose name is in no other file's
-/// [`FileModel::ident_set`]: not the crates' `src/` files, nor the
-/// `tests/`, `examples/` and `perfbench/src/` files of
-/// [`Workspace::user_files`].
+/// [`FileModel::fn_refs`]: no other file calls it, names it in a path
+/// or imports it — not the crates' `src/` files, nor the `tests/`,
+/// `examples/` and `perfbench/src/` files of [`Workspace::user_files`].
 fn check_dead_api(
     ws: &Workspace,
     crates: &[ProcessedCrate],
@@ -1052,7 +1052,7 @@ fn check_dead_api(
     // Candidate name -> the files whose code names it.
     let mut named_in: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     let mut note = |rel: &str, model: &FileModel| {
-        for ident in &model.ident_set {
+        for ident in &model.fn_refs {
             if let Some(&name) = wanted.get(ident.as_str()) {
                 named_in.entry(name).or_default().insert(rel.to_string());
             }
@@ -1075,7 +1075,7 @@ fn check_dead_api(
                 file: e.file.clone(),
                 line: e.line,
                 message: format!(
-                    "{krate}: pub fn `{}` is named in no other source file; call it, \
+                    "{krate}: pub fn `{}` is used in no other source file; call it, \
                      make it private, or delete it",
                     e.path
                 ),

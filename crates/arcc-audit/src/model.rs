@@ -121,11 +121,11 @@ pub struct FileModel {
     pub has_inner_doc: bool,
     /// The file carries `#![cfg(test)]`.
     pub cfg_test: bool,
-    /// The identifiers the file's code names, sorted and deduplicated:
-    /// comments, strings and doc-tests hold none, and re-exports (`use`
-    /// with any `pub`) are left out, as they name an item without using
-    /// it — the dead-API check's index.
-    pub ident_set: Vec<String>,
+    /// The identifiers the file's code calls, names in a path or
+    /// imports, sorted and deduplicated: comments, strings and doc-tests
+    /// hold none, and re-exports (`use` with any `pub`) are left out, as
+    /// they name an item without using it — the dead-API check's index.
+    pub fn_refs: Vec<String>,
 }
 
 /// Parses one file's source text into its model plus the blanked views.
@@ -148,7 +148,7 @@ pub fn parse_file(src: &str) -> ParsedFile {
     let code_view = render_code_view(src, &toks);
     let mut lib_view = code_view.clone();
     blank_test_spans(&mut lib_view, &model.items);
-    model.ident_set = ident_set(src, &toks, &model.items);
+    model.fn_refs = fn_refs(src, &toks, &model.items);
     ParsedFile {
         model,
         code_view,
@@ -206,7 +206,7 @@ impl<'s> Parser<'s> {
             items,
             has_inner_doc: facts.has_inner_doc,
             cfg_test: facts.cfg_test,
-            ident_set: Vec::new(),
+            fn_refs: Vec::new(),
         }
     }
 
@@ -898,7 +898,11 @@ fn blank_span(view: &mut String, (start, end): (usize, usize)) {
     view.replace_range(start..end, &blanked);
 }
 
-fn ident_set(src: &str, toks: &[Tok], items: &[Item]) -> Vec<String> {
+/// The identifiers the file's code uses as code uses a fn: calls it
+/// (`name(`, `.name(`, `name::<T>(`), names it in a path (`Type::name`,
+/// `module::name`) or imports it (`use`). A `let` binding, a field or a
+/// `fn` definition of the same name does not count, nor does a re-export.
+fn fn_refs(src: &str, toks: &[Tok], items: &[Item]) -> Vec<String> {
     fn reexports(items: &[Item], spans: &mut Vec<(usize, usize)>) {
         for it in items {
             if it.kind == ItemKind::Use && it.vis != Vis::Private {
@@ -909,12 +913,32 @@ fn ident_set(src: &str, toks: &[Tok], items: &[Item]) -> Vec<String> {
     }
     let mut spans = Vec::new();
     reexports(items, &mut spans);
-    let mut set: Vec<String> = toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .filter(|t| !spans.iter().any(|&(s, e)| s <= t.start && t.start < e))
-        .map(|t| t.text(src).to_string())
-        .collect();
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text(src));
+    let mut in_use = false;
+    let mut set = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if spans.iter().any(|&(s, e)| s <= t.start && t.start < e) {
+            continue;
+        }
+        let word = t.text(src);
+        match t.kind {
+            TokKind::Punct if word == ";" => in_use = false,
+            TokKind::Ident if word == "use" => in_use = true,
+            _ => {}
+        }
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let prev = i.checked_sub(1).map_or("", text);
+        let called = prev != "fn"
+            && toks
+                .get(i + 1)
+                .is_some_and(|next| next.kind == TokKind::Open(Delim::Paren));
+        let turbofish = text(i + 1) == "::" && text(i + 2) == "<";
+        if in_use || prev == "::" || called || turbofish {
+            set.push(word.to_string());
+        }
+    }
     set.sort();
     set.dedup();
     set
@@ -1046,6 +1070,35 @@ mod tests {
 
     fn items_of(src: &str) -> Vec<Item> {
         parse_file(src).model.items
+    }
+
+    #[test]
+    fn fn_refs_are_calls_paths_and_imports() {
+        let src = "\
+use a::{imported, Kept};
+pub use a::reexported;
+fn defined() {
+    let binding = Kept { field: 1 };
+    called(binding.field);
+    x.method();
+    let v = turbofish::<u8>();
+    let f = a::by_path;
+    // commented()
+}
+";
+        assert_eq!(
+            parse_file(src).model.fn_refs,
+            [
+                "Kept",
+                "a",
+                "by_path",
+                "called",
+                "imported",
+                "method",
+                "turbofish",
+                "use"
+            ]
+        );
     }
 
     #[test]

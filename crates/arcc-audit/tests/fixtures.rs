@@ -268,9 +268,10 @@ fn dead_api_fixture_flags_fns_no_other_file_names_in_code() {
         })
         .collect();
     // Called only in its own file, or named elsewhere only in a comment, a
-    // string, a doc-test or a `pub use`. A mention in another crate's
-    // `src/`, a `tests/` or `examples/` file or `perfbench/src/` clears a
-    // fn; the trait method and the `pub(crate)` fn are never counted.
+    // string, a doc-test, a `pub use`, a `let` binding or a struct field.
+    // A call, a path or an import in another crate's `src/`, a `tests/` or
+    // `examples/` file or `perfbench/src/` clears a fn; the trait method
+    // and the `pub(crate)` fn are never counted.
     assert_eq!(
         dead,
         [
@@ -279,6 +280,8 @@ fn dead_api_fixture_flags_fns_no_other_file_names_in_code() {
             "in_string",
             "in_doctest",
             "reexported",
+            "in_binding",
+            "in_field",
             "Widget::dead_method"
         ]
     );
@@ -286,7 +289,7 @@ fn dead_api_fixture_flags_fns_no_other_file_names_in_code() {
     assert_eq!(first.line, 6);
     assert_eq!(
         first.to_string(),
-        "[dead_api] crates/fix-dead/src/lib.rs:6: fix-dead: pub fn `only_here` is named in \
+        "[dead_api] crates/fix-dead/src/lib.rs:6: fix-dead: pub fn `only_here` is used in \
          no other source file; call it, make it private, or delete it"
     );
 }
@@ -304,7 +307,7 @@ fn dead_api_needs_no_perfbench_tree() {
     let outcome = run_audit(&scratch).expect("audit runs");
     assert_eq!(
         count(&outcome, Check::DeadApi),
-        7,
+        9,
         "{:#?}",
         outcome.violations
     );
@@ -312,7 +315,7 @@ fn dead_api_needs_no_perfbench_tree() {
         .violations
         .iter()
         .any(|v| v.message.contains("`from_perfbench`")));
-    assert_eq!(outcome.violations.len(), 7, "{:#?}", outcome.violations);
+    assert_eq!(outcome.violations.len(), 9, "{:#?}", outcome.violations);
 }
 
 #[test]

@@ -104,11 +104,6 @@ impl Scrubber {
         Self { strategy }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> ScrubStrategy {
-        self.strategy
-    }
-
     /// Scrubs the whole image: detects (and via write-back cures transient)
     /// faults. Does **not** change page modes — that is the upgrade
     /// engine's job, applied "at the end of a memory scrub".

@@ -294,11 +294,6 @@ impl LineCodec {
         self.check_symbols() as f64 / self.data_devices as f64
     }
 
-    /// The underlying Reed–Solomon code.
-    pub fn code(&self) -> &ReedSolomon<Gf256> {
-        &self.rs
-    }
-
     /// Encodes a data line into per-device symbols.
     ///
     /// # Errors
@@ -749,7 +744,7 @@ mod tests {
             let clean = codec.encode_line(&data).unwrap();
             for (b, cw_data) in data.chunks_exact(k).enumerate() {
                 let cw: Vec<u8> = (0..n).map(|d| clean.symbol(d, b)).collect();
-                assert_eq!(cw, codec.code().encode_to_codeword(cw_data).unwrap());
+                assert_eq!(cw, codec.rs.encode_to_codeword(cw_data).unwrap());
             }
             assert!(!codec.detect_line(&clean));
             for b in 0..beats {

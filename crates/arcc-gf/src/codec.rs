@@ -189,7 +189,7 @@ impl RsChipkill {
 
     /// Commercial SCCDCD: RS(36,32) x2 beats over x4 devices,
     /// correct-1/detect-2.
-    pub fn sccdcd() -> Self {
+    fn sccdcd() -> Self {
         Self {
             name: "sccdcd",
             inner: LineCodec::sccdcd_x4(),

@@ -531,9 +531,9 @@ impl FaultLog {
     }
 
     /// [`Self::parse`], also returning how many lines it walked: on
-    /// success, `text.lines().count()`. With [`Self::append_recorded`] it
-    /// splits [`Self::ingest_segment`] in two, so a segment can be parsed
-    /// on one thread and appended on another.
+    /// success, `text.lines().count()`, which
+    /// [`Self::append_inventory_recorded`] records, so a segment can be
+    /// parsed on one thread and appended on another.
     ///
     /// # Errors
     ///

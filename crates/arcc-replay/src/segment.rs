@@ -109,45 +109,29 @@ impl FaultLog {
         segments
     }
 
-    /// Parses `text` as a standalone segment document and appends it:
-    /// the one-call ingestion entry point a long-lived service wants. On
-    /// success, records the [`FaultLog::parse_recorded`] parse counters
-    /// plus a `replay.ingest.segments` counter into `rec`. Failed ingests
-    /// (parse errors and contract violations alike) record nothing and
-    /// leave the log unchanged.
+    /// The inventory half of [`FaultLog::append_segment`], for a segment
+    /// parsed from `lines` text lines (as [`FaultLog::parse_counted`]
+    /// returns them): validates and appends the segment's DIMMs, returns
+    /// its populations and faults as `append_segment` does, and leaves
+    /// [`FaultLog::faults`] as it is. On success it records the
+    /// [`FaultLog::parse_recorded`] parse counters plus a
+    /// `replay.ingest.segments` counter into `rec`. A refused segment
+    /// records nothing and leaves the log unchanged.
     ///
-    /// It is [`FaultLog::parse_counted`] followed by
-    /// [`FaultLog::append_recorded`]; callers that parse segments on
-    /// other threads call the two halves themselves.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::Parse`] when `text` fails the strict v1 parser,
-    /// otherwise as for [`FaultLog::append_segment`].
-    pub fn ingest_segment(
-        &mut self,
-        text: &str,
-        rec: &mut dyn arcc_obs::Recorder,
-    ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
-        let (segment, lines) = FaultLog::parse_counted(text).map_err(SegmentError::Parse)?;
-        self.append_recorded(&segment, lines, rec)
-    }
-
-    /// [`FaultLog::append_segment`] of a segment parsed from `lines` text
-    /// lines (as [`FaultLog::parse_counted`] returns them), recording
-    /// what [`FaultLog::ingest_segment`] records on success. A refused
-    /// segment records nothing and leaves the log unchanged.
+    /// This is a long-lived service's per-segment step: a log that holds
+    /// only an inventory stays so, and the segment's faults live only in
+    /// the returned batch, for the arrival set the service extends.
     ///
     /// # Errors
     ///
     /// As for [`FaultLog::append_segment`].
-    pub fn append_recorded(
+    pub fn append_inventory_recorded(
         &mut self,
         segment: &FaultLog,
         lines: usize,
         rec: &mut dyn arcc_obs::Recorder,
     ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
-        let appended = self.append_segment(segment)?;
+        let appended = self.append_inventory(segment)?;
         rec.counter_add("replay.parse.lines", lines as u64);
         rec.counter_add("replay.parse.classes", segment.classes.len() as u64);
         rec.counter_add("replay.parse.dimms", segment.dimms.len() as u64);
@@ -158,8 +142,8 @@ impl FaultLog {
 
     /// Appends a segment to the accumulated log: validates the segment
     /// contract (same horizon, identical class table, globally unique
-    /// DIMM ids), renumbers the segment's DIMMs after the existing
-    /// inventory, and returns what
+    /// DIMM ids), appends the segment's DIMMs and then its faults,
+    /// renumbered after the existing inventory. Returns what
     /// [`ReplayArrivals::extend`](arcc_fleet::ReplayArrivals::extend)
     /// takes — one population index per new channel, and the segment's
     /// faults grouped by channel in one [`ArrivalCsr`]. On error the log
@@ -176,6 +160,19 @@ impl FaultLog {
     /// repeated ids, the one named is the first in segment order that
     /// the log, or an earlier DIMM of the segment, already declares.
     pub fn append_segment(
+        &mut self,
+        segment: &FaultLog,
+    ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
+        let base = self.dimms.len() as u32;
+        let appended = self.append_inventory(segment)?;
+        self.faults
+            .extend(segment.faults.iter().map(|(d, ev)| (d + base, *ev)));
+        Ok(appended)
+    }
+
+    /// The inventory half of [`FaultLog::append_segment`]: everything it
+    /// does but appending the faults.
+    fn append_inventory(
         &mut self,
         segment: &FaultLog,
     ) -> Result<(Vec<u32>, ArrivalCsr), SegmentError> {
@@ -245,8 +242,6 @@ impl FaultLog {
         }
         insert_sorted(&mut self.dimms.id_index, &slots, &order);
         self.dimms.append(&segment.dimms);
-        self.faults
-            .extend(segment.faults.iter().map(|(d, ev)| (d + base, *ev)));
         Ok((segment.dimms.classes().to_vec(), batch))
     }
 }
@@ -337,28 +332,37 @@ mod tests {
     }
 
     #[test]
-    fn recorded_segment_ingest_counts_segments_and_rolls_back_on_error() {
+    fn recorded_inventory_append_counts_segments_and_rolls_back_on_error() {
         use arcc_obs::SnapshotRecorder;
         let log = sample_log();
         let segments = log.split_channels(16);
         let mut acc = segments[0].clone();
+        acc.faults.clear();
+        let mut arrivals = segments[0].arrivals().expect("arrivals");
         let mut rec = SnapshotRecorder::new();
+        let append = |acc: &mut FaultLog, seg: &FaultLog, rec: &mut SnapshotRecorder| {
+            let (seg, lines) = FaultLog::parse_counted(&seg.to_text()).expect("parses");
+            acc.append_inventory_recorded(&seg, lines, rec)
+        };
         for seg in &segments[1..] {
-            acc.ingest_segment(&seg.to_text(), &mut rec)
-                .expect("ingest");
+            let (populations, batch) = append(&mut acc, seg, &mut rec).expect("append");
+            arrivals.extend(populations, batch).expect("extend");
         }
-        assert_eq!(acc, log);
+        // The log keeps the inventory, the arrival set every fault.
+        assert_eq!(acc.dimms, log.dimms);
+        assert!(acc.faults.is_empty());
+        assert_eq!(arrivals, log.arrivals().expect("full arrivals"));
         let snap = rec.snapshot();
         assert_eq!(snap.counter("replay.ingest.segments"), 2);
         assert_eq!(
             snap.counter("replay.parse.dimms"),
             (log.dimms.len() - segments[0].dimms.len()) as u64
         );
+        let faults = segments[1..].iter().map(|s| s.faults.len() as u64).sum();
+        assert_eq!(snap.counter("replay.parse.faults"), faults);
         // A refused segment (duplicate dimms) records nothing.
         let before = rec.snapshot().clone();
-        assert!(acc
-            .ingest_segment(&segments[0].to_text(), &mut rec)
-            .is_err());
+        assert!(append(&mut acc, &segments[0], &mut rec).is_err());
         assert_eq!(rec.snapshot(), &before);
     }
 

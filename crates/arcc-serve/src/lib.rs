@@ -10,7 +10,7 @@
 //! * the [`TwinEngine`] owns durable fleet state
 //!   rooted in [`arcc_fleet::FleetCheckpoint`]: ingesting an
 //!   `arcc-fault-log v1` segment **appends** (via
-//!   [`arcc_replay::FaultLog::ingest_segment`] and
+//!   [`arcc_replay::FaultLog::append_inventory_recorded`] and
 //!   [`arcc_fleet::extend_replays`], one fold over every branch) instead
 //!   of rerunning, so N ingests cost N extensions, never N replays of the
 //!   whole history;

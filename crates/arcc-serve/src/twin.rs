@@ -1,19 +1,23 @@
 //! The [`TwinEngine`]: durable, incrementally-extended fleet state with
 //! counterfactual branches.
 //!
-//! The engine owns one accumulated fault log (the fleet's observed
-//! history), its [`ReplayArrivals`] image, and a set of **branches** —
-//! named `(OperatorPolicy, FleetCheckpoint)` pairs over that shared
-//! arrival set. The `baseline` branch is created on the first ingest;
-//! counterfactual branches are forked on demand. Every ingest *extends*
-//! every branch over the newly complete shards instead of rerunning it,
-//! and every stats query folds the pending partial tail shard on demand
-//! — so the total simulation work of N ingests plus Q queries is N
-//! extensions plus Q tail shards, never a rerun of the shared prefix
-//! (pinned by the [`Counters`]). The branches move together: one
-//! [`extend_replays`] call checks every branch's checkpoint before any
-//! moves, then runs all their new shards in one fold, so a refused
-//! branch leaves every branch where it was.
+//! The engine owns the fleet's observed history once, as two parts: the
+//! accumulated **inventory** (the horizon, the class table, every DIMM
+//! id and the class column, as a [`FaultLog`] that holds no fault) and
+//! the **arrival columns** of its [`ReplayArrivals`], where every
+//! observed fault lives. A parsed segment's faults are kept only until
+//! they are appended to the arrival set. Over that shared arrival set
+//! sits a set of **branches** — named `(OperatorPolicy,
+//! FleetCheckpoint)` pairs. The `baseline` branch is created on the
+//! first ingest; counterfactual branches are forked on demand. Every
+//! ingest *extends* every branch over the newly complete shards instead
+//! of rerunning it, and every stats query folds the pending partial tail
+//! shard on demand — so the total simulation work of N ingests plus Q
+//! queries is N extensions plus Q tail shards, never a rerun of the
+//! shared prefix (pinned by the [`Counters`]). The branches move
+//! together: one [`extend_replays`] call checks every branch's
+//! checkpoint before any moves, then runs all their new shards in one
+//! fold, so a refused branch leaves every branch where it was.
 //!
 //! With a state directory the engine is durable: segments are appended
 //! as numbered files, branch checkpoints are written atomically
@@ -24,13 +28,15 @@
 //! to a different history. An ingest's commit point is the rename of its
 //! segment file, whose fsync runs beside the ingest's compute; the
 //! checkpoints written after it are fsynced together, and `branches.txt`
-//! and `twin.meta` are rewritten only when their text changes.
+//! and `twin.meta` are rewritten only when their text changes. Opening a
+//! directory that holds no segment writes nothing: its state files are
+//! first written by the first ingest.
 //!
 //! Reopening replays every persisted segment. Segment files are
 //! independent documents, so [`TwinEngine::open`] reads and parses them
 //! on the engine's workers, at most four segments per thread ahead of
 //! the next append, while the calling thread alone appends each parsed
-//! segment to the log and the arrival set in index order
+//! segment to the inventory and the arrival set in index order
 //! ([`fold_in_order`]). The reopened engine, its metrics and its error —
 //! the first failing segment in index order, whether its read, parse or
 //! append fails — are those of a sequential loop at every thread count;
@@ -284,7 +290,10 @@ pub struct TwinEngine {
     /// renumbering from zero (the in-session `Counters::ingests` resets
     /// across processes and must not drive durable file names).
     segments_persisted: u64,
-    log: Option<FaultLog>,
+    /// The accumulated inventory: horizon, class table, ids and class
+    /// column. Its `faults` are always empty, as `arrivals` holds every
+    /// fault; `None` until the first segment.
+    inventory: Option<FaultLog>,
     /// The replay spec every branch shares but for its policy and channel
     /// count, built from the first segment: the segment contract fixes
     /// the class table and horizon after it, so no later spec recounts
@@ -319,7 +328,7 @@ impl TwinEngine {
             shard: DEFAULT_SHARD_CHANNELS,
             state_dir: None,
             segments_persisted: 0,
-            log: None,
+            inventory: None,
             spec: None,
             arrivals: ReplayArrivals::default(),
             branches: BTreeMap::new(),
@@ -354,10 +363,11 @@ impl TwinEngine {
     ///
     /// The persisted segments are `segment-00000.log` onwards, up to the
     /// first index whose file is not found. Segment 0 is parsed on the
-    /// calling thread, so the accumulated log's buffers are its own; the
-    /// rest are read and parsed on up to `threads` workers, at most four
-    /// per worker ahead of the next append, while the calling thread
-    /// appends each to the log and the arrival set in index order. The
+    /// calling thread, so the accumulated inventory's buffers are its
+    /// own; the rest are read and parsed on up to `threads` workers, at
+    /// most four per worker ahead of the next append, while the calling
+    /// thread appends each to the inventory and the arrival set in index
+    /// order, keeping a segment's faults only in the arrival set. The
     /// result does not depend on `threads`: the engine, its
     /// [`Self::metrics`] and its error (that of the first segment, in
     /// index order, whose read, parse or append fails) are those of
@@ -367,7 +377,9 @@ impl TwinEngine {
     /// ([`extend_replays`]), re-running the shards of any branch the last
     /// process stopped before checkpointing, and every checkpoint is
     /// written back, as an ingest writes them. `branches.txt` and `twin.meta`
-    /// are rewritten only when their text differs from what was read.
+    /// are rewritten only when their text differs from what was read. A
+    /// directory with no segment is left as it is: the first ingest
+    /// writes its state files, and migrates a version 1 `twin.meta`.
     ///
     /// A version 1 directory (`arcc-serve-state v1`) is migrated: its
     /// checkpoints carry version 1 arrival fingerprints, so they are
@@ -411,7 +423,7 @@ impl TwinEngine {
                 engine.listing_on_disk = Some(text);
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if engine.log.is_some() {
+                if engine.inventory.is_some() {
                     wanted.push((BASELINE_BRANCH.to_string(), OperatorPolicy::None));
                 }
             }
@@ -462,7 +474,13 @@ impl TwinEngine {
             return Err(e);
         }
         engine.branches.extend(loaded);
-        engine.persist()?;
+        if engine.inventory.is_some() {
+            engine.persist()?;
+        } else {
+            // No fleet yet: the first ingest writes every state file.
+            // The snapshot counts what a persist of no branch writes.
+            engine.obs.counter_add("serve.persist.checkpoint_bytes", 0);
+        }
         Ok(engine)
     }
 
@@ -513,10 +531,15 @@ impl TwinEngine {
     }
 
     /// Ingests one fault-log segment (an `arcc-fault-log v1` document):
-    /// appends its DIMMs to the accumulated log, extends every branch
-    /// over the newly complete shards, and persists segment + checkpoints
-    /// when durable. The first ingest creates the `baseline` branch
-    /// (policy `none`).
+    /// appends its DIMMs to the accumulated inventory and its faults to
+    /// the arrival set, extends every branch over the newly complete
+    /// shards, and persists segment + checkpoints when durable. The
+    /// first ingest creates the `baseline` branch (policy `none`).
+    ///
+    /// Between requests the engine keeps the inventory's ids and class
+    /// column and the arrival set's columns, nothing per fault but its
+    /// arrival record: the parsed segment, its faults included, is
+    /// dropped once appended.
     ///
     /// Branches move all or none: every branch's checkpoint is checked
     /// before any is extended, and all are then extended in one fold
@@ -547,10 +570,11 @@ impl TwinEngine {
     /// Only the `Segment` contract and a segment that cannot be staged
     /// leave the engine untouched: an error *after* the segment was
     /// absorbed (branch extension or a durable write) leaves the
-    /// in-memory log ahead of the branches and/or the disk. Resynchronise
-    /// by discarding an ephemeral engine, or by reopening a durable one —
-    /// [`Self::open`] replays exactly the committed segments and
-    /// re-extends every branch from its last good checkpoint.
+    /// in-memory inventory and arrivals ahead of the branches and/or the
+    /// disk. Resynchronise by discarding an ephemeral engine, or by
+    /// reopening a durable one — [`Self::open`] replays exactly the
+    /// committed segments and re-extends every branch from its last good
+    /// checkpoint.
     pub fn ingest(&mut self, segment_text: &str) -> Result<IngestSummary, ServeError> {
         let before_channels = self.channels();
         let before_events = self.events();
@@ -607,7 +631,7 @@ impl TwinEngine {
     /// [`ServeError::DuplicateBranch`] / [`ServeError::BadBranchName`]
     /// for naming violations.
     pub fn fork(&mut self, name: &str, policy: OperatorPolicy) -> Result<&Branch, ServeError> {
-        if self.log.is_none() {
+        if self.inventory.is_none() {
             return Err(ServeError::NoFleet);
         }
         if !valid_branch_name(name) {
@@ -643,7 +667,7 @@ impl TwinEngine {
     /// [`ServeError::NoFleet`] before the first ingest,
     /// [`ServeError::UnknownBranch`] for an unknown name.
     pub fn stats(&mut self, branch: &str) -> Result<FleetStats, ServeError> {
-        if self.log.is_none() {
+        if self.inventory.is_none() {
             return Err(ServeError::NoFleet);
         }
         let b = self
@@ -680,7 +704,7 @@ impl TwinEngine {
         &mut self,
         policy: OperatorPolicy,
     ) -> Result<(String, FleetStats, bool), ServeError> {
-        if self.log.is_none() {
+        if self.inventory.is_none() {
             return Err(ServeError::NoFleet);
         }
         let existing = self
@@ -721,27 +745,32 @@ impl TwinEngine {
         self.extend_branches()
     }
 
-    /// Parses and appends a segment to the accumulated log + arrivals
-    /// (no branch work, no persistence). The first segment also fixes
-    /// the branches' shared spec. Population weights are pinned to 1 so
-    /// the spec fingerprint lineage depends only on the class table and
-    /// channel count, not on how many DIMMs each class happens to hold
-    /// (replay ignores weights; they only drive synthetic assignment).
+    /// Parses a segment and appends its inventory to the accumulated
+    /// inventory and its faults to the arrival set (no branch work, no
+    /// persistence). The first segment becomes the inventory once its
+    /// faults are in the arrival set, and fixes the branches' shared
+    /// spec. Population weights are pinned to 1 so the spec fingerprint
+    /// lineage depends only on the class table and channel count, not on
+    /// how many DIMMs each class happens to hold (replay ignores
+    /// weights; they only drive synthetic assignment).
     fn absorb_segment(&mut self, text: &str) -> Result<(), ServeError> {
-        match &mut self.log {
+        match &mut self.inventory {
             None => {
-                let log = FaultLog::parse_recorded(text, &mut self.obs).map_err(parse_error)?;
+                let mut log = FaultLog::parse_recorded(text, &mut self.obs).map_err(parse_error)?;
                 let arrivals = log.arrivals()?;
+                log.faults = Vec::new();
                 let mut spec = log.replay_spec(self.seed).shard_channels(self.shard);
                 for p in &mut spec.populations {
                     p.weight = 1.0;
                 }
-                self.log = Some(log);
+                self.inventory = Some(log);
                 self.spec = Some(spec);
                 self.arrivals = arrivals;
             }
-            Some(log) => {
-                let (populations, batch) = log.ingest_segment(text, &mut self.obs)?;
+            Some(inventory) => {
+                let (segment, lines) = FaultLog::parse_counted(text).map_err(parse_error)?;
+                let (populations, batch) =
+                    inventory.append_inventory_recorded(&segment, lines, &mut self.obs)?;
                 self.arrivals.extend(populations, batch)?;
             }
         }
@@ -758,7 +787,7 @@ impl TwinEngine {
             return Ok(());
         }
         self.absorb_segment(&read_segment(dir, 0)?)?;
-        let log = self.log.as_mut().ok_or(ServeError::NoFleet)?;
+        let inventory = self.inventory.as_mut().ok_or(ServeError::NoFleet)?;
         let (arrivals, obs) = (&mut self.arrivals, &mut self.obs);
         let parse = |k: usize| {
             let text = read_segment(dir, k as u64 + 1)?;
@@ -766,7 +795,7 @@ impl TwinEngine {
         };
         let append = |parsed: Result<(FaultLog, usize), ServeError>| -> Result<(), ServeError> {
             let (segment, lines) = parsed?;
-            let (populations, batch) = log.append_recorded(&segment, lines, obs)?;
+            let (populations, batch) = inventory.append_inventory_recorded(&segment, lines, obs)?;
             Ok(arrivals.extend(populations, batch)?)
         };
         let (rest, ahead) = ((count - 1) as usize, PARSE_AHEAD * self.threads);
@@ -778,11 +807,11 @@ impl TwinEngine {
     /// The shared replay spec under `policy`, covering the current
     /// channel count.
     fn spec_for(&self, policy: OperatorPolicy) -> Result<FleetSpec, ServeError> {
-        let (Some(log), Some(spec)) = (&self.log, &self.spec) else {
+        let (Some(inventory), Some(spec)) = (&self.inventory, &self.spec) else {
             return Err(ServeError::NoFleet);
         };
         let mut spec = spec.clone().policy(policy);
-        spec.channels = log.dimms.len() as u64;
+        spec.channels = inventory.dimms.len() as u64;
         Ok(spec)
     }
 

@@ -145,9 +145,8 @@ fn block(path: &Path) {
     std::fs::create_dir_all(path.join("occupied")).expect("block");
 }
 
-/// This process's `*.tmp.<pid>` files in `dir`.
-fn tmp_files(dir: &Path) -> Vec<String> {
-    let suffix = format!(".tmp.{}", std::process::id());
+/// The names in `dir`, sorted.
+fn dir_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .expect("state dir")
         .map(|entry| {
@@ -157,26 +156,23 @@ fn tmp_files(dir: &Path) -> Vec<String> {
                 .to_string_lossy()
                 .into_owned()
         })
-        .filter(|name| name.ends_with(&suffix))
         .collect();
     names.sort();
     names
 }
 
+/// This process's `*.tmp.<pid>` files in `dir`.
+fn tmp_files(dir: &Path) -> Vec<String> {
+    let suffix = format!(".tmp.{}", std::process::id());
+    let mut names = dir_names(dir);
+    names.retain(|name| name.ends_with(&suffix));
+    names
+}
+
 /// The segment files in `dir`.
 fn segment_files(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .expect("state dir")
-        .map(|entry| {
-            entry
-                .expect("entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|name| name.starts_with("segment-") && name.ends_with(".log"))
-        .collect();
-    names.sort();
+    let mut names = dir_names(dir);
+    names.retain(|name| name.starts_with("segment-") && name.ends_with(".log"));
     names
 }
 
@@ -464,6 +460,82 @@ fn durable_state_reopens_extends_and_refuses_tampering() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fresh_open_writes_nothing_until_the_first_ingest() {
+    let (_, segments) = sample();
+    let dir = state_dir("fresh");
+    let engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open fresh");
+    assert_eq!(
+        dir_names(&dir),
+        Vec::<String>::new(),
+        "a fresh open writes nothing"
+    );
+    // The snapshot still names what an open that persisted no branch
+    // counted.
+    let metrics: Vec<(&str, u64)> = engine
+        .metrics()
+        .iter()
+        .map(|(name, _)| (name, engine.metrics().counter(name)))
+        .collect();
+    assert_eq!(
+        metrics,
+        [
+            ("serve.persist.checkpoint_bytes", 0),
+            ("serve.shards_run", 0)
+        ]
+    );
+    drop(engine);
+    let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("reopen empty");
+    assert_eq!(dir_names(&dir), Vec::<String>::new());
+
+    // The first ingest writes the segment, the checkpoint, the listing
+    // and the meta.
+    engine.ingest(&segments[0]).expect("ingest");
+    assert_eq!(
+        dir_names(&dir),
+        [
+            "branch-baseline.ckpt",
+            "branches.txt",
+            "segment-00000.log",
+            "twin.meta"
+        ]
+    );
+    assert_eq!(read_in(&dir, "branches.txt"), "baseline none\n");
+    assert_eq!(
+        read_in(&dir, "twin.meta"),
+        format!("arcc-serve-state v2\nseed={SEED}\nshard={SHARD}\n")
+    );
+    drop(engine);
+    match TwinEngine::open(2, SEED + 1, SHARD, &dir) {
+        Err(arcc_serve::ServeError::State { detail }) => {
+            assert!(detail.contains("seed"), "{detail}");
+        }
+        other => panic!("foreign seed must be refused, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A version 1 meta over no segment is checked, left as it is by the
+    // open, and migrated by the first ingest.
+    let dir = state_dir("fresh-v1");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let v1 = format!("arcc-serve-state v1\nseed={SEED}\nshard={SHARD}\n");
+    std::fs::write(dir.join("twin.meta"), &v1).expect("write meta");
+    assert!(TwinEngine::open(2, SEED + 1, SHARD, &dir).is_err());
+    let mut engine = TwinEngine::open(2, SEED, SHARD, &dir).expect("open v1");
+    assert_eq!(read_in(&dir, "twin.meta"), v1);
+    engine.ingest(&segments[0]).expect("ingest");
+    assert_eq!(
+        read_in(&dir, "twin.meta"),
+        format!("arcc-serve-state v2\nseed={SEED}\nshard={SHARD}\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The text of `file` in `dir`.
+fn read_in(dir: &Path, file: &str) -> String {
+    std::fs::read_to_string(dir.join(file)).expect(file)
 }
 
 /// A version 1 state directory, written before arrival fingerprints
